@@ -124,32 +124,30 @@ def hss_eigenvalues(ops):
     return np.sort(h.diagonal().real)
 
 
+def _basis_state(n, k, label):
+    """Spin basis vector e_k (s_z = 2k - N), Clifford factor eta^dag-killed."""
+    spin = np.zeros(n + 1, dtype=complex)
+    spin[k] = 1.0
+    return _product_state(spin, 1, label, n)
+
+
 def ground_state(ops):
     """All spins down, Clifford factor annihilated by eta^dag; H_SS kernel."""
-    spin = np.zeros(ops.n + 1, dtype=complex)
-    spin[0] = 1.0
-    return _product_state(spin, 1, "ground", ops.n)
+    return _basis_state(ops.n, 0, "ground")
 
 
 def ceiling_state_ladder(ops):
-    """(psi1, psi2): the ceiling eigenvector components built by the ladder.
+    """(psi1, psi2): the ceiling eigenvector components, in closed form.
 
-    psi2 = normalized S_+^{N/2} |lowest>  (s_z = 0),
-    psi1 = normalized S_+ psi2            (s_z = 2).
+    psi2 = normalized S_+^{N/2} |lowest> = e_{N/2}  (s_z = 0),
+    psi1 = normalized S_+ psi2         = e_{N/2+1} (s_z = 2),
+    because S_+ maps e_k to a positive multiple of e_{k+1}.
     """
     n = ops.n
     if n % 2:
         raise ValueError("ceiling ladder construction needs even n")
-    v = np.zeros(n + 1, dtype=complex)
-    v[0] = 1.0
-    for _ in range(n // 2):
-        v = ops.s_plus @ v
-        v /= np.linalg.norm(v)
-    psi2 = v
-    psi1 = ops.s_plus @ v
-    psi1 /= np.linalg.norm(psi1)
-    return (_product_state(psi1, 1, "ceiling_psi1", n),
-            _product_state(psi2, 1, "ceiling", n))
+    return (_basis_state(n, n // 2 + 1, "ceiling_psi1"),
+            _basis_state(n, n // 2, "ceiling"))
 
 
 def ceiling_law_exact(n):
@@ -174,11 +172,16 @@ def ceiling_law_exact(n):
 def coherent_spin_amplitudes(n, alpha):
     """Dicke-basis amplitudes of the product state with every spin at
     (e^{i alpha}, e^{-i alpha})/sqrt 2; component k is
-    sqrt(C(n,k)) e^{i alpha (2k-n)} / 2^{n/2}, evaluated in log space."""
+    sqrt(C(n,k)) e^{i alpha (2k-n)} / 2^{n/2}, evaluated in log space.
+
+    The real amplitudes are divided by their norm before the phase is
+    applied: gammaln rounding alone leaves the norm off by more than 1e-12
+    for many n above about 1400."""
     k = np.arange(n + 1)
     log_amp = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
     log_amp -= 0.5 * n * np.log(2.0)
-    return np.exp(log_amp) * np.exp(1j * alpha * (2 * k - n))
+    amp = np.exp(log_amp)
+    return amp / np.linalg.norm(amp) * np.exp(1j * alpha * (2 * k - n))
 
 
 def bogoliubov_state(ops, alpha=0.0):

@@ -8,10 +8,10 @@ checked at machine precision; everything genuinely asymptotic goes through
 ConvergenceSeries and the a + b n^(-p) fit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, expm
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 from scipy.sparse.linalg import expm_multiply
 
@@ -107,27 +107,14 @@ def _as_array(op):
     return np.asarray(op)
 
 
-def _hermitian_phase_apply(x, vec):
-    """exp(iX) vec for Hermitian X, via eigendecomposition."""
-    w, v = np.linalg.eigh(x)
-    return v @ (np.exp(1j * w) * (v.conj().T @ vec))
-
-
 def _spin_phase_apply(ops, cx, cy, cz, denom, spin_vec):
     """exp{i(cx S_x + cy S_y + cz S_z)/denom} applied to a multiplet vector.
 
-    The exponent is Hermitian tridiagonal (subdiagonal amp_k (cx + i cy),
-    diagonal cz (2k - n)), so a banded eigensolve does the job in O(n^2).
+    Matrix-free: expm_multiply only takes products with the sparse
+    tridiagonal generator, O(n) each, and holds O(n) memory.
     """
-    n = ops.n
-    k = np.arange(n)
-    amp = np.sqrt((k + 1.0) * (n - k))
-    band = np.zeros((2, n + 1), dtype=complex)
-    band[0] = cz * np.arange(-n, n + 1, 2.0) / denom
-    # s_x[k+1,k] = amp_k and s_y[k+1,k] = -i amp_k in this multiplet basis
-    band[1, :n] = amp * (cx - 1j * cy) / denom
-    w, v = eig_banded(band, lower=True)
-    return v @ (np.exp(1j * w) * (v.conj().T @ spin_vec))
+    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) / denom
+    return expm_multiply(1j * gen.tocsc(), spin_vec)
 
 
 def _clifford_blocks(state):
@@ -193,13 +180,10 @@ def weyl_phase_sweep(n_list, alpha, beta, state_builder=None):
         ops = dicke.collective_ops(n)
         _, phase = weyl_relation_probe(ops, state_builder(ops), alpha, beta)
         pts.append((n, complex(phase)))
-    series = ConvergenceSeries(metric=f"weyl_phase({alpha:g},{beta:g})",
-                               points=tuple(pts),
-                               target=complex(-alpha * beta / 2.0),
-                               provenance="DERIVED")
-    return ConvergenceSeries(metric=series.metric, points=series.points,
-                             target=series.target, provenance="DERIVED",
-                             fit=extrapolate(series.points))
+    return ConvergenceSeries(metric=f"weyl_phase({alpha:g},{beta:g})",
+                             points=tuple(pts),
+                             target=complex(-alpha * beta / 2.0),
+                             provenance="DERIVED", fit=extrapolate(pts))
 
 
 def bs_gaussian_probe(ops, r, axis):

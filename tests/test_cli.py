@@ -6,6 +6,7 @@ import json
 import pytest
 
 from susylattice import cli
+from susylattice.dicke import MAX_PARTICLES
 from susylattice.reporting import (Report, ReportSchemaError, check_row,
                                    load_tolerances)
 
@@ -147,6 +148,16 @@ def test_sweep_meso_variance_divergence_row(capsys):
     assert code == 0
     assert any(r.startswith("meso_variance_divergent") and r.endswith("pass")
                for r in out.splitlines())
+
+
+@pytest.mark.parametrize("metric", sorted(cli.SWEEP_METRICS))
+def test_sweep_reaches_max_particles(metric, capsys):
+    code, out = run_cli(["--jobs", "1", "sweep", "--metric", metric,
+                         "--n-list", f"5000,10000,{MAX_PARTICLES}"], capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert rows and all(r[7] == "pass" for r in rows)
+    assert str(MAX_PARTICLES) in {r[1] for r in rows}
 
 
 # ---------------------------------------------------------------- spectrum

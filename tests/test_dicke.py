@@ -113,6 +113,25 @@ def test_ceiling_ladder_eigenrelations(n):
         assert resid < 1e-9 * n
 
 
+@pytest.mark.parametrize("n", (2, 4, 50, 100, 200))
+def test_ceiling_closed_form_matches_ladder(n):
+    """The literal ladder: S_+ applied N/2 times to the lowest state (and
+    once more for psi1), normalized after every step."""
+    ops = dicke.collective_ops(n)
+    v = np.zeros(n + 1, dtype=complex)
+    v[0] = 1.0
+    ladder = []
+    for _ in range(n // 2 + 1):
+        v = ops.s_plus @ v
+        v /= np.linalg.norm(v)
+        ladder.append(v)
+    psi1, psi2 = dicke.ceiling_state_ladder(ops)
+    for state, want in ((psi2, ladder[-2]), (psi1, ladder[-1])):
+        spin = state.vector.reshape(n + 1, 2)[:, 1]
+        assert np.abs(spin - want).max() <= 1e-14
+        assert not state.vector.reshape(n + 1, 2)[:, 0].any()
+
+
 def test_ceiling_ladder_needs_even_n():
     with pytest.raises(ValueError):
         dicke.ceiling_state_ladder(dicke.collective_ops(3))
@@ -191,6 +210,17 @@ def test_bogoliubov_n1_alpha0():
     bs = dicke.bogoliubov_state(dicke.collective_ops(1), 0.0)
     spin = bs.vector.reshape(2, 2)[:, 1]
     assert np.allclose(spin, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+
+
+@pytest.mark.parametrize("n", (1410, 4096, dicke.MAX_PARTICLES))
+def test_bogoliubov_normalized_at_large_n(n):
+    """gammaln rounding alone misses the 1e-12 norm check at these n."""
+    amp = dicke.coherent_spin_amplitudes(n, 0.3)
+    assert abs(np.linalg.norm(amp) - 1.0) <= 1e-14
+    ops = dicke.collective_ops(n)
+    bs = dicke.bogoliubov_state(ops, 0.3)
+    assert dicke.expectation(bs, ops.s_x_full).real / n == pytest.approx(
+        np.cos(0.6), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", (5, 40, 500))

@@ -3,6 +3,7 @@ truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from susylattice import dicke, limits
 
@@ -91,6 +92,81 @@ def test_bs_gaussian_limit(r, axis):
                                                 axis)))
     fit = limits.extrapolate(pts)
     assert abs(fit.limit - np.exp(-r * r / 2)) < 0.01
+
+
+# ------------------------------------------- SU(2) coherent-state oracles
+# Exponentials of S_x, S_y, S_z act spin by spin on product states, so each
+# probe of the ground or BS(0) state is a 2x2 matrix element to the N-th
+# power (Arecchi et al., Phys. Rev. A 6, 2211 (1972)).
+
+ORACLE_N = (7, 64, 1410, 4096, dicke.MAX_PARTICLES)
+ORACLE_RTOL = 1e-10
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("n", ORACLE_N)
+def test_gs_gaussian_closed_form(n):
+    a, b = 0.8, 0.45
+    ops = dicke.collective_ops(n)
+    got = limits.fluctuation_expectation(ops, dicke.ground_state(ops),
+                                         limits.FluctuationParams(a, b))
+    want = np.cos(np.hypot(a, b) / np.sqrt(2.0 * n)) ** n
+    assert _rel_err(got, want) <= ORACLE_RTOL
+
+
+@pytest.mark.parametrize("n", ORACLE_N)
+def test_gs_weyl_phase_closed_form(n):
+    a, b = 0.9, 0.6
+    ops = dicke.collective_ops(n)
+    _, phase = limits.weyl_relation_probe(ops, dicke.ground_state(ops), a, b)
+    x, y = a / np.sqrt(2.0 * n), b / np.sqrt(2.0 * n)
+    want = np.angle((np.cos(x) * np.cos(y) - 1j * np.sin(x) * np.sin(y))
+                    ** n)
+    assert _rel_err(phase, want) <= ORACLE_RTOL
+
+
+@pytest.mark.parametrize("n", ORACLE_N)
+@pytest.mark.parametrize("axis", ("y", "z"))
+def test_bs_gaussian_closed_form(n, axis):
+    r = 0.75
+    got = limits.bs_gaussian_probe(dicke.collective_ops(n), r, axis)
+    want = np.cos(r / np.sqrt(n)) ** n
+    assert _rel_err(got, want) <= ORACLE_RTOL
+
+
+def _dense_rotation(ops, cx, cy, cz, denom):
+    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z).toarray() / denom
+    return expm(1j * gen)
+
+
+@pytest.mark.parametrize("n", (8, 64))
+@pytest.mark.parametrize("label", ("ceiling", "bogoliubov(0.4)"))
+def test_matrix_free_probes_match_dense_expm(n, label):
+    """States without a product closed form: the matrix-free probes against
+    a dense expm of the same generator."""
+    ops = dicke.collective_ops(n)
+    if label == "ceiling":
+        state = dicke.ceiling_state_ladder(ops)[1]
+    else:
+        state = dicke.bogoliubov_state(ops, 0.4)
+    spin = state.vector.reshape(-1, 2)[:, 1]
+    a, b = 0.8, 0.45
+    rt = np.sqrt(2.0 * n)
+    gauss = limits.fluctuation_expectation(ops, state,
+                                           limits.FluctuationParams(a, b))
+    want = np.vdot(spin, _dense_rotation(ops, a, -b, 0.0, rt) @ spin)
+    assert abs(gauss - want) <= 1e-12
+    prod, _ = limits.weyl_relation_probe(ops, state, a, b)
+    want = np.vdot(spin, _dense_rotation(ops, a, 0.0, 0.0, rt)
+                   @ (_dense_rotation(ops, 0.0, -b, 0.0, rt) @ spin))
+    assert abs(prod - want) <= 1e-12
+    for cx, cy, cz in ((0.0, 0.7, 0.0), (0.0, 0.0, 0.7), (0.3, -0.5, 0.9)):
+        got = limits._spin_phase_apply(ops, cx, cy, cz, np.sqrt(n), spin)
+        dense = _dense_rotation(ops, cx, cy, cz, np.sqrt(n)) @ spin
+        assert np.abs(got - dense).max() <= 1e-12
 
 
 # --------------------------------------------------------------- Weyl phase
