@@ -381,8 +381,6 @@ def run_sweep(args, tol):
                          f"{sorted(SWEEP_METRICS)}")
     if len(args.n_list) < 3:
         raise UsageError("sweep needs at least 3 n-values for the fit")
-    if sorted(args.n_list) != list(args.n_list):
-        raise UsageError("n-list must be ascending")
     report = Report(config_echo=_echo(args))
     report.extend(SWEEP_METRICS[args.metric](args, tol))
     return report
@@ -395,6 +393,8 @@ def _expand(clusters):
 
 
 def run_spectrum(args, tol):
+    if args.levels is not None and args.levels < 1:
+        raise UsageError(f"--levels must be positive, got {args.levels}")
     report = Report(config_echo=_echo(args))
     n = args.n
     if args.model == "dicke":
@@ -410,8 +410,7 @@ def run_spectrum(args, tol):
         vals = np.sort(vals)
     else:
         raise UsageError(f"unknown spectrum model {args.model!r}")
-    k = args.levels if args.levels else len(vals)
-    for i, v in enumerate(np.asarray(vals)[:k]):
+    for i, v in enumerate(np.asarray(vals)[:args.levels]):
         report.add(check_row(f"spectrum_level_{i:04d}", n, float(v),
                              float(v), "DERIVED", 0.0))
     return report
@@ -490,8 +489,8 @@ def run_tables(args, tol):
 
     # --- supertransformation, BS row
     rep2 = TensorSpinRep(2)
-    g2 = rep2.g_alpha(0.0).toarray()
-    sx1p = -1j * (rep2.sx[0].toarray() @ g2 - g2 @ rep2.sx[0].toarray())
+    g2, sx1 = rep2.g_alpha(0.0), rep2.sx[0]
+    sx1p = -1j * (sx1 @ g2 - g2 @ sx1)
     bv = rep2.bogoliubov_vector(0.0)
     report.add(_indicator("t2_bs_local_finite", 2,
                           abs(np.vdot(bv, sx1p @ bv)) < 10.0, "PAPER"))
@@ -538,6 +537,8 @@ def _n_list(text):
         raise argparse.ArgumentTypeError(f"bad n-list {text!r}")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("n-list entries must be positive")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError("n-list must strictly increase")
     return values
 
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 # Dense matrices only; 2^14 is the largest Fock dimension we ever touch.
 MAX_MODES = 14
@@ -112,7 +113,9 @@ class OperatorMatrix:
 
 
 def _as_array(x):
-    return x.mat if isinstance(x, OperatorMatrix) else np.asarray(x)
+    if isinstance(x, OperatorMatrix):
+        return x.mat
+    return x.toarray() if sparse.issparse(x) else np.asarray(x)
 
 
 @dataclass(frozen=True)
@@ -146,32 +149,64 @@ class LatticeSpec:
         return site * self.n_flavors + flavor
 
 
+def bit_operator(nbits, mask, kind="lower", string=0):
+    """Sparse one-site operator on the 2^nbits bit-string basis, read off
+    the bits of the basis index: kind "lower" = [[0,1],[0,0]] (clears the
+    `mask` bit), "z" = diag(1,-1) (-1 where it is set), each times the sign
+    string (-1)^popcount(index & string), e.g. the Jordan-Wigner string."""
+    idx = np.arange(2 ** nbits)
+    par = idx & string
+    for shift in (16, 8, 4, 2, 1):      # xor-fold to the popcount parity
+        par = par ^ (par >> shift)
+    sign = 1.0 - 2.0 * (par & 1)
+    if kind == "z":
+        return sparse.diags(sign * (1.0 - 2.0 * ((idx & mask) != 0)),
+                            format="csr", dtype=complex)
+    cols = idx[(idx & mask) != 0]
+    return sparse.csr_matrix((sign[cols].astype(complex), (cols ^ mask, cols)),
+                             shape=(idx.size, idx.size))
+
+
 @lru_cache(maxsize=None)
 def sparse_annihilators(modes):
     """Sparse Jordan-Wigner annihilation operators for `modes` fermion modes.
 
-    Mode k carries the sign string on all modes left of it; the single-mode
-    block sends |1> to |0> (upper-right entry 1 in the (|0>,|1>) basis).
+    Mode k is bit modes-1-k of the basis index (mode 0 most significant) and
+    carries the sign string on all modes left of it; the single-mode block
+    sends |1> to |0> (upper-right entry 1 in the (|0>,|1>) basis).
     """
     if modes > MAX_MODES:
         raise DimensionError(
             f"{modes} modes exceed the dense bound of {MAX_MODES}")
-    z = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-    lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    eye2 = sparse.identity(2, dtype=complex, format="csr")
-    ops = []
-    for k in range(modes):
-        acc = sparse.identity(1, dtype=complex, format="csr")
-        for j in range(modes):
-            if j < k:
-                factor = z
-            elif j == k:
-                factor = lower
-            else:
-                factor = eye2
-            acc = sparse.kron(acc, factor, format="csr")
-        ops.append(acc)
-    return tuple(ops)
+    top = 2 ** modes
+    return tuple(bit_operator(modes, 1 << (modes - 1 - k),
+                              string=top - (2 << (modes - 1 - k)))
+                 for k in range(modes))
+
+
+def hermitian_norm(m):
+    """Exact spectral norm max|lambda| of a sparse Hermitian matrix: the
+    connected components of its sparsity pattern are decoupled blocks, and
+    equal-size blocks share one stacked eigvalsh call."""
+    m = sparse.csr_matrix(m)
+    _require_hermitian(m, "hermitian_norm argument")
+    ncomp, labels = connected_components(m != 0, directed=False)
+    sizes = np.bincount(labels, minlength=ncomp)
+    # position of each basis state inside its component
+    rank = np.argsort(np.argsort(labels, kind="stable"))
+    pos = rank - (np.cumsum(sizes) - sizes)[labels]
+    coo = m.tocoo()
+    comp = labels[coo.row]
+    best = 0.0
+    for size in np.unique(sizes):
+        members = sizes == size
+        slot = np.cumsum(members) - 1
+        hit = members[comp]
+        stack = np.zeros((members.sum(), size, size), dtype=m.dtype)
+        stack[slot[comp[hit]], pos[coo.row[hit]], pos[coo.col[hit]]] = \
+            coo.data[hit]
+        best = max(best, float(np.abs(np.linalg.eigvalsh(stack)).max()))
+    return best
 
 
 def fermion_ops(spec):
@@ -197,8 +232,8 @@ def bracket(a, b, kind="commutator"):
 
 
 def _require_hermitian(m, what):
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+    scale = max(1.0, abs(m).max())
+    if abs(m - m.conj().T).max() > 1e-10 * scale:
         raise ValueError(f"{what} must be Hermitian")
 
 

@@ -4,17 +4,14 @@ collective Clifford mode.
 The Dicke engine cannot express single-site operators; identities that mix
 sigma^{(j)} with the collective S (the equation-of-motion and
 supertransformation derivatives) are verified here at small N instead.
-Per-site basis: index 0 = up, 1 = down; the vacuum has all spins down.
+Sparse operators on a bit-string basis of N+1 bits (`operators.bit_operator`):
+site j is bit N-j (site 0 most significant), the Clifford mode is bit 0; a
+clear site bit is spin up, a set one spin down.
 """
 
 import numpy as np
-from scipy import sparse
 
-from .operators import DimensionError
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+from .operators import DimensionError, bit_operator
 
 MAX_SITES = 12
 
@@ -27,27 +24,16 @@ class TensorSpinRep:
             raise DimensionError(f"tensor representation limited to "
                                  f"{MAX_SITES} sites")
         self.n = n
-        self.sx = [self._site_op(_SX, j) for j in range(n)]
-        self.sy = [self._site_op(_SY, j) for j in range(n)]
-        self.sz = [self._site_op(_SZ, j) for j in range(n)]
-        self.sp = [(x + 1j * y) * 0.5 for x, y in zip(self.sx, self.sy)]
-        self.sm = [(x - 1j * y) * 0.5 for x, y in zip(self.sx, self.sy)]
+        masks = [1 << (n - j) for j in range(n)]
+        self.sp = [bit_operator(n + 1, m) for m in masks]
+        self.sm = [s.T.tocsr() for s in self.sp]
+        self.sz = [bit_operator(n + 1, m, "z") for m in masks]
+        self.sx = [p + m for p, m in zip(self.sp, self.sm)]
+        self.sy = [-1j * p + 1j * m for p, m in zip(self.sp, self.sm)]
         self.s_plus = sum(self.sp[1:], self.sp[0])
         self.s_minus = sum(self.sm[1:], self.sm[0])
         self.s_z = sum(self.sz[1:], self.sz[0])
-        eta = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-        self.eta = sparse.kron(sparse.identity(2 ** n, dtype=complex),
-                               eta, format="csr")
-
-    def _site_op(self, block, j):
-        acc = sparse.identity(1, dtype=complex, format="csr")
-        for i in range(self.n):
-            factor = sparse.csr_matrix(block) if i == j else \
-                sparse.identity(2, dtype=complex, format="csr")
-            acc = sparse.kron(acc, factor, format="csr")
-        # lift with the trailing Clifford factor
-        return sparse.kron(acc, sparse.identity(2, dtype=complex),
-                           format="csr").tocsr()
+        self.eta = bit_operator(n + 1, 1)
 
     @property
     def dim(self):
@@ -57,17 +43,6 @@ class TensorSpinRep:
         g = (np.exp(1j * alpha) * (self.eta @ self.s_minus)
              + np.exp(-1j * alpha) * (self.eta.conj().T @ self.s_plus))
         return (g / np.sqrt(self.n)).tocsr()
-
-    def hss(self):
-        g = self.g_alpha(0.0)
-        return (g @ g).tocsr()
-
-    def ground_vector(self):
-        """All spins down, Clifford factor annihilated by eta^dag."""
-        v = np.zeros(self.dim, dtype=complex)
-        # spin index with every site in state |down> = 1, Clifford index 1
-        v[(2 ** self.n - 1) * 2 + 1] = 1.0
-        return v
 
     def bogoliubov_vector(self, alpha=0.0):
         """Product state with all spins at (e^{i alpha}, e^{-i alpha})/sqrt 2."""

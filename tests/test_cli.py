@@ -20,6 +20,14 @@ def run_cli(args, capsys):
     return code, out
 
 
+def exit_code(args):
+    """Exit status of `susylab args`; argparse rejects with SystemExit."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 # ------------------------------------------------------------- reporting
 
 def test_row_provenance_schema_enforced():
@@ -115,9 +123,19 @@ def test_sweep_needs_three_points(capsys):
 
 
 def test_sweep_rejects_descending_n_list(capsys):
-    code, _ = run_cli(["sweep", "--metric", "gaussian",
-                       "--n-list", "256,64,16"], capsys)
-    assert code == 2
+    assert exit_code(["sweep", "--metric", "gaussian",
+                      "--n-list", "256,64,16"]) == 2
+
+
+def test_sweep_rejects_repeated_n_list(capsys):
+    assert exit_code(["sweep", "--metric", "gaussian",
+                      "--n-list", "64,64,64"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_tables_rejects_descending_n_list(capsys):
+    assert exit_code(["tables", "--n-list", "256,64"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_unknown_metric(capsys):
@@ -178,6 +196,13 @@ def test_spectrum_unknown_model(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("levels", ("0", "-1"))
+def test_spectrum_rejects_nonpositive_levels(levels, capsys):
+    code, out = run_cli(["spectrum", "--model", "dicke", "--n", "8",
+                         "--levels", levels], capsys)
+    assert code == 2 and out == ""
+
+
 # ------------------------------------------------------------------ tables
 
 def test_tables_all_cells_pass(capsys):
@@ -190,6 +215,14 @@ def test_tables_all_cells_pass(capsys):
     assert len(t1) == 9 and len(t2) == 8
     assert all(r.endswith("pass") for r in lines)
     assert code == 0
+
+
+def test_tables_determinism(tmp_path):
+    outs = [tmp_path / f"{k}.csv" for k in range(3)]
+    for out, jobs in zip(outs, ("1", "2", "1")):
+        assert cli.main(["--out", str(out), "--jobs", jobs, "tables"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() \
+        == outs[2].read_bytes()
 
 
 def test_json_output_format(tmp_path):

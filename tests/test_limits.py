@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from susylattice import dicke, limits
+from susylattice.tensorrep import MAX_SITES, TensorSpinRep
 
 
 # ----------------------------------------------------------- extrapolation
@@ -221,7 +222,6 @@ def test_odlro_needs_two_sites():
 
 def test_odlro_identity_against_fock():
     """The collective shortcut equals the literal two-site expectation."""
-    from susylattice.tensorrep import TensorSpinRep
     n = 4
     rep = TensorSpinRep(n)
     ops = dicke.collective_ops(n)
@@ -256,6 +256,13 @@ def test_local_super_derivative_decay():
     series = limits.local_super_derivative_norms((4, 6, 8, 10))
     for n, v in series.points:
         assert v.real == pytest.approx(2.0 / np.sqrt(n), abs=1e-10)
+
+
+def test_local_super_derivative_at_max_sites():
+    series = limits.local_super_derivative_norms((8, 10, MAX_SITES))
+    assert series.points[-1][0] == MAX_SITES
+    for n, v in series.points:
+        assert v.real == pytest.approx(2.0 / np.sqrt(n), abs=1e-12)
 
 
 def test_local_rotation_identity():

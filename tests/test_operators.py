@@ -4,8 +4,11 @@ matrix functions and gauge structure."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.linalg import block_diag
 
 from susylattice import operators as op
+from susylattice.tensorrep import TensorSpinRep
 
 
 def test_operator_matrix_immutable_and_shapes():
@@ -153,3 +156,100 @@ def test_paired_spectrum_multiplicities():
     dec = op.super_decompose(q)
     for _, mult in dec.paired_spectrum:
         assert mult % 2 == 0
+
+
+# ------------------------------------------- bit-string builder, block norms
+
+_Z = np.diag([1.0, -1.0])
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def kron_chain(factors):
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_sparse_annihilators_match_kronecker_chain(modes):
+    """Mode k is Z x ... x Z x lower x 1 x ... x 1, entry for entry."""
+    ops = op.sparse_annihilators(modes)
+    assert len(ops) == modes
+    for k, a in enumerate(ops):
+        ref = kron_chain([_Z] * k + [_LOWER] + [np.eye(2)] * (modes - k - 1))
+        assert a.dtype == complex
+        assert np.array_equal(a.toarray(), ref)
+
+
+def test_bit_operator_z_with_sign_string():
+    # sigma_z on the low bit of 3, times the string on the two high bits
+    ref = kron_chain([_Z, _Z, _Z])
+    assert np.array_equal(op.bit_operator(3, 1, "z", string=6).toarray(), ref)
+
+
+_PAULIS = {"sx": [[0, 1], [1, 0]], "sy": [[0, -1j], [1j, 0]],
+           "sz": [[1, 0], [0, -1]], "sp": [[0, 1], [0, 0]],
+           "sm": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tensor_site_operators_match_kronecker_paulis(n):
+    """Site j is 1 x ... x sigma x ... x 1, then the Clifford identity."""
+    rep = TensorSpinRep(n)
+    eye = np.eye(2)
+    for name, block in _PAULIS.items():
+        ops = getattr(rep, name)
+        assert len(ops) == n
+        for j, mat in enumerate(ops):
+            ref = kron_chain([eye] * j + [np.array(block)]
+                             + [eye] * (n - j - 1) + [eye])
+            assert np.array_equal(mat.toarray(), ref), (name, j)
+    assert np.array_equal(rep.eta.toarray(),
+                          kron_chain([np.eye(2 ** n), _LOWER]))
+
+
+@pytest.mark.parametrize("n", (4, 6, 8))
+@pytest.mark.parametrize("alpha", (0.0, 0.7))
+def test_hermitian_norm_matches_dense_on_local_commutator(n, alpha):
+    rep = TensorSpinRep(n)
+    g, sz1 = rep.g_alpha(alpha), rep.sz[0]
+    comm = -1j * (sz1 @ g - g @ sz1)
+    dense = np.linalg.norm(comm.toarray(), 2)
+    assert op.hermitian_norm(comm) == pytest.approx(dense, abs=1e-12)
+
+
+def _shuffled_block_hermitian(rng, sizes):
+    """Random Hermitian blocks of the given sizes, basis order shuffled so
+    that no block is contiguous."""
+    blocks = []
+    for s in sizes:
+        x = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        blocks.append(x + x.conj().T)
+    dense = block_diag(*blocks)
+    perm = rng.permutation(dense.shape[0])
+    return dense[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_hermitian_norm_mixed_block_sizes(seed):
+    rng = np.random.default_rng(seed)
+    dense = _shuffled_block_hermitian(rng, (1, 3, 2, 3, 5, 1, 2, 4, 7))
+    ref = np.linalg.norm(dense, 2)
+    assert op.hermitian_norm(sparse.csr_matrix(dense)) == \
+        pytest.approx(ref, abs=1e-12)
+
+
+def test_hermitian_norm_takes_largest_modulus():
+    """The norm is max|lambda|, here carried by a negative eigenvalue, and
+    empty rows (zero 1x1 blocks) are harmless."""
+    m = sparse.csr_matrix(np.diag([0.0, -3.0, 2.0, 0.0]))
+    assert op.hermitian_norm(m) == 3.0
+    assert op.hermitian_norm(sparse.csr_matrix((5, 5), dtype=complex)) == 0.0
+
+
+def test_hermitian_norm_rejects_non_hermitian():
+    with pytest.raises(ValueError):
+        op.hermitian_norm(sparse.csr_matrix(_LOWER))
+    with pytest.raises(ValueError):
+        op.hermitian_norm(sparse.csr_matrix(1j * np.eye(2)))
