@@ -5,7 +5,6 @@ make their infinite-volume limits falsifiable."""
 __version__ = "1.0.0"
 
 from .operators import (
-    OperatorMatrix,
     LatticeSpec,
     SuperDecomposition,
     DimensionError,
@@ -69,8 +68,6 @@ from .limits import (
     bs_gaussian_probe,
     odlro,
     odlro_sweep,
-    heisenberg_derivative,
-    super_derivative,
     witten_limit,
     spectral_convergence,
     bs_free_evolution,

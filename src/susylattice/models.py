@@ -10,14 +10,14 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .operators import (
     DimensionError,
     LatticeSpec,
-    OperatorMatrix,
+    bracket,
     gauge_charge,
     hermitian_function,
+    hermitian_norm,
     nilpotency_residual,
     sparse_annihilators,
 )
@@ -25,13 +25,14 @@ from .operators import (
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A named model with its lattice, couplings and built operators."""
+    """A named model with its lattice, couplings and built operators (dense,
+    read-only)."""
 
     kind: str
     spec: LatticeSpec
     couplings: tuple
-    q: OperatorMatrix
-    h: OperatorMatrix
+    q: np.ndarray
+    h: np.ndarray
 
     def g_alpha(self, alpha=0.0):
         return gauge_charge(self.q, alpha)
@@ -47,10 +48,8 @@ def _check_couplings(z):
 def _instance(kind, spec, z, q_sparse):
     q = q_sparse.toarray()
     h = q @ q.conj().T + q.conj().T @ q
-    return ModelInstance(kind=kind, spec=spec, couplings=z,
-                         q=OperatorMatrix(q, label=f"Q[{kind}]"),
-                         h=OperatorMatrix(h, hermitian=True,
-                                          label=f"H[{kind}]"))
+    q.flags.writeable = h.flags.writeable = False
+    return ModelInstance(kind=kind, spec=spec, couplings=z, q=q, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +74,8 @@ def baby_flow_closed(s, alpha=0.0):
     a = sparse_annihilators(1)[0].toarray()
     ad = a.conj().T
     c, sn = np.cos(s), np.sin(s)
-    return OperatorMatrix(c * c * a + np.exp(-2j * alpha) * sn * sn * ad
-                          + 1j * np.exp(-1j * alpha) * c * sn * (ad @ a - a @ ad))
+    return (c * c * a + np.exp(-2j * alpha) * sn * sn * ad
+            + 1j * np.exp(-1j * alpha) * c * sn * bracket(ad, a))
 
 
 def build_model_i(z, kind="ModelI"):
@@ -99,10 +98,10 @@ def model_i_flow_closed(k, s, z):
     model = build_model_i(z)
     g = model.g_alpha(0.0)
     a_k = sparse_annihilators(model.spec.modes)[k].toarray()
-    g_inv = hermitian_function(g, lambda v: 1.0 / v).mat
-    exp_m2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v)).mat
+    g_inv = hermitian_function(g, lambda v: 1.0 / v)
+    exp_m2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v))
     shift = 0.5 * z[k] * g_inv
-    return OperatorMatrix((a_k - shift) @ exp_m2isg + shift)
+    return (a_k - shift) @ exp_m2isg + shift
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +142,9 @@ def model_ii_flow_closed(k, s, z):
     up = ops[spec.mode_index(k, 0)].toarray()
     dn = ops[spec.mode_index(k, 1)].toarray()
     g = model.g_alpha(0.0)
-    shifted = g.mat - z[k] * (dn + dn.conj().T)
-    exp_isg = hermitian_function(g, lambda v: np.exp(-1j * s * v)).mat
-    exp_shift = hermitian_function(OperatorMatrix(shifted, hermitian=True),
-                                   lambda v: np.exp(-1j * s * v)).mat
+    shifted = g - z[k] * (dn + dn.conj().T)
+    exp_isg = hermitian_function(g, lambda v: np.exp(-1j * s * v))
+    exp_shift = hermitian_function(shifted, lambda v: np.exp(-1j * s * v))
     a_up_s = up @ exp_shift @ exp_isg
 
     def phi(x):
@@ -155,10 +153,10 @@ def model_ii_flow_closed(k, s, z):
         safe = np.where(small, 1.0, x)
         return np.where(small, 1j * s, (1 - np.exp(-2j * s * safe)) / (2 * safe))
 
-    exp_2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v)).mat
+    exp_2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v))
     n_up = up.conj().T @ up
-    a_dn_s = dn @ exp_2isg + z[k] * (n_up @ hermitian_function(g, phi).mat)
-    return OperatorMatrix(a_up_s), OperatorMatrix(a_dn_s)
+    a_dn_s = dn @ exp_2isg + z[k] * (n_up @ hermitian_function(g, phi))
+    return a_up_s, a_dn_s
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def hopping_supercharge(n, z=None, periodic=True):
             continue
         term = zi * (ops[i].conj().T @ ops[i] @ ops[j])
         q = term if q is None else q + term
-    return OperatorMatrix(q.toarray(), label="Q[hopping]")
+    return q.toarray()
 
 
 def nilpotency_check(q):
@@ -207,9 +205,9 @@ class PairAlgebraOps:
 
     b_ops: tuple
     a3_ops: tuple
-    m_n: OperatorMatrix
-    eta_n: OperatorMatrix
-    pair_projector: OperatorMatrix
+    m_n: np.ndarray
+    eta_n: np.ndarray
+    pair_projector: np.ndarray
 
 
 def _model_iii_sparse(n):
@@ -231,7 +229,7 @@ def _pair_projector_diag(spec):
     # mode k occupation is bit (modes-1-k) of the basis index
     modes = spec.modes
     idx = np.arange(spec.dim)
-    diag = np.ones(spec.dim)
+    diag = np.ones(spec.dim, dtype=complex)
     for i in range(spec.n_sites):
         b1 = (idx >> (modes - 1 - spec.mode_index(i, 0))) & 1
         b2 = (idx >> (modes - 1 - spec.mode_index(i, 1))) & 1
@@ -247,29 +245,21 @@ def build_model_iii_fock(n):
     spec, b, a3, m, eta, q = _model_iii_sparse(n)
     inst = _instance("ModelIII", spec, (1.0,) * n, q)
     pair = PairAlgebraOps(
-        b_ops=tuple(OperatorMatrix(x.toarray(), label=f"b_{i}")
-                    for i, x in enumerate(b)),
-        a3_ops=tuple(OperatorMatrix(x.toarray(), label=f"a3_{i}")
-                     for i, x in enumerate(a3)),
-        m_n=OperatorMatrix(m.toarray(), label="M_N"),
-        eta_n=OperatorMatrix(eta.toarray(), label="eta_N"),
-        pair_projector=OperatorMatrix(np.diag(_pair_projector_diag(spec)),
-                                      hermitian=True, label="P_pair"),
-    )
+        b_ops=tuple(x.toarray() for x in b),
+        a3_ops=tuple(x.toarray() for x in a3),
+        m_n=m.toarray(), eta_n=eta.toarray(),
+        pair_projector=np.diag(_pair_projector_diag(spec)))
     return inst, pair
 
 
 def fock_m_norm(n):
     """Spectral norm of M_N = (1/sqrt N) sum_i b_i on the full Fock space.
 
-    Computed from the sparse operator so n = 4 (dimension 4096) never needs
-    a dense SVD.
+    sqrt ||M^dag M|| from the sparse blocks of M^dag M, so n = 4 (dimension
+    4096) never needs a dense SVD.
     """
     _, _, _, m, _, _ = _model_iii_sparse(n)
-    if m.shape[0] <= 512:
-        return float(np.linalg.norm(m.toarray(), 2))
-    s = sparse.linalg.svds(m.tocsc(), k=1, return_singular_vectors=False)
-    return float(s[0])
+    return float(np.sqrt(hermitian_norm(m.conj().T @ m)))
 
 
 def hss_pair_expansion(pair):
@@ -278,12 +268,11 @@ def hss_pair_expansion(pair):
     Valid (and checked) only on the pair sector.
     """
     n = len(pair.b_ops)
-    dim = pair.m_n.dim
-    num_pairs = sum((bi.dag @ bi).mat for bi in pair.b_ops)
-    m, eta = pair.m_n.mat, pair.eta_n.mat
-    return OperatorMatrix(m.conj().T @ m
-                          + eta @ eta.conj().T @ (np.eye(dim)
-                                                  - (2.0 / n) * num_pairs))
+    num_pairs = sum(bi.conj().T @ bi for bi in pair.b_ops)
+    m, eta = pair.m_n, pair.eta_n
+    return (m.conj().T @ m
+            + eta @ eta.conj().T @ (np.eye(m.shape[0])
+                                    - (2.0 / n) * num_pairs))
 
 
 def model_iii_symmetric_sector_spectrum(n):
@@ -330,8 +319,8 @@ class BcsModel:
 
     n: int
     representation: str
-    h_bcs: OperatorMatrix
-    h_ss: OperatorMatrix
+    h_bcs: np.ndarray
+    h_ss: np.ndarray
     diff_norm: float
 
 
@@ -345,9 +334,9 @@ def build_bcs(n, representation="dicke"):
         if n > 3:
             raise DimensionError("dense fock BCS limited to 3 sites")
         inst, pair = build_model_iii_fock(n)
-        m = pair.m_n.mat
+        m = pair.m_n
         h_bcs = -(m.conj().T @ m)
-        h_ss = inst.h.mat.copy()
+        h_ss = inst.h
     elif representation == "dicke":
         from . import dicke
 
@@ -359,6 +348,4 @@ def build_bcs(n, representation="dicke"):
         raise ValueError(f"unknown representation {representation!r}")
     diff = float(np.linalg.norm(h_bcs + h_ss, 2))
     return BcsModel(n=n, representation=representation,
-                    h_bcs=OperatorMatrix(h_bcs, hermitian=True, label="H_BCS"),
-                    h_ss=OperatorMatrix(h_ss, hermitian=True, label="H_SS"),
-                    diff_norm=diff)
+                    h_bcs=h_bcs, h_ss=h_ss, diff_norm=diff)

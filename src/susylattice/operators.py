@@ -1,12 +1,12 @@
-"""Dense complex-matrix toolkit and the model-independent super-structure.
+"""Operator toolkit and the model-independent super-structure.
 
-Everything here works on explicit matrices: fermion mode operators built by
-the Jordan-Wigner construction, (anti)commutators, Hermitian matrix
-functions, and the decomposition of a nilpotent supercharge Q into the
-package (P0, eta, F, G_alpha, paired spectrum).
+Operators are plain numpy arrays or scipy sparse matrices: fermion mode
+operators built by the Jordan-Wigner construction, (anti)commutators,
+Hermitian matrix functions, and the decomposition of a nilpotent supercharge
+Q into the package (P0, eta, F, G_alpha, paired spectrum).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,88 +33,7 @@ class NilpotencyError(ValueError):
     """Supercharge candidate is not nilpotent."""
 
 
-class OperatorMatrix:
-    """Immutable dense complex square matrix with an optional Hermiticity tag.
-
-    Parameters
-    ----------
-    mat : array_like
-        Square complex matrix.
-    hermitian : bool or None
-        If True, Hermiticity is checked at construction (to 1e-12 relative).
-        None means "unknown".
-    label : str
-        Free-text name used in error messages and reports.
-    """
-
-    __slots__ = ("mat", "hermitian", "label")
-
-    def __init__(self, mat, hermitian=None, label=""):
-        m = np.array(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if hermitian:
-            scale = max(1.0, np.abs(m).max())
-            if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-                raise ValueError(f"matrix {label!r} tagged Hermitian is not")
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "hermitian", hermitian)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMatrix is immutable")
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    @property
-    def dag(self):
-        return OperatorMatrix(self.mat.conj().T, hermitian=self.hermitian,
-                              label=self.label + "^dag" if self.label else "")
-
-    def __matmul__(self, other):
-        return OperatorMatrix(self.mat @ _as_array(other))
-
-    def __rmatmul__(self, other):
-        return OperatorMatrix(_as_array(other) @ self.mat)
-
-    def __add__(self, other):
-        return OperatorMatrix(self.mat + _as_array(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return OperatorMatrix(self.mat - _as_array(other))
-
-    def __rsub__(self, other):
-        return OperatorMatrix(_as_array(other) - self.mat)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return OperatorMatrix(-self.mat)
-
-    def norm(self):
-        """Spectral norm (largest singular value)."""
-        return float(np.linalg.norm(self.mat, 2))
-
-    def fro(self):
-        """Frobenius norm; cheap residual measure."""
-        return float(np.linalg.norm(self.mat))
-
-    def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return f"<OperatorMatrix{tag} dim={self.dim}>"
-
-
 def _as_array(x):
-    if isinstance(x, OperatorMatrix):
-        return x.mat
     return x.toarray() if sparse.issparse(x) else np.asarray(x)
 
 
@@ -215,19 +134,18 @@ def fermion_ops(spec):
     The returned dense matrices satisfy the CAR exactly up to round-off:
     {a_m, a_n^dag} = delta_mn, {a_m, a_n} = 0.
     """
-    return [OperatorMatrix(a.toarray(), label=f"a_{k}")
-            for k, a in enumerate(sparse_annihilators(spec.modes))]
+    return [a.toarray() for a in sparse_annihilators(spec.modes)]
 
 
 def bracket(a, b, kind="commutator"):
-    """AB -+ BA for kind in {"commutator", "anticommutator"}."""
-    am, bm = _as_array(a), _as_array(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    """AB -+ BA for kind in {"commutator", "anticommutator"}; dense or
+    sparse operands, and two sparse operands give a sparse result."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if kind == "commutator":
-        return OperatorMatrix(am @ bm - bm @ am)
+        return a @ b - b @ a
     if kind == "anticommutator":
-        return OperatorMatrix(am @ bm + bm @ am)
+        return a @ b + b @ a
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
@@ -242,7 +160,7 @@ def hermitian_function(g, fn):
     gm = _as_array(g)
     _require_hermitian(gm, "matrix-function argument")
     vals, vecs = np.linalg.eigh(gm)
-    return OperatorMatrix((vecs * fn(vals)) @ vecs.conj().T)
+    return (vecs * fn(vals)) @ vecs.conj().T
 
 
 def unitary_flow(g, s, a):
@@ -259,7 +177,7 @@ def unitary_flow(g, s, a):
     vals, vecs = np.linalg.eigh(gm)
     phases = np.exp(1j * s * vals)
     u = (vecs * phases) @ vecs.conj().T
-    return OperatorMatrix(u @ am @ u.conj().T)
+    return u @ am @ u.conj().T
 
 
 def psd_sqrt(h):
@@ -276,8 +194,7 @@ def psd_sqrt(h):
     if vals[0] < min(floor, -1e-10):
         raise ValueError(f"materially negative eigenvalue {vals[0]:.3e}")
     vals = np.clip(vals, 0.0, None)
-    return OperatorMatrix((vecs * np.sqrt(vals)) @ vecs.conj().T,
-                          hermitian=True)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def spectrum(h):
@@ -309,9 +226,7 @@ def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
 def gauge_charge(q, alpha):
     """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag."""
     qm = _as_array(q)
-    return OperatorMatrix(np.exp(1j * alpha) * qm
-                          + np.exp(-1j * alpha) * qm.conj().T,
-                          hermitian=True, label=f"G_{alpha:g}")
+    return np.exp(1j * alpha) * qm + np.exp(-1j * alpha) * qm.conj().T
 
 
 def nilpotency_residual(q):
@@ -329,25 +244,27 @@ class SuperDecomposition:
 
     Attributes
     ----------
-    q, h : OperatorMatrix
+    q, h : ndarray
         The supercharge and H = Q Q^dag + Q^dag Q.
-    p0 : OperatorMatrix
+    p0 : ndarray
         Orthogonal projector onto ker H.
-    eta : OperatorMatrix
+    eta : ndarray
         Q / sqrt(H) on the range of 1 - P0; the collective Clifford mode.
-    f : OperatorMatrix
+    f : ndarray
         [eta, eta^dag]; generates the gauge rotation of G.
     paired_spectrum : tuple
         (E, multiplicity) for the strictly positive eigenvalues of H.
     alpha : float
         The gauge angle the decomposition was requested at.
+
+    The arrays are read-only.
     """
 
-    q: OperatorMatrix
-    h: OperatorMatrix
-    p0: OperatorMatrix
-    eta: OperatorMatrix
-    f: OperatorMatrix
+    q: np.ndarray
+    h: np.ndarray
+    p0: np.ndarray
+    eta: np.ndarray
+    f: np.ndarray
     paired_spectrum: tuple
     alpha: float = 0.0
 
@@ -361,7 +278,7 @@ class SuperDecomposition:
         exp(i t F) multiplies the odd part of G by exp(2 i t).
         """
         u = hermitian_function(self.f, lambda v: np.exp(1j * alpha / 2 * v))
-        return OperatorMatrix(u.mat @ self.g_alpha(0.0).mat @ u.mat.conj().T)
+        return u @ self.g_alpha(0.0) @ u.conj().T
 
 
 def super_decompose(q, alpha=0.0, check=True):
@@ -382,17 +299,13 @@ def super_decompose(q, alpha=0.0, check=True):
     p0 = (vecs[:, kernel]) @ (vecs[:, kernel]).conj().T
     inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, vals)))
     eta = qm @ ((vecs * inv_sqrt) @ vecs.conj().T)
-    f = eta @ eta.conj().T - eta.conj().T @ eta
+    f = bracket(eta, eta.conj().T)
     paired = tuple(cluster_eigenvalues(vals[~kernel]))
-    dec = SuperDecomposition(
-        q=OperatorMatrix(qm, label="Q"),
-        h=OperatorMatrix(h, hermitian=True, label="H"),
-        p0=OperatorMatrix(p0, hermitian=True, label="P0"),
-        eta=OperatorMatrix(eta, label="eta"),
-        f=OperatorMatrix(f, hermitian=True, label="F"),
-        paired_spectrum=paired,
-        alpha=alpha,
-    )
+    qm = qm.view()          # read-only view; the caller's array stays as is
+    for m in (qm, h, p0, eta, f):
+        m.flags.writeable = False
+    dec = SuperDecomposition(q=qm, h=h, p0=p0, eta=eta, f=f,
+                             paired_spectrum=paired, alpha=alpha)
     if check:
         verify_decomposition(dec, alpha)
     return dec
@@ -406,18 +319,17 @@ def verify_decomposition(dec, alpha=0.0):
     - the G spectrum on range(1 - P0) is +-sqrt(E) with matched multiplicities
     - G_alpha^2 = H for the requested alpha and for alpha in {0, pi/2}
     """
-    n = dec.h.dim
-    eye = np.eye(n)
-    eta, p0 = dec.eta.mat, dec.p0.mat
-    ccr = eta @ eta.conj().T + eta.conj().T @ eta - (eye - p0)
+    eye = np.eye(dec.h.shape[0])
+    eta, p0 = dec.eta, dec.p0
+    ccr = bracket(eta, eta.conj().T, "anticommutator") - (eye - p0)
     if np.abs(ccr).max() > 1e-10:
         raise ValueError(f"eta CAR residual {np.abs(ccr).max():.3e}")
     for e_val, mult in dec.paired_spectrum:
         if mult % 2:
             raise ValueError(
                 f"positive eigenvalue {e_val:.6g} has odd multiplicity {mult}")
-    hnorm = max(float(np.linalg.norm(dec.h.mat, 2)), 1e-300)
-    g0 = gauge_charge(dec.q, 0.0).mat
+    hnorm = max(float(np.linalg.norm(dec.h, 2)), 1e-300)
+    g0 = gauge_charge(dec.q, 0.0)
     gvals = np.linalg.eigvalsh(g0)
     nonzero = gvals[np.abs(gvals) > np.sqrt(KERNEL_CUT * hnorm)]
     pos = cluster_eigenvalues(nonzero[nonzero > 0])
@@ -428,6 +340,6 @@ def verify_decomposition(dec, alpha=0.0):
         if mp != mn or abs(vp - vn) > 1e-8 * (1 + abs(vp)):
             raise ValueError("G eigenvalues +-sqrt(E) do not match")
     for a in {alpha, 0.0, np.pi / 2}:
-        g = gauge_charge(dec.q, a).mat
-        if np.abs(g @ g - dec.h.mat).max() > 1e-10 * (1 + hnorm):
+        g = gauge_charge(dec.q, a)
+        if np.abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):
             raise ValueError(f"G_alpha^2 != H at alpha={a:g}")

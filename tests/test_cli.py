@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,8 +96,11 @@ def test_verify_unknown_model_is_usage_error(capsys):
 
 
 def test_verify_dimension_bound_error(capsys):
-    code, _ = run_cli(["verify", "--model", "model_iii", "--n", "5"], capsys)
-    assert code == 2
+    """verify has no size flag: `--n` is an unknown argument (the Model III
+    Fock bound itself is `build_model_iii_fock(5)` -> DimensionError)."""
+    assert exit_code(["verify", "--model", "model_iii", "--n", "5"]) == 2
+    assert exit_code(["verify", "--model", "model_iii", "--n", "3"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_determinism(tmp_path):
@@ -134,7 +138,9 @@ def test_sweep_rejects_repeated_n_list(capsys):
 
 
 def test_tables_rejects_descending_n_list(capsys):
+    """tables runs at fixed sizes: any `--n-list` is an unknown argument."""
     assert exit_code(["tables", "--n-list", "256,64"]) == 2
+    assert exit_code(["tables", "--n-list", "1,2,256"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -231,3 +237,24 @@ def test_json_output_format(tmp_path):
                      "spectrum", "--model", "dicke", "--n", "4"]) == 0
     payload = json.loads(out.read_text())
     assert payload["rows"][0]["metric"] == "spectrum_level_0000"
+
+
+# ------------------------------------------------------------ golden CSVs
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", (
+    ("verify.csv", ["verify"]),
+    ("tables.csv", ["tables"]),
+    ("spectrum_model_ii_n4.csv", ["spectrum", "--model", "model_ii",
+                                  "--n", "4"]),
+))
+def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
+    """Refactors keep the default workloads' CSV bytes: the files under
+    tests/golden were written by `susylab --jobs 1 ...` before the plain-array
+    operator layer (numpy 2.4 / scipy 1.17 on OpenBLAS, x86-64); another
+    BLAS build may move a last digit."""
+    out = tmp_path / name
+    assert cli.main(["--out", str(out), "--jobs", "1", *argv]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

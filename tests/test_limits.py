@@ -247,11 +247,6 @@ def test_super_identities_exact(n, alpha):
     assert all(v < 1e-10 for v in res.values()), res
 
 
-def test_heisenberg_derivative_validation():
-    with pytest.raises(ValueError):
-        limits.heisenberg_derivative(np.eye(2), np.eye(3))
-
-
 def test_local_super_derivative_decay():
     series = limits.local_super_derivative_norms((4, 6, 8, 10))
     for n, v in series.points:

@@ -7,24 +7,41 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag
 
-from susylattice import operators as op
+from susylattice import models, operators as op
 from susylattice.tensorrep import TensorSpinRep
 
 
-def test_operator_matrix_immutable_and_shapes():
-    m = op.OperatorMatrix(np.eye(2))
-    with pytest.raises(AttributeError):
-        m.mat = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        op.OperatorMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        op.OperatorMatrix([[0, 1], [0, 0]], hermitian=True)
+def test_built_operators_are_read_only():
+    inst = models.build_model_ii((1.0, 2.0))
+    dec = op.super_decompose(inst.q)
+    for m in (inst.q, inst.h, dec.eta):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
-def test_spectral_vs_frobenius_norm():
-    m = op.OperatorMatrix([[1, 1], [0, 1]])
-    assert m.norm() == pytest.approx(1.618033988749895, abs=1e-12)
-    assert m.fro() == pytest.approx(np.sqrt(3), abs=1e-12)
+def test_super_decompose_leaves_its_argument_writable():
+    q = op.fermion_ops(op.LatticeSpec(1, 1))[0]
+    op.super_decompose(q)
+    q[0, 0] = 0.0
+
+
+def test_bracket_sparse_stays_sparse_and_matches_dense():
+    a, b = op.sparse_annihilators(2)
+    ad = a.conj().T
+    for kind in ("commutator", "anticommutator"):
+        got = op.bracket(ad, b, kind)
+        assert sparse.issparse(got)
+        assert np.array_equal(got.toarray(),
+                              op.bracket(ad.toarray(), b.toarray(), kind))
+    with pytest.raises(ValueError):
+        op.bracket(a, b, "jordan")
+
+
+def test_bracket_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        op.bracket(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError):
+        op.bracket(sparse.eye(2), sparse.eye(3))
 
 
 @settings(deadline=None, max_examples=8)
@@ -34,9 +51,9 @@ def test_car_relations(n_sites, n_flavors):
     ops = op.fermion_ops(spec)
     eye = np.eye(spec.dim)
     for i, a in enumerate(ops):
-        assert np.abs((a @ a).mat).max() < 1e-14
+        assert np.abs(a @ a).max() < 1e-14
         for j, b in enumerate(ops):
-            anti = (a @ b.dag + b.dag @ a).mat
+            anti = a @ b.conj().T + b.conj().T @ a
             expect = eye if i == j else 0 * eye
             assert np.abs(anti - expect).max() < 1e-12
 
@@ -56,30 +73,31 @@ def test_mode_bound_enforced():
 
 
 def test_hermitian_function_matches_scalar():
-    g = op.OperatorMatrix([[2, 0], [0, 3]], hermitian=True)
+    g = np.array([[2, 0], [0, 3]], dtype=complex)
     e = op.hermitian_function(g, np.exp)
-    assert np.allclose(e.mat, np.diag(np.exp([2.0, 3.0])))
+    assert np.allclose(e, np.diag(np.exp([2.0, 3.0])))
     with pytest.raises(ValueError):
-        op.hermitian_function(op.OperatorMatrix([[0, 1], [0, 0]]), np.exp)
+        op.hermitian_function(np.array([[0, 1], [0, 0]], dtype=complex),
+                              np.exp)
 
 
 def test_unitary_flow_is_conjugation():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    g = op.OperatorMatrix(h + h.conj().T, hermitian=True)
-    a = op.OperatorMatrix(rng.normal(size=(4, 4)))
+    g = h + h.conj().T
+    a = rng.normal(size=(4, 4)).astype(complex)
     s = 0.37
     from scipy.linalg import expm
-    u = expm(1j * s * g.mat)
-    ref = u @ a.mat @ u.conj().T
-    assert np.abs(op.unitary_flow(g, s, a).mat - ref).max() < 1e-12
+    u = expm(1j * s * g)
+    ref = u @ a @ u.conj().T
+    assert np.abs(op.unitary_flow(g, s, a) - ref).max() < 1e-12
 
 
 def test_psd_sqrt_and_negative_rejection():
-    h = op.OperatorMatrix(np.diag([0.0, 4.0]), hermitian=True)
+    h = np.diag([0.0, 4.0]).astype(complex)
     r = op.psd_sqrt(h)
-    assert np.allclose(r.mat, np.diag([0.0, 2.0]))
-    bad = op.OperatorMatrix(np.diag([-1.0, 1.0]), hermitian=True)
+    assert np.allclose(r, np.diag([0.0, 2.0]))
+    bad = np.diag([-1.0, 1.0]).astype(complex)
     with pytest.raises(ValueError):
         op.psd_sqrt(bad)
 
@@ -94,12 +112,12 @@ def test_gauge_charge_phases():
     spec = op.LatticeSpec(1, 1)
     a = op.fermion_ops(spec)[0]
     g = op.gauge_charge(a, 0.3)
-    ref = np.exp(0.3j) * a.mat + np.exp(-0.3j) * a.mat.conj().T
-    assert np.abs(g.mat - ref).max() < 1e-14
+    ref = np.exp(0.3j) * a + np.exp(-0.3j) * a.conj().T
+    assert np.abs(g - ref).max() < 1e-14
 
 
 def test_nilpotency_residual_zero_matrix():
-    z = op.OperatorMatrix(np.zeros((3, 3)))
+    z = np.zeros((3, 3), dtype=complex)
     assert op.nilpotency_residual(z) == 0.0
 
 
@@ -108,14 +126,14 @@ def test_super_decompose_baby():
     a = op.fermion_ops(spec)[0]
     dec = op.super_decompose(a)
     # H = {a, a^dag} = 1, no kernel
-    assert np.allclose(dec.h.mat, np.eye(2))
-    assert np.abs(dec.p0.mat).max() < 1e-12
+    assert np.allclose(dec.h, np.eye(2))
+    assert np.abs(dec.p0).max() < 1e-12
     clusters = op.spectrum(dec.g_alpha(0.0))
     assert [(round(v, 10), m) for v, m in clusters] == [(-1.0, 1), (1.0, 1)]
 
 
 def test_super_decompose_rejects_non_nilpotent():
-    q = op.OperatorMatrix([[0, 1], [1, 0]])
+    q = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(op.NilpotencyError):
         op.super_decompose(q)
 
@@ -129,12 +147,12 @@ def test_decomposition_invariants_random_model_i_charge(seed):
     z = rng.uniform(0.2, 2.0, size=n)
     spec = op.LatticeSpec(n, 1)
     ops = op.fermion_ops(spec)
-    q = op.OperatorMatrix(sum(zi * ai.mat for zi, ai in zip(z, ops)))
+    q = sum(zi * ai for zi, ai in zip(z, ops))
     dec = op.super_decompose(q)
     op.verify_decomposition(dec)
     eye = np.eye(spec.dim)
-    eta = dec.eta.mat
-    resid = eta @ eta.conj().T + eta.conj().T @ eta - (eye - dec.p0.mat)
+    eta = dec.eta
+    resid = eta @ eta.conj().T + eta.conj().T @ eta - (eye - dec.p0)
     assert np.abs(resid).max() < 1e-10
 
 
@@ -142,17 +160,17 @@ def test_gauge_rotate_reproduces_g_alpha():
     """e^{i alpha F/2} G_0 e^{-i alpha F/2} = G_alpha on the SUSY sector."""
     spec = op.LatticeSpec(2, 1)
     ops = op.fermion_ops(spec)
-    q = op.OperatorMatrix(ops[0].mat + 2.0 * ops[1].mat)
+    q = ops[0] + 2.0 * ops[1]
     dec = op.super_decompose(q)
     rotated = dec.gauge_rotate(0.8)
     direct = op.gauge_charge(q, 0.8)
-    assert (rotated - direct).norm() < 1e-10
+    assert np.linalg.norm(rotated - direct, 2) < 1e-10
 
 
 def test_paired_spectrum_multiplicities():
     spec = op.LatticeSpec(2, 1)
     ops = op.fermion_ops(spec)
-    q = op.OperatorMatrix(ops[0].mat + ops[1].mat)
+    q = ops[0] + ops[1]
     dec = op.super_decompose(q)
     for _, mult in dec.paired_spectrum:
         assert mult % 2 == 0
