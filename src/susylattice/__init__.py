@@ -57,22 +57,18 @@ from .dicke import (
 )
 from .limits import (
     FluctuationParams,
-    ConvergenceSeries,
     FitResult,
     WittenLimitModel,
     extrapolate,
+    sweep,
     fluctuation_expectation,
     gaussian_target,
     weyl_relation_probe,
-    weyl_phase_sweep,
     bs_gaussian_probe,
     odlro,
-    odlro_sweep,
     witten_limit,
-    spectral_convergence,
     bs_free_evolution,
     macroscopic_probe,
-    mesoscopic_divergence,
     collective_m_norm,
 )
 from .tensorrep import TensorSpinRep

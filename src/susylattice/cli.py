@@ -151,18 +151,17 @@ def _verify_counterexample(tol):
 
 
 def _verify_dicke(tol):
-    rows = []
-    for n in (2, 3, 4):
+    def cross_rep(n):
         fock = models.model_iii_symmetric_sector_spectrum(n)
         dvals = dicke.hss_eigenvalues(dicke.collective_ops(n))
-        rows.append(_residual("dicke_cross_rep", n,
-                              float(np.abs(np.sort(fock) - dvals).max()),
-                              tol["spectral"], "DERIVED"))
-    for n in (4, 100, 1000):
-        v1, v2 = dicke.ceiling_law_exact(n)
-        rows.append(check_row("ceiling_law", n, v2, n * (n + 2), "PAPER", 0))
-        rows.append(check_row("ceiling_law_psi1", n, v1, n * (n + 2),
-                              "PAPER", 0))
+        return float(np.abs(np.sort(fock) - dvals).max())
+
+    rows = [_residual("dicke_cross_rep", n, v, tol["spectral"], "DERIVED")
+            for n, v in limits.sweep(cross_rep, (2, 3, 4))]
+    for k, metric in enumerate(("ceiling_law_psi1", "ceiling_law")):
+        rows += [check_row(metric, n, v, n * (n + 2), "PAPER", 0)
+                 for n, v in limits.sweep(
+                     lambda n: dicke.ceiling_law_exact(n)[k], (4, 100, 1000))]
     ops = dicke.collective_ops(8)
     _, psi2 = dicke.ceiling_state_ladder(ops)
     integral = dicke.ceiling_state_integral(ops)
@@ -223,135 +222,24 @@ def run_verify(args, tol):
 
 # ---------------------------------------------------------------- sweep
 
-def _state_builder(label):
-    if label == "ground":
-        return dicke.ground_state
-    if label == "ceiling":
-        return lambda ops: dicke.ceiling_state_ladder(ops)[1]
-    if label.startswith("bogoliubov"):
-        alpha = 0.0
-        if "(" in label:
-            alpha = float(label.split("(", 1)[1].rstrip(")"))
-        return lambda ops: dicke.bogoliubov_state(ops, alpha)
-    raise UsageError(f"unknown state label {label!r}")
+# --state label -> the map from DickeOperators to that DickeState
+STATES = {
+    "ground": dicke.ground_state,
+    "ceiling": lambda ops: dicke.ceiling_state_ladder(ops)[1],
+    "bogoliubov": lambda ops: dicke.bogoliubov_state(ops, 0.0),
+}
 
 
-def _sweep_gaussian(args, tol):
-    params = limits.FluctuationParams(args.alpha, args.beta)
-    build = _state_builder(args.state)
-    target = limits.gaussian_target(args.alpha, args.beta)
-
+def _state_cell(label, probe):
+    """The one-n cell n -> probe(ops, state) in the `label` state."""
     def cell(n):
         ops = dicke.collective_ops(n)
-        val = limits.fluctuation_expectation(ops, build(ops), params)
-        return (n, val)
-
-    return _series_rows("gaussian", cell, args, target, tol["gaussian"],
-                        "PAPER")
+        return probe(ops, STATES[label](ops))
+    return cell
 
 
-def _sweep_bs_gaussian(axis):
-    def runner(args, tol):
-        r = args.r
-        target = float(np.exp(-r * r / 2.0))
-
-        def cell(n):
-            ops = dicke.collective_ops(n)
-            return (n, limits.bs_gaussian_probe(ops, r, axis))
-
-        return _series_rows(f"bs_gaussian_{axis}", cell, args, target,
-                            tol["gaussian"], "PAPER")
-    return runner
-
-
-def _sweep_weyl_phase(args, tol):
-    build = _state_builder(args.state)
-
-    def cell(n):
-        ops = dicke.collective_ops(n)
-        _, phase = limits.weyl_relation_probe(ops, build(ops), args.alpha,
-                                              args.beta)
-        return (n, complex(phase))
-
-    return _series_rows("weyl_phase", cell, args,
-                        -args.alpha * args.beta / 2.0, tol["slope"],
-                        "DERIVED")
-
-
-def _sweep_odlro(args, tol):
-    build = _state_builder(args.state)
-    if args.state == "ceiling":
-        target, tolerance, prov = 0.5, tol["odlro"], "PAPER"
-    else:
-        target, tolerance, prov = 0.0, tol["machine"], "PAPER"
-
-    def cell(n):
-        ops = dicke.collective_ops(n)
-        return (n, complex(limits.odlro(ops, build(ops))))
-
-    return _series_rows("odlro", cell, args, target, tolerance, prov)
-
-
-def _sweep_meso_variance(args, tol):
-    build = _state_builder(args.state)
-    centered = args.state.startswith("bogoliubov")
-    series = limits.mesoscopic_divergence(build, args.n_list,
-                                          centered=centered)
-    rows = [check_row(f"meso_variance[{args.state}]", n, v, v, "DERIVED",
-                      0.0) for n, v in series.points]
-    if args.state == "ceiling":
-        rows.append(check_row("meso_variance_slope", 0, series.fit.rate,
-                              0.5, "DERIVED", tol["slope"]))
-        rows.append(_indicator("meso_variance_divergent", 0,
-                               series.classification == "divergent",
-                               "PAPER"))
-    else:
-        rows.append(_indicator("meso_variance_bounded", 0,
-                               series.classification == "bounded",
-                               "DERIVED"))
-    return rows
-
-
-def _sweep_spectral(args, tol):
-    series = limits.spectral_convergence(args.n_list)
-    rows = [check_row(series.metric, n, v, series.target, "DERIVED",
-                      abs(series.target) * 0.05 + 2.5 / n)
-            for n, v in series.points]
-    rows.append(check_row("spectral_rate", 0, series.fit.rate, 1.0,
-                          "DERIVED", tol["rate"]))
-    rows.append(check_row("spectral_limit", 0, series.fit.limit,
-                          series.target, "DERIVED", tol["gaussian"]))
-    return rows
-
-
-def _sweep_bs_super(args, tol):
-    series = limits.bs_super_growth(args.n_list, args.alpha)
-    rows = [check_row(series.metric, n, v, 0.5 * np.sqrt(n), "DERIVED",
-                      tol["identity"]) for n, v in series.points]
-    rows.append(check_row("bs_super_exponent", 0, series.fit.rate, 0.5,
-                          "DERIVED", tol["slope"]))
-    return rows
-
-
-def _sweep_isometry(args, tol):
-    def cell(n):
-        ops = dicke.collective_ops(n)
-        _, psi2 = dicke.ceiling_state_ladder(ops)
-        probe = limits.macroscopic_probe(ops, psi2)
-        return (n, complex(probe["isometry"]))
-
-    pts = [cell(n) for n in sorted(args.n_list)]
-    rows = [check_row("isometry", n, v, 1.0 + 2.0 / n, "DERIVED",
-                      tol["spectral"]) for n, v in pts]
-    fit = limits.extrapolate(pts)
-    rows.append(check_row("isometry_limit", 0, fit.limit, 1.0, "PAPER",
-                          tol["isometry"]))
-    return rows
-
-
-def _series_rows(metric, cell, args, target, tolerance, provenance):
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        pts = sorted(pool.map(cell, args.n_list))
+def _limit_rows(metric, pts, target, tolerance, provenance):
+    """Per-n rows against the target plus the extrapolated-limit row."""
     rows = [check_row(metric, n, v, target, provenance, tolerance)
             for n, v in pts]
     fit = limits.extrapolate(pts)
@@ -360,16 +248,111 @@ def _series_rows(metric, cell, args, target, tolerance, provenance):
     return rows
 
 
+def _gaussian_cell(args):
+    params = limits.FluctuationParams(args.alpha, args.beta)
+    return _state_cell(args.state, lambda ops, state:
+                       limits.fluctuation_expectation(ops, state, params))
+
+
+def _gaussian_rows(args, tol, pts):
+    return _limit_rows("gaussian", pts,
+                       limits.gaussian_target(args.alpha, args.beta),
+                       tol["gaussian"], "PAPER")
+
+
+def _bs_gaussian(axis):
+    def cell(args):
+        return lambda n: limits.bs_gaussian_probe(dicke.collective_ops(n),
+                                                  args.r, axis)
+
+    def rows(args, tol, pts):
+        return _limit_rows(f"bs_gaussian_{axis}", pts,
+                           float(np.exp(-args.r * args.r / 2.0)),
+                           tol["gaussian"], "PAPER")
+    return cell, rows
+
+
+def _weyl_phase_cell(args):
+    def probe(ops, state):
+        return limits.weyl_relation_probe(ops, state, args.alpha, args.beta)[1]
+    return _state_cell(args.state, probe)
+
+
+def _weyl_phase_rows(args, tol, pts):
+    return _limit_rows("weyl_phase", pts, -args.alpha * args.beta / 2.0,
+                       tol["slope"], "DERIVED")
+
+
+def _odlro_rows(args, tol, pts):
+    if args.state == "ceiling":
+        return _limit_rows("odlro", pts, 0.5, tol["odlro"], "PAPER")
+    return _limit_rows("odlro", pts, 0.0, tol["machine"], "PAPER")
+
+
+def _meso_variance_rows(args, tol, pts):
+    rows = [check_row(f"meso_variance[{args.state}]", n, v, v, "DERIVED",
+                      0.0) for n, v in pts]
+    slope, divergent = limits.variance_divergence(pts)
+    if args.state == "ceiling":
+        rows.append(check_row("meso_variance_slope", 0, slope, 0.5,
+                              "DERIVED", tol["slope"]))
+        rows.append(_indicator("meso_variance_divergent", 0, divergent,
+                               "PAPER"))
+    else:
+        rows.append(_indicator("meso_variance_bounded", 0, not divergent,
+                               "DERIVED"))
+    return rows
+
+
+def _spectral_rows(args, tol, pts):
+    target = float(limits.witten_limit(64).bulk_levels()[3])
+    rows = [check_row("hss_level_6", n, v, target, "DERIVED",
+                      abs(target) * 0.05 + 2.5 / n) for n, v in pts]
+    fit = limits.extrapolate(pts)
+    rows.append(check_row("spectral_rate", 0, fit.rate, 1.0, "DERIVED",
+                          tol["rate"]))
+    rows.append(check_row("spectral_limit", 0, fit.limit, target, "DERIVED",
+                          tol["gaussian"]))
+    return rows
+
+
+def _bs_super_rows(args, tol, pts):
+    rows = [check_row("bs_eta_prime_growth", n, v, 0.5 * np.sqrt(n),
+                      "DERIVED", tol["identity"]) for n, v in pts]
+    rows.append(check_row("bs_super_exponent", 0,
+                          limits.power_growth_fit(pts).rate, 0.5, "DERIVED",
+                          tol["slope"]))
+    return rows
+
+
+def _isometry_cell(args):
+    return _state_cell("ceiling", lambda ops, state:
+                       limits.macroscopic_probe(ops, state)["isometry"])
+
+
+def _isometry_rows(args, tol, pts):
+    rows = [check_row("isometry", n, v, 1.0 + 2.0 / n, "DERIVED",
+                      tol["spectral"]) for n, v in pts]
+    rows.append(check_row("isometry_limit", 0, limits.extrapolate(pts).limit,
+                          1.0, "PAPER", tol["isometry"]))
+    return rows
+
+
+# metric -> (args -> one-n cell, (args, tol, swept points) -> rows)
 SWEEP_METRICS = {
-    "gaussian": _sweep_gaussian,
-    "bs_gaussian_y": _sweep_bs_gaussian("y"),
-    "bs_gaussian_z": _sweep_bs_gaussian("z"),
-    "weyl_phase": _sweep_weyl_phase,
-    "odlro": _sweep_odlro,
-    "meso_variance": _sweep_meso_variance,
-    "spectral": _sweep_spectral,
-    "bs_super": _sweep_bs_super,
-    "isometry": _sweep_isometry,
+    "gaussian": (_gaussian_cell, _gaussian_rows),
+    "bs_gaussian_y": _bs_gaussian("y"),
+    "bs_gaussian_z": _bs_gaussian("z"),
+    "weyl_phase": (_weyl_phase_cell, _weyl_phase_rows),
+    "odlro": (lambda args: _state_cell(args.state, limits.odlro),
+              _odlro_rows),
+    "meso_variance": (
+        lambda args: _state_cell(args.state, limits.mesoscopic_variance),
+        _meso_variance_rows),
+    "spectral": (lambda args: limits.spectral_level, _spectral_rows),
+    "bs_super": (lambda args: lambda n: limits.bs_eta_prime(n, args.alpha),
+                 _bs_super_rows),
+    "isometry": (_isometry_cell, _isometry_rows),
 }
 
 
@@ -379,8 +362,10 @@ def run_sweep(args, tol):
                          f"{sorted(SWEEP_METRICS)}")
     if len(args.n_list) < 3:
         raise UsageError("sweep needs at least 3 n-values for the fit")
+    cell, rows = SWEEP_METRICS[args.metric]
+    pts = limits.sweep(cell(args), args.n_list, args.jobs)
     report = Report(config_echo=_echo(args))
-    report.extend(SWEEP_METRICS[args.metric](args, tol))
+    report.extend(rows(args, tol, pts))
     return report
 
 
@@ -398,7 +383,7 @@ def run_spectrum(args, tol):
     if args.model == "dicke":
         vals = dicke.hss_eigenvalues(dicke.collective_ops(n))
     elif args.model == "witten":
-        vals = limits.witten_limit(max(n, 8)).bulk_levels()
+        vals = limits.witten_limit(n).bulk_levels()
     elif args.model == "model_i":
         vals = _expand(operators.spectrum(models.build_model_i((1.0,) * n).h))
     elif args.model == "model_ii":
@@ -463,22 +448,24 @@ def run_tables(args, tol):
     e2 = np.real(np.vdot(v, hb @ (hb @ v)))
     report.add(_residual("t1_cs_local_stationary", n_big, e2 - e1 * e1,
                          tol["spectral"], "DERIVED"))
-    meso = limits.mesoscopic_divergence(
-        lambda o: dicke.ceiling_state_ladder(o)[1], (50, 100, 200))
-    report.add(check_row("t1_cs_meso_divergence_slope", 0, meso.fit.rate,
-                         0.5, "DERIVED", tol["slope"]))
+    meso = limits.sweep(_state_cell("ceiling", limits.mesoscopic_variance),
+                        (50, 100, 200), args.jobs)
+    slope, _ = limits.variance_divergence(meso)
+    report.add(check_row("t1_cs_meso_divergence_slope", 0, slope, 0.5,
+                         "DERIVED", tol["slope"]))
 
     # --- supertransformation, GS row
-    lsd = limits.local_super_derivative_norms((4, 6, 8, 10))
-    fit = limits._power_growth_fit(list(lsd.points))
+    lsd = limits.sweep(limits.local_super_derivative_norms, (4, 6, 8, 10),
+                       args.jobs)
+    fit = limits.power_growth_fit(lsd)
     report.add(check_row("t2_gs_local_decay_exponent", 0, fit.rate, -0.5,
                          "DERIVED", tol["slope"]))
     sup = limits.super_identity_residuals(8, 0.0)
     report.add(_residual("t2_gs_meso_dictionary", 8,
                          sup["eta_prime"] + sup["sz_prime"],
                          tol["identity"], "PAPER"))
-    szp = -1j * operators.bracket(opsb.s_z_full.toarray(),
-                                  dicke.build_g_alpha_dicke(opsb).toarray())
+    szp = -1j * operators.bracket(opsb.s_z_full,
+                                  dicke.build_g_alpha_dicke(opsb))
     gb = dicke.ground_state(opsb).vector
     report.add(_residual("t2_gs_macro_vanishing", n_big,
                          abs(np.vdot(gb, szp @ gb)) / n_big,
@@ -491,24 +478,23 @@ def run_tables(args, tol):
     bv = rep2.bogoliubov_vector(0.0)
     report.add(_indicator("t2_bs_local_finite", 2,
                           abs(np.vdot(bv, sx1p @ bv)) < 10.0, "PAPER"))
-    growth = limits.bs_super_growth((16, 64, 256))
-    report.add(check_row("t2_bs_meso_growth_exponent", 0, growth.fit.rate,
-                         0.5, "PAPER", tol["slope"]))
-    etap_val = abs(growth.points[-1][1]) / np.sqrt(growth.points[-1][0])
+    growth = limits.sweep(limits.bs_eta_prime, (16, 64, 256), args.jobs)
+    report.add(check_row("t2_bs_meso_growth_exponent", 0,
+                         limits.power_growth_fit(growth).rate, 0.5, "PAPER",
+                         tol["slope"]))
+    etap_val = abs(growth[-1][1]) / np.sqrt(growth[-1][0])
     report.add(check_row("t2_bs_macro_eta_prime", 256, etap_val, 0.5,
                          "DERIVED", tol["identity"]))
 
     # --- supertransformation, CS row
-    gbig = dicke.build_g_alpha_dicke(opsb)
-    szp_cs = -1j * operators.bracket(opsb.s_z_full, gbig)
     # ||S_z' psi2|| = sqrt(N+2) exactly: sqrt(N) growth with coefficient 1
-    norm_cs = float(np.linalg.norm(szp_cs @ psi2.vector))
+    norm_cs = float(np.linalg.norm(szp @ psi2.vector))
     report.add(check_row("t2_cs_meso_divergent_norm", n_big,
                          norm_cs / np.sqrt(n_big),
                          np.sqrt(1.0 + 2.0 / n_big), "DERIVED",
                          tol["identity"]))
     report.add(_residual("t2_cs_macro_vanishing", n_big,
-                         abs(np.vdot(psi2.vector, szp_cs @ psi2.vector))
+                         abs(np.vdot(psi2.vector, szp @ psi2.vector))
                          / n_big, tol["identity"], "DERIVED"))
     return report
 
@@ -560,7 +546,7 @@ def build_parser():
     p_sweep.add_argument("--alpha", type=float, default=1.0)
     p_sweep.add_argument("--beta", type=float, default=1.0)
     p_sweep.add_argument("--r", type=float, default=1.0)
-    p_sweep.add_argument("--state", default="ground")
+    p_sweep.add_argument("--state", choices=sorted(STATES), default="ground")
     p_sweep.set_defaults(func=run_sweep)
 
     p_spec = sub.add_parser("spectrum", help="emit model spectra")
@@ -577,6 +563,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be positive, got {args.jobs}")
     try:
         tol = load_tolerances(args.tol_file)
         report = args.func(args, tol)

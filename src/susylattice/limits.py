@@ -4,10 +4,11 @@ expectation triples, and the extrapolation fits that make "converges to X"
 falsifiable.
 
 Derivative identities are exact operator identities at every finite n and are
-checked at machine precision; everything genuinely asymptotic goes through
-ConvergenceSeries and the a + b n^(-p) fit.
+checked at machine precision; everything genuinely asymptotic is a one-n
+cell swept over an n-list by `sweep` and handed to one of the fits.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +47,12 @@ class FitResult:
     residual: float
 
 
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """An n-sweep of a scalar probe plus its target and extrapolation fit."""
-
-    metric: str
-    points: tuple          # ((n, complex value), ...) ascending in n
-    target: complex
-    provenance: str
-    fit: FitResult = None
-    classification: str = ""
-
-    def __post_init__(self):
-        ns = [n for n, _ in self.points]
-        if ns != sorted(ns):
-            raise ValueError("sweep points must be ascending in n")
+def sweep(cell, n_list, jobs=1):
+    """Evaluate the one-n probe `cell` at every n of `n_list` on `jobs`
+    threads; returns ((n, complex value), ...) ascending in n."""
+    ns = sorted(n_list)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return tuple((n, complex(v)) for n, v in zip(ns, pool.map(cell, ns)))
 
 
 def extrapolate(points):
@@ -163,21 +155,6 @@ def weyl_relation_probe(ops, state, alpha, beta, reverse=False):
     return prod, phase
 
 
-def weyl_phase_sweep(n_list, alpha, beta, state_builder=None):
-    """ConvergenceSeries of the residual Weyl phase over an n-sweep."""
-    if state_builder is None:
-        state_builder = dicke.ground_state
-    pts = []
-    for n in sorted(n_list):
-        ops = dicke.collective_ops(n)
-        _, phase = weyl_relation_probe(ops, state_builder(ops), alpha, beta)
-        pts.append((n, complex(phase)))
-    return ConvergenceSeries(metric=f"weyl_phase({alpha:g},{beta:g})",
-                             points=tuple(pts),
-                             target=complex(-alpha * beta / 2.0),
-                             provenance="DERIVED", fit=extrapolate(pts))
-
-
 def bs_gaussian_probe(ops, r, axis):
     """<BS(0)| exp{i r S_axis/sqrt N} |BS(0)>, axis in {'y','z'}."""
     coeffs = {"y": (0.0, r, 0.0), "z": (0.0, 0.0, r)}[axis]
@@ -198,16 +175,6 @@ def odlro(ops, state):
     sx2 = float(np.real(np.vdot(v, sx @ (sx @ v))))
     sx1 = float(np.real(np.vdot(v, sx @ v)))
     return abs((sx2 - n) / (n * (n - 1)) - (sx1 / n) ** 2)
-
-
-def odlro_sweep(n_list, state_builder, metric, target, provenance):
-    pts = []
-    for n in sorted(n_list):
-        ops = dicke.collective_ops(n)
-        pts.append((n, complex(odlro(ops, state_builder(ops)))))
-    return ConvergenceSeries(metric=metric, points=tuple(pts),
-                             target=complex(target), provenance=provenance,
-                             fit=extrapolate(pts))
 
 
 def eom_identity_residuals(n=6):
@@ -264,18 +231,12 @@ def super_identity_residuals(n=6, alpha=0.0):
     return out
 
 
-def local_super_derivative_norms(n_list, alpha=0.0):
-    """Spectral norm of sigma_z'^{(1)} = -i[sigma_z^{(1)}, G_alpha] in the
-    per-site representation, kept sparse and taken block by block; decays
-    as 2/sqrt(N)."""
-    pts = []
-    for n in sorted(n_list):
-        rep = TensorSpinRep(n)
-        g, sz1 = rep.g_alpha(alpha), rep.sz[0]
-        pts.append((n, complex(hermitian_norm(-1j * bracket(sz1, g)))))
-    return ConvergenceSeries(metric="local_sigma_z_prime_norm",
-                             points=tuple(pts), target=0.0,
-                             provenance="DERIVED", fit=extrapolate(pts))
+def local_super_derivative_norms(n):
+    """Spectral norm of sigma_z'^{(1)} = -i[sigma_z^{(1)}, G_0] in the
+    N-site representation, kept sparse and taken block by block; exactly
+    2/sqrt(N)."""
+    rep = TensorSpinRep(n)
+    return hermitian_norm(-1j * bracket(rep.sz[0], rep.g_alpha(0.0)))
 
 
 def local_rotation_check(t=0.7):
@@ -343,26 +304,17 @@ def witten_ground_vector(model):
     return v
 
 
-def spectral_convergence(n_list, witten=None, dicke_level=6, witten_level=3):
-    """Sorted H_SS level against the corresponding limit-model eigenvalue.
+def spectral_level(n):
+    """Sorted H_SS level 6 at n, the counterpart of the limit-model level
+    witten_limit(...).bulk_levels()[3] = 2.
 
     The low band of H_SS is a doubled Witten tower {0,0,1,1,1,1,2,2,2,2,...},
     one copy per band edge (all-down and all-up both carry a zero mode), so
-    sorted index 6 is the lowest level with an n-dependence: 2 - 2/n.  It is
-    compared against the single-tower Witten level 2 and exposes the 1/n
-    convergence rate; lower levels match the limit exactly at every n.
+    sorted index 6 is the lowest level with an n-dependence: 2 - 2/n.  It
+    exposes the 1/n convergence rate; lower levels match the limit exactly
+    at every n.
     """
-    if witten is None:
-        witten = witten_limit(64)
-    target = float(witten.bulk_levels()[witten_level])
-    pts = []
-    for n in sorted(n_list):
-        ops = dicke.collective_ops(n)
-        vals = dicke.hss_eigenvalues(ops)
-        pts.append((n, complex(vals[dicke_level])))
-    return ConvergenceSeries(metric=f"hss_level_{dicke_level}",
-                             points=tuple(pts), target=complex(target),
-                             provenance="DERIVED", fit=extrapolate(pts))
+    return dicke.hss_eigenvalues(dicke.collective_ops(n))[6]
 
 
 def bs_free_evolution(ops, t):
@@ -398,23 +350,15 @@ def gs_phase_slope(n, t_values=(0.5, 1.0, 2.0)):
     return float(np.mean(slopes))
 
 
-def bs_super_growth(n_list, alpha=0.0):
-    """|<BS| eta' |BS>| across n; grows as sqrt(N)/2 exactly."""
-    pts = []
-    for n in sorted(n_list):
-        ops = dicke.collective_ops(n)
-        g = dicke.build_g_alpha_dicke(ops, alpha)
-        eta = ops.eta_full
-        etap = -1j * bracket(eta, g)
-        v = dicke.bogoliubov_state(ops, alpha).vector
-        pts.append((n, complex(abs(np.vdot(v, etap @ v)))))
-    fit = _power_growth_fit(pts)
-    return ConvergenceSeries(metric="bs_eta_prime_growth", points=tuple(pts),
-                             target=complex(0.5), provenance="DERIVED",
-                             fit=fit, classification="divergent")
+def bs_eta_prime(n, alpha=0.0):
+    """|<BS| eta' |BS>| at n, eta' = -i[eta, G_alpha]; exactly sqrt(N)/2."""
+    ops = dicke.collective_ops(n)
+    etap = -1j * bracket(ops.eta_full, dicke.build_g_alpha_dicke(ops, alpha))
+    v = dicke.bogoliubov_state(ops, alpha).vector
+    return abs(np.vdot(v, etap @ v))
 
 
-def _power_growth_fit(pts):
+def power_growth_fit(pts):
     """log-log regression for c n^p growth; returns FitResult(c, p, res)."""
     ns = np.log([float(n) for n, _ in pts])
     ys = np.log([float(np.real(v)) for _, v in pts])
@@ -447,37 +391,27 @@ def macroscopic_probe(ops, state):
     return out
 
 
-def mesoscopic_divergence(state_builder, n_list, centered=False):
-    """Variance of S_x/sqrt N across an n-sweep with divergence
-    classification.
+def mesoscopic_variance(ops, state):
+    """Variance of S_x/sqrt N in `state`; a Bogoliubov state is measured in
+    the BS(0) scaling (S_x - N)/sqrt N."""
+    n = ops.n
+    v = state.vector
+    sx = ops.s_x_full
+    ex = float(np.real(np.vdot(v, sx @ v)))
+    ex2 = float(np.real(np.vdot(v, sx @ (sx @ v))))
+    if state.label.startswith("bogoliubov"):
+        return (ex2 - 2 * n * ex + n * n) / n
+    return (ex2 - ex ** 2) / n
 
-    `state_builder` maps DickeOperators to a DickeState (the ops argument is
-    rebuilt per n).  With centered=True the BS(0) scaling (S_x - N)/sqrt N is
-    used.  Classification: 'divergent' when the fitted variance growth is
-    superconstant, else 'bounded'.
-    """
-    pts = []
-    for n in sorted(n_list):
-        ops = dicke.collective_ops(n)
-        v = state_builder(ops).vector
-        sx = ops.s_x_full
-        ex = float(np.real(np.vdot(v, sx @ v)))
-        ex2 = float(np.real(np.vdot(v, sx @ (sx @ v))))
-        if centered:
-            val = (ex2 - 2 * n * ex + n * n) / n
-        else:
-            val = (ex2 - ex ** 2) / n
-        pts.append((n, complex(val)))
-    ys = np.array([float(np.real(v)) for _, v in pts])
-    ns = np.array([float(n) for n, _ in pts])
+
+def variance_divergence(points):
+    """(slope of the variance against n, divergent): divergent when the
+    variance growth over the sweep is superconstant, else bounded."""
+    ys = np.array([float(np.real(v)) for _, v in points])
+    ns = np.array([float(n) for n, _ in points])
     slope = float(np.polyfit(ns, ys, 1)[0])
     divergent = ys[-1] > 4.0 and ys[-1] > 2.0 * ys[0] * 0.9 and slope > 0.05
-    fit = FitResult(limit=float(ys[-1]), rate=slope, residual=0.0)
-    return ConvergenceSeries(metric="mesoscopic_variance", points=tuple(pts),
-                             target=complex(ys[-1]), provenance="DERIVED",
-                             fit=fit,
-                             classification="divergent" if divergent
-                             else "bounded")
+    return slope, bool(divergent)
 
 
 def collective_m_norm(n):

@@ -204,10 +204,14 @@ def test_criterion_6_gaussian_weyl_limits(require):
             target = float(np.exp(-r * r / 2.0))
             worst = max(worst, abs(fit.limit - target) / target)
     # residual phase of the Weyl product: stable across sweeps
-    s1 = limits.weyl_phase_sweep(SWEEP_N, 1.0, 1.0)
-    s2 = limits.weyl_phase_sweep((96, 384, 1536), 1.0, 1.0)
-    stability = abs(s1.fit.limit - s2.fit.limit)
-    phase = s1.fit.limit
+    def weyl_phase(n):
+        ops = dicke.collective_ops(n)
+        return limits.weyl_relation_probe(ops, dicke.ground_state(ops),
+                                          1.0, 1.0)[1]
+
+    phase = limits.extrapolate(limits.sweep(weyl_phase, SWEEP_N)).limit
+    stability = abs(phase - limits.extrapolate(
+        limits.sweep(weyl_phase, (96, 384, 1536))).limit)
     candidates = {"-4ab": -4.0, "+ab/2": 0.5, "-ab/2": -0.5}
     nearest = min(candidates, key=lambda k: abs(phase - candidates[k]))
     ok = worst < 0.01 and stability < 1e-3
@@ -220,10 +224,13 @@ def test_criterion_6_gaussian_weyl_limits(require):
 
 def test_criterion_7_odlro_trichotomy(require):
     ns = (50, 100, 200)
-    ceiling = limits.odlro_sweep(
-        ns, lambda ops: dicke.ceiling_state_ladder(ops)[1],
-        "odlro_ceiling", 0.5, "DERIVED")
-    ceiling_dev = abs(ceiling.fit.limit - 0.5) / 0.5
+
+    def ceiling_odlro(n):
+        ops = dicke.collective_ops(n)
+        return limits.odlro(ops, dicke.ceiling_state_ladder(ops)[1])
+
+    ceiling = limits.extrapolate(limits.sweep(ceiling_odlro, ns))
+    ceiling_dev = abs(ceiling.limit - 0.5) / 0.5
     worst_zero = 0.0
     for n in ns:
         ops = dicke.collective_ops(n)
@@ -231,7 +238,7 @@ def test_criterion_7_odlro_trichotomy(require):
                          limits.odlro(ops, dicke.ground_state(ops)),
                          limits.odlro(ops, dicke.bogoliubov_state(ops, 0.4)))
     ok = ceiling_dev < 0.02 and worst_zero < 1e-12
-    require(7, ok, f"ceiling limit {ceiling.fit.limit:.5f}, "
+    require(7, ok, f"ceiling limit {ceiling.limit:.5f}, "
                     f"GS/BS max {worst_zero:.2e}")
 
 
@@ -248,11 +255,12 @@ def test_criterion_8_witten_limit(require):
                     *(float(np.linalg.norm(
                         limits.witten_limit(64, a).g_alpha @ v))
                       for a in (0.0, 0.9, 2.1)))
-    conv = limits.spectral_convergence((64, 128, 256), witten=model)
+    conv = limits.extrapolate(limits.sweep(limits.spectral_level,
+                                           (64, 128, 256)))
     ok = (spec_dev < 1e-8 and n_zero == 1 and alpha_dev < 1e-10
-          and 0.8 <= conv.fit.rate <= 1.2)
+          and 0.8 <= conv.rate <= 1.2)
     require(8, ok, f"tower dev {spec_dev:.1e}, zero modes {n_zero}, "
-                    f"rate {conv.fit.rate:.3f}")
+                    f"rate {conv.rate:.3f}")
 
 
 # --------------------------------------------------------------- criterion 9
@@ -266,14 +274,20 @@ def test_criterion_9_three_scale_tables(require):
                                                 1.0)
     checks.append(("bs_t2", abs(q_drift - 1.0) <= 0.10 and
                    abs(p_drift) < 1e-10, f"{q_drift:.4f}"))
-    growth = limits.bs_super_growth((64, 128, 256))
-    checks.append(("bs_sqrt_n", abs(growth.fit.rate - 0.5) <= 0.05,
-                   f"{growth.fit.rate:.4f}"))
-    meso = limits.mesoscopic_divergence(
-        lambda ops: dicke.ceiling_state_ladder(ops)[1], (50, 100, 200))
-    checks.append(("ceiling_var_slope", abs(meso.fit.rate - 0.5) <= 0.05
-                   and meso.classification == "divergent",
-                   f"{meso.fit.rate:.4f}"))
+    growth = limits.power_growth_fit(limits.sweep(limits.bs_eta_prime,
+                                                  (64, 128, 256)))
+    checks.append(("bs_sqrt_n", abs(growth.rate - 0.5) <= 0.05,
+                   f"{growth.rate:.4f}"))
+
+    def ceiling_variance(n):
+        ops = dicke.collective_ops(n)
+        return limits.mesoscopic_variance(ops,
+                                          dicke.ceiling_state_ladder(ops)[1])
+
+    slope, divergent = limits.variance_divergence(
+        limits.sweep(ceiling_variance, (50, 100, 200)))
+    checks.append(("ceiling_var_slope", abs(slope - 0.5) <= 0.05
+                   and divergent, f"{slope:.4f}"))
     ops = dicke.collective_ops(100)
     t_gs = limits.macroscopic_probe(ops, dicke.ground_state(ops))["triple"]
     t_bs = limits.macroscopic_probe(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from susylattice import cli
+from susylattice import cli, limits
 from susylattice.dicke import MAX_PARTICLES
 from susylattice.reporting import (Report, ReportSchemaError, check_row,
                                    load_tolerances)
@@ -174,6 +174,54 @@ def test_sweep_meso_variance_divergence_row(capsys):
                for r in out.splitlines())
 
 
+@pytest.mark.parametrize("metric", ("gaussian", "spectral"))
+@pytest.mark.parametrize("state", ("foo", "bogoliubov_1", "bogoliubov(x)"))
+def test_sweep_rejects_unknown_state(metric, state, capsys):
+    assert exit_code(["sweep", "--metric", metric, "--n-list", "64,128,256",
+                      "--state", state]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", (
+    ["tables"],
+    ["verify", "--model", "baby"],
+    ["spectrum", "--model", "dicke", "--n", "4"],
+    ["sweep", "--metric", "spectral", "--n-list", "64,128,256"],
+    ["sweep", "--metric", "gaussian", "--n-list", "64,128,256"],
+))
+@pytest.mark.parametrize("jobs", ("0", "-1"))
+def test_jobs_must_be_positive(argv, jobs, capsys):
+    assert exit_code(["--jobs", jobs, *argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _spy_on_sweep(monkeypatch):
+    """Record the `jobs` of every limits.sweep call."""
+    jobs_seen, real = [], limits.sweep
+
+    def spy(cell, n_list, jobs=1):
+        jobs_seen.append(jobs)
+        return real(cell, n_list, jobs)
+    monkeypatch.setattr(limits, "sweep", spy)
+    return jobs_seen
+
+
+@pytest.mark.parametrize("metric", sorted(cli.SWEEP_METRICS))
+def test_sweep_metric_runs_on_jobs_threads(metric, monkeypatch, capsys):
+    jobs_seen = _spy_on_sweep(monkeypatch)
+    code, out = run_cli(["--jobs", "3", "sweep", "--metric", metric,
+                         "--n-list", "16,32,64"], capsys)
+    assert code in (0, 1) and out
+    assert jobs_seen == [3]
+
+
+def test_tables_sweeps_run_on_jobs_threads(monkeypatch, capsys):
+    jobs_seen = _spy_on_sweep(monkeypatch)
+    code, _ = run_cli(["--jobs", "3", "tables"], capsys)
+    assert code == 0
+    assert jobs_seen == [3, 3, 3]
+
+
 @pytest.mark.parametrize("metric", sorted(cli.SWEEP_METRICS))
 def test_sweep_reaches_max_particles(metric, capsys):
     code, out = run_cli(["--jobs", "1", "sweep", "--metric", metric,
@@ -200,6 +248,20 @@ def test_spectrum_dicke(capsys):
 def test_spectrum_unknown_model(capsys):
     code, _ = run_cli(["spectrum", "--model", "qcd", "--n", "4"], capsys)
     assert code == 2
+
+
+def test_spectrum_witten_below_cutoff_is_usage_error(capsys):
+    """The rows are labelled with --n, so --n is the cutoff itself: below
+    the minimum it exits 2 instead of being raised silently."""
+    code, out = run_cli(["spectrum", "--model", "witten", "--n", "3"], capsys)
+    assert code == 2 and out == ""
+    code, out = run_cli(["spectrum", "--model", "witten", "--n", "8",
+                         "--levels", "3"], capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert [r[1] for r in rows] == ["8"] * 3
+    assert [float(r[2]) for r in rows] == pytest.approx([0.0, 1.0, 1.0],
+                                                        abs=1e-10)
 
 
 @pytest.mark.parametrize("levels", ("0", "-1"))
@@ -244,17 +306,39 @@ def test_json_output_format(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _sweep_argv(metric, n_list, *extra):
+    return ["sweep", "--metric", metric, "--n-list", n_list, *extra]
+
+
 @pytest.mark.parametrize("name,argv", (
     ("verify.csv", ["verify"]),
     ("tables.csv", ["tables"]),
     ("spectrum_model_ii_n4.csv", ["spectrum", "--model", "model_ii",
                                   "--n", "4"]),
+    ("sweep_gaussian.csv", _sweep_argv("gaussian", "16,64,256", "--alpha",
+                                       "0.7", "--beta", "0.3")),
+    ("sweep_bs_gaussian_y.csv", _sweep_argv("bs_gaussian_y", "16,64,256")),
+    ("sweep_bs_gaussian_z.csv", _sweep_argv("bs_gaussian_z", "16,64,256",
+                                            "--r", "0.5")),
+    ("sweep_weyl_phase.csv", _sweep_argv("weyl_phase", "64,256,1024")),
+    ("sweep_odlro_ceiling.csv", _sweep_argv("odlro", "50,100,200",
+                                            "--state", "ceiling")),
+    ("sweep_odlro_ground.csv", _sweep_argv("odlro", "50,100,200")),
+    ("sweep_meso_variance_ceiling.csv",
+     _sweep_argv("meso_variance", "50,100,200", "--state", "ceiling")),
+    ("sweep_meso_variance_bogoliubov.csv",
+     _sweep_argv("meso_variance", "50,100,200", "--state", "bogoliubov")),
+    ("sweep_spectral.csv", _sweep_argv("spectral", "64,128,256")),
+    ("sweep_bs_super.csv", _sweep_argv("bs_super", "16,64,256")),
+    ("sweep_isometry.csv", _sweep_argv("isometry", "50,100,200")),
 ))
 def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
-    """Refactors keep the default workloads' CSV bytes: the files under
-    tests/golden were written by `susylab --jobs 1 ...` before the plain-array
-    operator layer (numpy 2.4 / scipy 1.17 on OpenBLAS, x86-64); another
-    BLAS build may move a last digit."""
-    out = tmp_path / name
-    assert cli.main(["--out", str(out), "--jobs", "1", *argv]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    """Refactors keep the default workloads' CSV bytes, for any --jobs: the
+    files under tests/golden were written by `susylab --jobs 1 ...` (verify,
+    tables and spectrum before the plain-array operator layer, the sweeps
+    before the single sweep engine; numpy 2.4 / scipy 1.17 on OpenBLAS,
+    x86-64); another BLAS build may move a last digit."""
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}_{name}"
+        assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()

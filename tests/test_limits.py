@@ -37,10 +37,24 @@ def test_extrapolate_needs_three_points():
         limits.extrapolate([(1, 1.0), (2, 2.0)])
 
 
-def test_convergence_series_ordering():
-    with pytest.raises(ValueError):
-        limits.ConvergenceSeries(metric="x", points=((4, 1.0), (2, 2.0)),
-                                 target=0.0, provenance="DERIVED")
+def _in_state(build, probe):
+    """The one-n cell n -> probe(ops, build(ops))."""
+    def cell(n):
+        ops = dicke.collective_ops(n)
+        return probe(ops, build(ops))
+    return cell
+
+
+def _ceiling(ops):
+    return dicke.ceiling_state_ladder(ops)[1]
+
+
+@pytest.mark.parametrize("jobs", (1, 3))
+def test_sweep_returns_ascending_points(jobs):
+    n_list = [9, 2, 40, 5, 17, 3]
+    pts = limits.sweep(lambda n: n * n + 0.5j, n_list, jobs)
+    assert pts == tuple((n, complex(n * n, 0.5)) for n in sorted(n_list))
+    assert all(type(v) is complex for _, v in pts)
 
 
 # --------------------------------------------------------- Gaussian limits
@@ -180,9 +194,12 @@ def test_weyl_phase_trivial():
 
 
 def test_weyl_phase_limit_and_stability():
-    series = limits.weyl_phase_sweep((64, 256, 1024), 1.0, 1.0)
-    assert series.fit.limit == pytest.approx(-0.5, abs=1e-3)
-    vals = [v.real for _, v in series.points]
+    pts = limits.sweep(_in_state(dicke.ground_state, lambda ops, st:
+                                 limits.weyl_relation_probe(ops, st, 1.0,
+                                                            1.0)[1]),
+                       (64, 256, 1024))
+    assert limits.extrapolate(pts).limit == pytest.approx(-0.5, abs=1e-3)
+    vals = [v.real for _, v in pts]
     assert abs(vals[-1] - vals[-2]) < 1e-3
 
 
@@ -197,12 +214,10 @@ def test_weyl_phase_antisymmetric_under_order_reversal():
 # -------------------------------------------------------------------- ODLRO
 
 def test_odlro_ceiling_sweep():
-    series = limits.odlro_sweep(
-        (50, 100, 200), lambda ops: dicke.ceiling_state_ladder(ops)[1],
-        "odlro_ceiling", 0.5, "PAPER")
-    assert abs(series.fit.limit - 0.5) < 0.01
+    pts = limits.sweep(_in_state(_ceiling, limits.odlro), (50, 100, 200))
+    assert abs(limits.extrapolate(pts).limit - 0.5) < 0.01
     # exact finite-n law (n/2)/(n-1)
-    for n, v in series.points:
+    for n, v in pts:
         assert v.real == pytest.approx((n / 2) / (n - 1), abs=1e-12)
 
 
@@ -248,16 +263,14 @@ def test_super_identities_exact(n, alpha):
 
 
 def test_local_super_derivative_decay():
-    series = limits.local_super_derivative_norms((4, 6, 8, 10))
-    for n, v in series.points:
-        assert v.real == pytest.approx(2.0 / np.sqrt(n), abs=1e-10)
+    pts = limits.sweep(limits.local_super_derivative_norms, (4, 6, 8, 10))
+    for n, v in pts:
+        assert v.real == pytest.approx(2.0 / np.sqrt(n), abs=1e-12)
 
 
 def test_local_super_derivative_at_max_sites():
-    series = limits.local_super_derivative_norms((8, 10, MAX_SITES))
-    assert series.points[-1][0] == MAX_SITES
-    for n, v in series.points:
-        assert v.real == pytest.approx(2.0 / np.sqrt(n), abs=1e-12)
+    norm = limits.local_super_derivative_norms(MAX_SITES)
+    assert norm == pytest.approx(2.0 / np.sqrt(MAX_SITES), abs=1e-12)
 
 
 def test_local_rotation_identity():
@@ -308,10 +321,12 @@ def test_witten_cutoff_validation():
 
 
 def test_spectral_convergence_rate():
-    series = limits.spectral_convergence((64, 256, 1024))
-    assert series.fit.limit == pytest.approx(2.0, abs=1e-8)
-    assert 0.8 <= series.fit.rate <= 1.2
-    for n, v in series.points:
+    pts = limits.sweep(limits.spectral_level, (64, 256, 1024))
+    fit = limits.extrapolate(pts)
+    assert fit.limit == pytest.approx(2.0, abs=1e-8)
+    assert 0.8 <= fit.rate <= 1.2
+    assert limits.witten_limit(64).bulk_levels()[3] == pytest.approx(2.0)
+    for n, v in pts:
         assert v.real == pytest.approx(2.0 - 2.0 / n, abs=1e-10)
 
 
@@ -352,9 +367,9 @@ def test_gs_phase_slope_exact():
 
 
 def test_bs_super_growth_sqrt_n():
-    series = limits.bs_super_growth((16, 64, 256))
-    assert series.fit.rate == pytest.approx(0.5, abs=1e-6)
-    for n, v in series.points:
+    pts = limits.sweep(limits.bs_eta_prime, (16, 64, 256))
+    assert limits.power_growth_fit(pts).rate == pytest.approx(0.5, abs=1e-6)
+    for n, v in pts:
         assert abs(v) == pytest.approx(np.sqrt(n) / 2, abs=1e-9)
 
 
@@ -382,18 +397,21 @@ def test_macroscopic_probe_rejects_unknown_label():
 
 
 def test_mesoscopic_divergence_classification():
-    ceiling = limits.mesoscopic_divergence(
-        lambda o: dicke.ceiling_state_ladder(o)[1], (50, 100, 200))
-    assert ceiling.classification == "divergent"
-    assert ceiling.fit.rate == pytest.approx(0.5, abs=0.05)
-    gs = limits.mesoscopic_divergence(dicke.ground_state, (50, 100, 200))
-    assert gs.classification == "bounded"
-    assert gs.points[-1][1].real == pytest.approx(1.0, abs=1e-10)
-    bs = limits.mesoscopic_divergence(
-        lambda o: dicke.bogoliubov_state(o, 0.0), (50, 100, 200),
-        centered=True)
-    assert bs.classification == "bounded"
-    assert abs(bs.points[-1][1]) < 1e-9
+    ns = (50, 100, 200)
+    ceiling = limits.sweep(_in_state(_ceiling, limits.mesoscopic_variance),
+                           ns)
+    slope, divergent = limits.variance_divergence(ceiling)
+    assert divergent
+    assert slope == pytest.approx(0.5, abs=0.05)
+    gs = limits.sweep(_in_state(dicke.ground_state,
+                                limits.mesoscopic_variance), ns)
+    assert not limits.variance_divergence(gs)[1]
+    assert gs[-1][1].real == pytest.approx(1.0, abs=1e-10)
+    # a Bogoliubov state is measured centred, (S_x - N)/sqrt N
+    bs = limits.sweep(_in_state(lambda o: dicke.bogoliubov_state(o, 0.0),
+                                limits.mesoscopic_variance), ns)
+    assert not limits.variance_divergence(bs)[1]
+    assert abs(bs[-1][1]) < 1e-9
 
 
 def test_collective_m_norm_law():
