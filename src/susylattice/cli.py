@@ -15,7 +15,6 @@ import numpy as np
 
 from . import dicke, limits, models, operators
 from .reporting import Report, Row, check_row, load_tolerances
-from .tensorrep import TensorSpinRep
 
 FLOW_POINTS = (0.1, 0.7, np.pi / 2, 2.0)
 
@@ -455,11 +454,11 @@ def run_tables(args, tol):
                          "DERIVED", tol["slope"]))
 
     # --- supertransformation, GS row
-    lsd = limits.sweep(limits.local_super_derivative_norms, (4, 6, 8, 10),
-                       args.jobs)
-    fit = limits.power_growth_fit(lsd)
-    report.add(check_row("t2_gs_local_decay_exponent", 0, fit.rate, -0.5,
-                         "DERIVED", tol["slope"]))
+    # sigma_z'^{(1)} lives on (site 1, Clifford mode): norm exactly 2/sqrt N
+    report.add(check_row("t2_gs_local_sqrtn_norm", n_meso,
+                         np.sqrt(n_meso)
+                         * limits.local_super_derivative_norms(n_meso),
+                         2.0, "DERIVED", tol["identity"]))
     sup = limits.super_identity_residuals(8, 0.0)
     report.add(_residual("t2_gs_meso_dictionary", 8,
                          sup["eta_prime"] + sup["sz_prime"],
@@ -472,12 +471,12 @@ def run_tables(args, tol):
                          tol["identity"], "PAPER"))
 
     # --- supertransformation, BS row
-    rep2 = TensorSpinRep(2)
-    g2, sx1 = rep2.g_alpha(0.0), rep2.sx[0]
-    sx1p = -1j * operators.bracket(sx1, g2)
-    bv = rep2.bogoliubov_vector(0.0)
-    report.add(_indicator("t2_bs_local_finite", 2,
-                          abs(np.vdot(bv, sx1p @ bv)) < 10.0, "PAPER"))
+    # BS(0) restricted to (site 1, Clifford mode): (1, 1)/sqrt 2 x (0, 1)
+    bs1 = np.kron(np.ones(2) / np.sqrt(2.0), (0.0, 1.0))
+    sx1p = limits.local_super_derivative(n_meso, "x")
+    report.add(_residual("t2_bs_local_finite", n_meso,
+                         abs(np.vdot(bs1, sx1p @ bs1)), tol["identity"],
+                         "PAPER"))
     growth = limits.sweep(limits.bs_eta_prime, (16, 64, 256), args.jobs)
     report.add(check_row("t2_bs_meso_growth_exponent", 0,
                          limits.power_growth_fit(growth).rate, 0.5, "PAPER",

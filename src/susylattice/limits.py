@@ -17,11 +17,14 @@ from scipy.optimize import least_squares
 from scipy.sparse.linalg import expm_multiply
 
 from . import dicke
-from .operators import bracket, hermitian_norm
-from .tensorrep import TensorSpinRep
+from .operators import bracket
 
-MESOSCOPIC = "mesoscopic_sqrtN"
-MACROSCOPIC = "macroscopic_N"
+# one-site Paulis in the (up, down) basis; _LOWER is sigma_+ there and eta
+# on the Clifford mode
+_PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+         "y": np.array([[0, -1j], [1j, 0]]),
+         "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,6 @@ class FluctuationParams:
 
     alpha: float
     beta: float
-    scaling: str = MESOSCOPIC
-
-    def __post_init__(self):
-        if self.scaling not in (MESOSCOPIC, MACROSCOPIC):
-            raise ValueError(f"unknown scaling {self.scaling!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,9 @@ def _collective_phase_expectation(ops, state, cx, cy, cz, denom):
 
 def fluctuation_expectation(ops, state, params):
     """<state| exp{i(alpha S_x - beta S_y)/sqrt(2N)} |state>, exactly."""
-    denom = np.sqrt(2.0 * ops.n) if params.scaling == MESOSCOPIC else ops.n
     return _collective_phase_expectation(ops, state, params.alpha,
-                                         -params.beta, 0.0, denom)
+                                         -params.beta, 0.0,
+                                         np.sqrt(2.0 * ops.n))
 
 
 def gaussian_target(alpha, beta):
@@ -231,20 +229,28 @@ def super_identity_residuals(n=6, alpha=0.0):
     return out
 
 
+def local_super_derivative(n, axis, alpha=0.0):
+    """sigma_axis'^{(1)} = -i[sigma_axis^{(1)}, G_alpha] at N = n, as a 4x4
+    operator on (site 1, Clifford mode).  [sigma^{(1)}, S_+-] involves
+    sigma^{(1)} alone, so only the site-1 terms of
+    G_alpha = (e^{i alpha} S_- eta + e^{-i alpha} S_+ eta^dag)/sqrt N
+    survive; the N-site derivative is this times the identity on sites
+    2..N."""
+    g = (np.exp(1j * alpha) * np.kron(_LOWER.T, _LOWER)
+         + np.exp(-1j * alpha) * np.kron(_LOWER, _LOWER.T)) / np.sqrt(n)
+    return -1j * bracket(np.kron(_PAULI[axis], np.eye(2)), g)
+
+
 def local_super_derivative_norms(n):
-    """Spectral norm of sigma_z'^{(1)} = -i[sigma_z^{(1)}, G_0] in the
-    N-site representation, kept sparse and taken block by block; exactly
+    """Spectral norm of sigma_z'^{(1)} = -i[sigma_z^{(1)}, G_0]; exactly
     2/sqrt(N)."""
-    rep = TensorSpinRep(n)
-    return hermitian_norm(-1j * bracket(rep.sz[0], rep.g_alpha(0.0)))
+    return float(np.linalg.norm(local_super_derivative(n, "z"), 2))
 
 
 def local_rotation_check(t=0.7):
     """Single-spin x-axis rotation: sigma_y(t) + i sigma_z(t) =
     e^{it}(sigma_y + i sigma_z) under the local generator sigma_x/2."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    sx, sy, sz = _PAULI["x"], _PAULI["y"], _PAULI["z"]
     u = expm(-1j * t * sx / 2)
     evolved = u.conj().T @ (sy + 1j * sz) @ u
     return np.linalg.norm(evolved - np.exp(1j * t) * (sy + 1j * sz), 2)
@@ -392,15 +398,12 @@ def macroscopic_probe(ops, state):
 
 
 def mesoscopic_variance(ops, state):
-    """Variance of S_x/sqrt N in `state`; a Bogoliubov state is measured in
-    the BS(0) scaling (S_x - N)/sqrt N."""
+    """Variance (<S_x^2> - <S_x>^2)/N of S_x/sqrt N in `state`."""
     n = ops.n
     v = state.vector
     sx = ops.s_x_full
     ex = float(np.real(np.vdot(v, sx @ v)))
     ex2 = float(np.real(np.vdot(v, sx @ (sx @ v))))
-    if state.label.startswith("bogoliubov"):
-        return (ex2 - 2 * n * ex + n * n) / n
     return (ex2 - ex ** 2) / n
 
 

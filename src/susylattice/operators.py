@@ -168,33 +168,13 @@ def unitary_flow(g, s, a):
 
     G must be Hermitian; the conjugation preserves the spectrum of `a`.
     """
-    gm, am = _as_array(g), _as_array(a)
-    if gm.shape != am.shape:
+    am = _as_array(a)
+    if np.shape(g) != am.shape:
         raise ValueError("generator and operator dimensions differ")
-    _require_hermitian(gm, "flow generator")
     if not np.isfinite(s):
         raise ValueError("flow parameter must be finite")
-    vals, vecs = np.linalg.eigh(gm)
-    phases = np.exp(1j * s * vals)
-    u = (vecs * phases) @ vecs.conj().T
+    u = hermitian_function(g, lambda v: np.exp(1j * s * v))
     return u @ am @ u.conj().T
-
-
-def psd_sqrt(h):
-    """Positive square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; a materially negative
-    eigenvalue (below -1e-6 * ||H||) is an error.
-    """
-    hm = _as_array(h)
-    _require_hermitian(hm, "psd_sqrt argument")
-    vals, vecs = np.linalg.eigh(hm)
-    scale = max(vals[-1], 0.0) if len(vals) else 0.0
-    floor = -1e-6 * max(scale, 1e-300)
-    if vals[0] < min(floor, -1e-10):
-        raise ValueError(f"materially negative eigenvalue {vals[0]:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def spectrum(h):

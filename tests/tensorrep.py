@@ -1,9 +1,10 @@
 """Per-site spin representation of the pair algebra (2^N) tensored with the
-collective Clifford mode.
+collective Clifford mode: the N <= 12 test oracle.
 
-The Dicke engine cannot express single-site operators; identities that mix
-sigma^{(j)} with the collective S (the equation-of-motion and
-supertransformation derivatives) are verified here at small N instead.
+The Dicke engine cannot express single-site operators, and the library
+evaluates the per-site supertransformation derivatives on site 1 and the
+Clifford mode alone (`limits.local_super_derivative`); the full 2^(N+1)
+space here checks that locality and the collective shortcuts at small N.
 Sparse operators on a bit-string basis of N+1 bits (`operators.bit_operator`):
 site j is bit N-j (site 0 most significant), the Clifford mode is bit 0; a
 clear site bit is spin up, a set one spin down.
@@ -11,7 +12,7 @@ clear site bit is spin up, a set one spin down.
 
 import numpy as np
 
-from .operators import DimensionError, bit_operator
+from susylattice.operators import DimensionError, bit_operator
 
 MAX_SITES = 12
 

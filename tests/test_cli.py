@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from susylattice import cli, limits
+from susylattice import cli, limits, operators
 from susylattice.dicke import MAX_PARTICLES
 from susylattice.reporting import (Report, ReportSchemaError, check_row,
                                    load_tolerances)
@@ -219,7 +219,17 @@ def test_tables_sweeps_run_on_jobs_threads(monkeypatch, capsys):
     jobs_seen = _spy_on_sweep(monkeypatch)
     code, _ = run_cli(["--jobs", "3", "tables"], capsys)
     assert code == 0
-    assert jobs_seen == [3, 3, 3]
+    assert jobs_seen == [3, 3]
+
+
+def test_tables_builds_no_per_site_operator(monkeypatch, capsys):
+    """The local rows come from the 4x4 (site 1, Clifford) operator, so no
+    tables path reaches the bit-string per-site builder."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables built a per-site operator")
+    monkeypatch.setattr(operators, "bit_operator", refuse)
+    code, out = run_cli(["--jobs", "1", "tables"], capsys)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("metric", sorted(cli.SWEEP_METRICS))

@@ -3,10 +3,11 @@ truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from susylattice import dicke, limits
-from susylattice.tensorrep import MAX_SITES, TensorSpinRep
+from tensorrep import MAX_SITES, TensorSpinRep
 
 
 # ----------------------------------------------------------- extrapolation
@@ -64,11 +65,6 @@ def test_fluctuation_trivial_point():
     val = limits.fluctuation_expectation(ops, dicke.ground_state(ops),
                                          limits.FluctuationParams(0.0, 0.0))
     assert val == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fluctuation_params_validation():
-    with pytest.raises(ValueError):
-        limits.FluctuationParams(1.0, 0.0, scaling="bogus")
 
 
 @pytest.mark.parametrize("ab", ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
@@ -271,6 +267,39 @@ def test_local_super_derivative_decay():
 def test_local_super_derivative_at_max_sites():
     norm = limits.local_super_derivative_norms(MAX_SITES)
     assert norm == pytest.approx(2.0 / np.sqrt(MAX_SITES), abs=1e-12)
+
+
+def _embed_site1_clifford(local, n):
+    """A 4x4 operator on (site 1, Clifford mode) as (site 1) x 1 x (Clifford)
+    on the oracle's 2^(n+1) basis (site 1 most significant, Clifford bit 0)."""
+    mid = sparse.identity(2 ** (n - 1), format="csr")
+    out = sparse.csr_matrix((2 ** (n + 1),) * 2, dtype=complex)
+    for (i, j), x in np.ndenumerate(local):
+        site = sparse.csr_matrix(([1.0], ([i >> 1], [j >> 1])), shape=(2, 2))
+        cliff = sparse.csr_matrix(([1.0], ([i & 1], [j & 1])), shape=(2, 2))
+        out = out + x * sparse.kron(sparse.kron(site, mid), cliff)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
+def test_local_super_derivative_matches_tensor_oracle(n):
+    """-i[sigma^(1), G_alpha] touches only site 1 and the Clifford mode."""
+    rep = TensorSpinRep(n)
+    for alpha in (0.0, 0.7):
+        g = rep.g_alpha(alpha)
+        for axis, sigma in (("z", rep.sz[0]), ("x", rep.sx[0])):
+            oracle = -1j * (sigma @ g - g @ sigma)
+            local = limits.local_super_derivative(n, axis, alpha)
+            assert local.shape == (4, 4)
+            diff = _embed_site1_clifford(local, n) - oracle
+            assert abs(diff).max() < 1e-12, (axis, alpha)
+    # BS(0) restricted to (site 1, Clifford) is (1, 1)/sqrt 2 x (0, 1)
+    bs1 = np.kron(np.ones(2) / np.sqrt(2.0), (0.0, 1.0))
+    sx1p = limits.local_super_derivative(n, "x")
+    v, g0, sx1 = rep.bogoliubov_vector(0.0), rep.g_alpha(0.0), rep.sx[0]
+    literal = -1j * np.vdot(v, sx1 @ (g0 @ v) - g0 @ (sx1 @ v))
+    assert abs(literal) < 1e-12
+    assert np.vdot(bs1, sx1p @ bs1) == 0.0
 
 
 def test_local_rotation_identity():

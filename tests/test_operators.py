@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 
 from susylattice import models, operators as op
-from susylattice.tensorrep import TensorSpinRep
+from tensorrep import TensorSpinRep
 
 
 def test_built_operators_are_read_only():
@@ -93,13 +93,15 @@ def test_unitary_flow_is_conjugation():
     assert np.abs(op.unitary_flow(g, s, a) - ref).max() < 1e-12
 
 
-def test_psd_sqrt_and_negative_rejection():
-    h = np.diag([0.0, 4.0]).astype(complex)
-    r = op.psd_sqrt(h)
-    assert np.allclose(r, np.diag([0.0, 2.0]))
-    bad = np.diag([-1.0, 1.0]).astype(complex)
-    with pytest.raises(ValueError):
-        op.psd_sqrt(bad)
+def test_unitary_flow_rejects_bad_input():
+    g = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        op.unitary_flow(g, 0.3, np.eye(4, dtype=complex))
+    for s in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            op.unitary_flow(g, s, g)
+    with pytest.raises(ValueError, match="Hermitian"):
+        op.unitary_flow(np.array([[0, 1], [0, 0]], dtype=complex), 0.3, g)
 
 
 def test_cluster_eigenvalues():
