@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln
 
-from .operators import DimensionError
+from .operators import DimensionError, diagonal_eigenvalues
 
 MAX_PARTICLES = 20000
 
@@ -117,11 +117,7 @@ def hss_eigenvalues(ops):
     H_SS is diagonal in the product basis (it commutes with s_z and the
     Clifford grading); the off-diagonal part is checked to vanish.
     """
-    h = build_hss_dicke(ops)
-    off = h - sparse.diags(h.diagonal())
-    if off.nnz and abs(off).max() > 1e-12:
-        raise AssertionError("H_SS unexpectedly non-diagonal")
-    return np.sort(h.diagonal().real)
+    return diagonal_eigenvalues(build_hss_dicke(ops))
 
 
 def _basis_state(n, k, label):

@@ -10,8 +10,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .operators import (
+    NILPOTENCY_TOL,
     DimensionError,
     LatticeSpec,
     bracket,
@@ -19,20 +21,21 @@ from .operators import (
     hermitian_function,
     hermitian_norm,
     nilpotency_residual,
+    read_only,
     sparse_annihilators,
 )
 
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A named model with its lattice, couplings and built operators (dense,
-    read-only)."""
+    """A named model with its lattice, couplings and built operators (CSR,
+    read-only data)."""
 
     kind: str
     spec: LatticeSpec
     couplings: tuple
-    q: np.ndarray
-    h: np.ndarray
+    q: sparse.csr_matrix
+    h: sparse.csr_matrix
 
     def g_alpha(self, alpha=0.0):
         return gauge_charge(self.q, alpha)
@@ -45,10 +48,9 @@ def _check_couplings(z):
     return z
 
 
-def _instance(kind, spec, z, q_sparse):
-    q = q_sparse.toarray()
-    h = q @ q.conj().T + q.conj().T @ q
-    q.flags.writeable = h.flags.writeable = False
+def _instance(kind, spec, z, q):
+    q = read_only(q)
+    h = read_only(q @ q.conj().T + q.conj().T @ q)
     return ModelInstance(kind=kind, spec=spec, couplings=z, q=q, h=h)
 
 
@@ -139,8 +141,8 @@ def model_ii_flow_closed(k, s, z):
     model = build_model_ii(z)
     spec = model.spec
     ops = sparse_annihilators(spec.modes)
-    up = ops[spec.mode_index(k, 0)].toarray()
-    dn = ops[spec.mode_index(k, 1)].toarray()
+    up = ops[spec.mode_index(k, 0)]
+    dn = ops[spec.mode_index(k, 1)]
     g = model.g_alpha(0.0)
     shifted = g - z[k] * (dn + dn.conj().T)
     exp_isg = hermitian_function(g, lambda v: np.exp(-1j * s * v))
@@ -180,13 +182,13 @@ def hopping_supercharge(n, z=None, periodic=True):
             continue
         term = zi * (ops[i].conj().T @ ops[i] @ ops[j])
         q = term if q is None else q + term
-    return q.toarray()
+    return read_only(q)
 
 
 def nilpotency_check(q):
     """(is_nilpotent, residual) with residual = ||Q^2|| / ||Q||^2."""
     res = nilpotency_residual(q)
-    return res <= 1e-12, res
+    return res <= NILPOTENCY_TOL, res
 
 
 # ---------------------------------------------------------------------------
@@ -205,51 +207,36 @@ class PairAlgebraOps:
 
     b_ops: tuple
     a3_ops: tuple
-    m_n: np.ndarray
-    eta_n: np.ndarray
-    pair_projector: np.ndarray
-
-
-def _model_iii_sparse(n):
-    if n > 4:
-        raise DimensionError("Model III supports at most 4 sites (3 flavors)")
-    spec = LatticeSpec(n, 3)
-    ops = sparse_annihilators(spec.modes)
-    b = [ops[spec.mode_index(i, 0)] @ ops[spec.mode_index(i, 1)]
-         for i in range(n)]
-    a3 = [ops[spec.mode_index(i, 2)] for i in range(n)]
-    m = sum(b) / np.sqrt(n)
-    eta = sum(a3) / np.sqrt(n)
-    q = m @ eta
-    return spec, b, a3, m, eta, q
-
-
-def _pair_projector_diag(spec):
-    # diagonal of prod_i [(1-n_i1)(1-n_i2) + n_i1 n_i2] in the JW basis;
-    # mode k occupation is bit (modes-1-k) of the basis index
-    modes = spec.modes
-    idx = np.arange(spec.dim)
-    diag = np.ones(spec.dim, dtype=complex)
-    for i in range(spec.n_sites):
-        b1 = (idx >> (modes - 1 - spec.mode_index(i, 0))) & 1
-        b2 = (idx >> (modes - 1 - spec.mode_index(i, 1))) & 1
-        diag *= (b1 == b2)
-    return diag
+    m_n: sparse.csr_matrix
+    eta_n: sparse.csr_matrix
+    pair_projector: sparse.csr_matrix
 
 
 def build_model_iii_fock(n):
     """Model III on the full Fock space: Q = M_N eta_N, H = {Q, Q^dag}.
 
-    Returns the ModelInstance together with the pair-algebra operators.
+    Returns the ModelInstance together with the pair-algebra operators, all
+    CSR with read-only data.
     """
-    spec, b, a3, m, eta, q = _model_iii_sparse(n)
-    inst = _instance("ModelIII", spec, (1.0,) * n, q)
+    if n > 4:
+        raise DimensionError("Model III supports at most 4 sites (3 flavors)")
+    spec = LatticeSpec(n, 3)
+    # site-major modes: a^f_i is mode 3i + f, occupation bit modes-1-(3i+f)
+    ops = sparse_annihilators(spec.modes)
+    b = tuple(read_only(ops[3 * i] @ ops[3 * i + 1]) for i in range(n))
+    a3 = ops[2::3]
+    m = read_only(sum(b) / np.sqrt(n))
+    eta = read_only(sum(a3) / np.sqrt(n))
+    # the projector prod_i [(1-n_i1)(1-n_i2) + n_i1 n_i2] is diagonal
+    idx = np.arange(spec.dim)
+    locked = np.ones(spec.dim, dtype=bool)
+    for i in range(n):
+        shift = spec.modes - 2 - 3 * i      # bit of a^2_i; a^1_i's is next
+        locked &= ((idx >> shift) & 1) == ((idx >> (shift + 1)) & 1)
     pair = PairAlgebraOps(
-        b_ops=tuple(x.toarray() for x in b),
-        a3_ops=tuple(x.toarray() for x in a3),
-        m_n=m.toarray(), eta_n=eta.toarray(),
-        pair_projector=np.diag(_pair_projector_diag(spec)))
-    return inst, pair
+        b_ops=b, a3_ops=a3, m_n=m, eta_n=eta,
+        pair_projector=read_only(sparse.diags(locked.astype(complex))))
+    return _instance("ModelIII", spec, (1.0,) * n, m @ eta), pair
 
 
 def fock_m_norm(n):
@@ -258,7 +245,7 @@ def fock_m_norm(n):
     sqrt ||M^dag M|| from the sparse blocks of M^dag M, so n = 4 (dimension
     4096) never needs a dense SVD.
     """
-    _, _, _, m, _, _ = _model_iii_sparse(n)
+    m = build_model_iii_fock(n)[1].m_n
     return float(np.sqrt(hermitian_norm(m.conj().T @ m)))
 
 
@@ -271,7 +258,7 @@ def hss_pair_expansion(pair):
     num_pairs = sum(bi.conj().T @ bi for bi in pair.b_ops)
     m, eta = pair.m_n, pair.eta_n
     return (m.conj().T @ m
-            + eta @ eta.conj().T @ (np.eye(m.shape[0])
+            + eta @ eta.conj().T @ (sparse.identity(m.shape[0])
                                     - (2.0 / n) * num_pairs))
 
 
@@ -279,11 +266,12 @@ def model_iii_symmetric_sector_spectrum(n):
     """Eigenvalues of the Fock-space Model III H on the symmetric pair sector.
 
     The sector is spanned by the Dicke states in the pair variables tensored
-    with {a^3 vacuum, eta_N^dag (a^3 vacuum)}; H leaves it invariant.  Built
-    sparsely so n = 4 never materializes a dense 4096^2 matrix.
+    with {a^3 vacuum, eta_N^dag (a^3 vacuum)}; H leaves it invariant.  Only
+    the 2(n+1)-dimensional sector matrix is dense.
     """
-    spec, b, a3, m, eta, q = _model_iii_sparse(n)
-    dim = spec.dim
+    inst, pair = build_model_iii_fock(n)
+    b, eta = pair.b_ops, pair.eta_n
+    dim = inst.spec.dim
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
     b_dag = [x.conj().T.tocsr() for x in b]
@@ -299,10 +287,7 @@ def model_iii_symmetric_sector_spectrum(n):
         basis.append(acc)
         basis.append(eta.conj().T @ acc)
     bmat = np.column_stack(basis)
-    qd = q.conj().T.tocsr()
-    h_cols = q @ (qd @ bmat) + qd @ (q @ bmat)
-    h_sub = bmat.conj().T @ h_cols
-    return np.sort(np.linalg.eigvalsh(h_sub))
+    return np.sort(np.linalg.eigvalsh(bmat.conj().T @ (inst.h @ bmat)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +298,26 @@ def model_iii_symmetric_sector_spectrum(n):
 class BcsModel:
     """H_BCS = -M^dag M together with the supersymmetric H_SS it shadows.
 
-    diff_norm is ||H_BCS - (-H_SS)||, the bounded remainder (<= 1) that
-    separates the two Hamiltonians.
+    diff_norm is ||H_BCS - (-H_SS)|| = ||eta eta^dag S_z|| / N, the bounded
+    remainder (exactly 1) that separates the two Hamiltonians.
     """
 
     n: int
     representation: str
-    h_bcs: np.ndarray
-    h_ss: np.ndarray
+    h_bcs: sparse.csr_matrix
+    h_ss: sparse.csr_matrix
     diff_norm: float
 
 
 def build_bcs(n, representation="dicke"):
     """The pairing Hamiltonian -M^dag M in either representation.
 
-    fock: on the 8^n Fock space of Model III (n <= 3 to stay dense).
+    fock: on the 8^n Fock space of Model III (n <= 3).
     dicke: on the collective multiplet tensor Clifford mode, any n.
     """
     if representation == "fock":
         if n > 3:
-            raise DimensionError("dense fock BCS limited to 3 sites")
+            raise DimensionError("fock BCS limited to 3 sites")
         inst, pair = build_model_iii_fock(n)
         m = pair.m_n
         h_bcs = -(m.conj().T @ m)
@@ -341,11 +326,10 @@ def build_bcs(n, representation="dicke"):
         from . import dicke
 
         ops = dicke.collective_ops(n)
-        h_ss = dicke.build_hss_dicke(ops).toarray()
-        sp_sm = (ops.s_plus @ ops.s_minus).toarray()
-        h_bcs = -np.kron(sp_sm, np.eye(2)) / n
+        h_ss = dicke.build_hss_dicke(ops)
+        h_bcs = -(ops.s_plus_full @ ops.s_minus_full) / n
     else:
         raise ValueError(f"unknown representation {representation!r}")
-    diff = float(np.linalg.norm(h_bcs + h_ss, 2))
     return BcsModel(n=n, representation=representation,
-                    h_bcs=h_bcs, h_ss=h_ss, diff_norm=diff)
+                    h_bcs=read_only(h_bcs), h_ss=read_only(h_ss),
+                    diff_norm=hermitian_norm(h_bcs + h_ss))

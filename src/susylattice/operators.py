@@ -1,9 +1,10 @@
 """Operator toolkit and the model-independent super-structure.
 
-Operators are plain numpy arrays or scipy sparse matrices: fermion mode
-operators built by the Jordan-Wigner construction, (anti)commutators,
-Hermitian matrix functions, and the decomposition of a nilpotent supercharge
-Q into the package (P0, eta, F, G_alpha, paired spectrum).
+Operators are scipy CSR matrices wherever they are built: fermion mode
+operators by the Jordan-Wigner construction, (anti)commutators and the gauge
+family.  Only the dense kernels (Hermitian matrix functions, spectra and the
+decomposition of a nilpotent supercharge Q into the package (P0, eta, F,
+G_alpha, paired spectrum)) take a dense copy of their argument.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-# Dense matrices only; 2^14 is the largest Fock dimension we ever touch.
+# Sparse Jordan-Wigner operators on at most 2^14 Fock states; the dense
+# kernels stop far below that, at the per-model site caps.
 MAX_MODES = 14
 
 # Eigenvalues of H below KERNEL_CUT * ||H|| count as exact zeros.
@@ -26,7 +28,8 @@ NILPOTENCY_TOL = 1e-12
 
 
 class DimensionError(ValueError):
-    """Requested construction exceeds the dense feasibility bound."""
+    """Requested construction exceeds a size bound (MAX_MODES or a model's
+    site cap)."""
 
 
 class NilpotencyError(ValueError):
@@ -35,6 +38,15 @@ class NilpotencyError(ValueError):
 
 def _as_array(x):
     return x.toarray() if sparse.issparse(x) else np.asarray(x)
+
+
+def read_only(m):
+    """m as canonical CSR whose data array is read-only, so that writing a
+    stored entry raises ValueError."""
+    m = sparse.csr_matrix(m)
+    m.sum_duplicates()
+    m.data.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,10 @@ def sparse_annihilators(modes):
     """
     if modes > MAX_MODES:
         raise DimensionError(
-            f"{modes} modes exceed the dense bound of {MAX_MODES}")
+            f"{modes} modes exceed the bound of {MAX_MODES}")
     top = 2 ** modes
-    return tuple(bit_operator(modes, 1 << (modes - 1 - k),
-                              string=top - (2 << (modes - 1 - k)))
+    return tuple(read_only(bit_operator(modes, 1 << (modes - 1 - k),
+                                        string=top - (2 << (modes - 1 - k))))
                  for k in range(modes))
 
 
@@ -126,15 +138,6 @@ def hermitian_norm(m):
             coo.data[hit]
         best = max(best, float(np.abs(np.linalg.eigvalsh(stack)).max()))
     return best
-
-
-def fermion_ops(spec):
-    """Annihilation operators for every mode of `spec`, in mode order.
-
-    The returned dense matrices satisfy the CAR exactly up to round-off:
-    {a_m, a_n^dag} = delta_mn, {a_m, a_n} = 0.
-    """
-    return [a.toarray() for a in sparse_annihilators(spec.modes)]
 
 
 def bracket(a, b, kind="commutator"):
@@ -189,6 +192,16 @@ def spectrum(h):
     return cluster_eigenvalues(vals)
 
 
+def diagonal_eigenvalues(h):
+    """Ascending eigenvalues of a sparse Hermitian H that is diagonal in the
+    basis it is stored in; raises ValueError when an off-diagonal entry
+    exceeds 1e-12."""
+    off = h - sparse.diags(h.diagonal())
+    if off.nnz and abs(off).max() > 1e-12:
+        raise ValueError("H is not diagonal in its basis")
+    return np.sort(h.diagonal().real)
+
+
 def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
     """Group a sorted eigenvalue array into (value, multiplicity) clusters."""
     vals = np.sort(np.asarray(vals, dtype=float))
@@ -204,8 +217,9 @@ def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
 
 
 def gauge_charge(q, alpha):
-    """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag."""
-    qm = _as_array(q)
+    """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag, in
+    the representation of Q (sparse Q gives a sparse G)."""
+    qm = q if sparse.issparse(q) else np.asarray(q)
     return np.exp(1j * alpha) * qm + np.exp(-1j * alpha) * qm.conj().T
 
 
@@ -308,7 +322,9 @@ def verify_decomposition(dec, alpha=0.0):
         if mult % 2:
             raise ValueError(
                 f"positive eigenvalue {e_val:.6g} has odd multiplicity {mult}")
-    hnorm = max(float(np.linalg.norm(dec.h, 2)), 1e-300)
+    # H >= 0, so ||H|| is its top paired level
+    hnorm = max(dec.paired_spectrum[-1][0] if dec.paired_spectrum else 0.0,
+                1e-300)
     g0 = gauge_charge(dec.q, 0.0)
     gvals = np.linalg.eigvalsh(g0)
     nonzero = gvals[np.abs(gvals) > np.sqrt(KERNEL_CUT * hnorm)]

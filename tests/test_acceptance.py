@@ -85,7 +85,7 @@ def test_criterion_2_closed_flows(require):
     worst = 0.0
     # single mode, including a nontrivial gauge angle
     baby = models.build_baby()
-    a0 = operators.fermion_ops(baby.spec)[0]
+    a0 = operators.sparse_annihilators(baby.spec.modes)[0]
     for alpha in (0.0, 0.7):
         g = baby.g_alpha(alpha)
         for s in FLOW_S:
@@ -96,7 +96,7 @@ def test_criterion_2_closed_flows(require):
     # one flavor per site
     z1 = (0.6, 1.1, 1.7)
     m1 = models.build_model_i(z1)
-    ops1 = operators.fermion_ops(m1.spec)
+    ops1 = operators.sparse_annihilators(m1.spec.modes)
     for k in (0, 2):
         for s in FLOW_S:
             closed = models.model_i_flow_closed(k, s, z1)
@@ -106,7 +106,7 @@ def test_criterion_2_closed_flows(require):
     # two flavors per site
     z2 = (0.8, 1.3)
     m2 = models.build_model_ii(z2)
-    ops2 = operators.fermion_ops(m2.spec)
+    ops2 = operators.sparse_annihilators(m2.spec.modes)
     for k in (0, 1):
         for s in FLOW_S:
             up_c, dn_c = models.model_ii_flow_closed(k, s, z2)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,22 @@ def test_spectrum_witten_below_cutoff_is_usage_error(capsys):
                                                         abs=1e-10)
 
 
+@pytest.mark.parametrize("model,n", (("model_i", 10), ("model_ii", 6)))
+def test_spectrum_fock_models_at_their_caps(model, n, capsys):
+    """Unit couplings: Model I has H = N * 1; Model II has the subset-sum
+    levels k = 0..N with multiplicity C(N, k) * 2^N (the free down spins)."""
+    code, out = run_cli(["--jobs", "1", "spectrum", "--model", model,
+                         "--n", str(n)], capsys)
+    assert code == 0
+    got = [float(r[2]) for r in list(csv.reader(out.splitlines()))[1:]]
+    if model == "model_i":
+        want = [float(n)] * 2 ** n
+    else:
+        want = [float(k) for k in range(n + 1)
+                for _ in range(math.comb(n, k) * 2 ** n)]
+    assert got == want
+
+
 @pytest.mark.parametrize("levels", ("0", "-1"))
 def test_spectrum_rejects_nonpositive_levels(levels, capsys):
     code, out = run_cli(["spectrum", "--model", "dicke", "--n", "8",
@@ -344,10 +361,11 @@ def _sweep_argv(metric, n_list, *extra):
 ))
 def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     """Refactors keep the default workloads' CSV bytes, for any --jobs: the
-    files under tests/golden were written by `susylab --jobs 1 ...` (verify,
-    tables and spectrum before the plain-array operator layer, the sweeps
-    before the single sweep engine; numpy 2.4 / scipy 1.17 on OpenBLAS,
-    x86-64); another BLAS build may move a last digit."""
+    files under tests/golden were written by `susylab --jobs 1 ...` (tables
+    and spectrum before the plain-array operator layer, verify after the
+    sparse Fock builders, the sweeps before the single sweep engine; numpy
+    2.4 / scipy 1.17 on OpenBLAS, x86-64); another BLAS build may move a
+    last digit."""
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0

@@ -3,8 +3,10 @@ automorphisms, the nilpotency counterexample, pair algebra and BCS shadow."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from susylattice import models, operators
+from susylattice.reporting import DEFAULT_TOLERANCES
 
 FLOW_POINTS = (0.1, 0.7, np.pi / 2, 2.0)
 
@@ -24,16 +26,16 @@ def _car_ok(a_s, dim_ops, tol=1e-10):
 
 def test_baby_model_structure():
     inst = models.build_baby()
-    assert np.allclose(inst.h, np.eye(2))
+    assert np.allclose(inst.h.toarray(), np.eye(2))
     g0 = inst.g_alpha(0.0)
-    assert np.allclose(g0, np.array([[0, 1], [1, 0]]))
+    assert np.allclose(g0.toarray(), np.array([[0, 1], [1, 0]]))
     for alpha in (0.0, 0.4, 2.2):
         g = inst.g_alpha(alpha)
-        assert np.allclose(g @ g, np.eye(2), atol=1e-12)
+        assert np.allclose((g @ g).toarray(), np.eye(2), atol=1e-12)
 
 
 def test_baby_flow_endpoints():
-    a = operators.fermion_ops(operators.LatticeSpec(1, 1))[0]
+    a = operators.sparse_annihilators(1)[0].toarray()
     assert np.linalg.norm(models.baby_flow_closed(0.0, 0.0) - a, 2) < 1e-14
     assert np.linalg.norm(models.baby_flow_closed(np.pi / 2, 0.0)
                           - a.conj().T, 2) < 1e-12
@@ -46,7 +48,7 @@ def test_baby_flow_endpoints():
 @pytest.mark.parametrize("alpha", (0.0, 0.6, 1.9))
 def test_baby_flow_matches_conjugation(s, alpha):
     inst = models.build_baby()
-    a = operators.fermion_ops(inst.spec)[0]
+    a = operators.sparse_annihilators(inst.spec.modes)[0]
     brute = operators.unitary_flow(inst.g_alpha(alpha), s, a)
     closed = models.baby_flow_closed(s, alpha)
     assert np.linalg.norm(brute - closed, 2) < 1e-10
@@ -58,7 +60,7 @@ def test_baby_flow_matches_conjugation(s, alpha):
 def test_model_i_h_is_scalar():
     for z in ((1.0,), (1.0, 1.0, 1.0), (1.0, 2.0, 2.0)):
         inst = models.build_model_i(z)
-        assert np.abs(inst.h
+        assert np.abs(inst.h.toarray()
                       - sum(x * x for x in z) * np.eye(2 ** len(z))).max() \
             < 1e-12
 
@@ -67,7 +69,7 @@ def test_model_i_collective_mode_norm():
     z = (1.0, 2.0, 2.0)
     inst = models.build_model_i(z)
     eta = inst.q * (1.0 / np.sqrt(sum(x * x for x in z)))
-    assert np.linalg.norm(eta, 2) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(eta.toarray(), 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_model_i_rejects_bad_couplings():
@@ -82,7 +84,7 @@ def test_model_i_flow_matches_conjugation(s):
     z = (1.0, 1.0)
     inst = models.build_model_i(z)
     g = inst.g_alpha(0.0)
-    ops = operators.fermion_ops(inst.spec)
+    ops = operators.sparse_annihilators(inst.spec.modes)
     for k in range(2):
         brute = operators.unitary_flow(g, s, ops[k])
         closed = models.model_i_flow_closed(k, s, z)
@@ -102,17 +104,17 @@ def test_model_i_flow_cross_site_car():
 def test_model_i_not_local():
     z = (1.0, 1.0)
     inst = models.build_model_i(z)
-    ops = operators.fermion_ops(inst.spec)
+    ops = operators.sparse_annihilators(inst.spec.modes)
     moved = operators.unitary_flow(inst.g_alpha(0.0), np.pi / 4, ops[0])
-    comm = operators.bracket(moved, ops[1], "commutator")
+    comm = operators.bracket(moved, ops[1].toarray(), "commutator")
     assert np.linalg.norm(comm, 2) > 1e-3
 
 
 def test_model_i_time_evolution_trivial():
     inst = models.build_model_i((1.0, 2.0))
-    probe = operators.fermion_ops(inst.spec)[0]
+    probe = operators.sparse_annihilators(inst.spec.modes)[0]
     comm = operators.bracket(inst.h, probe, "commutator")
-    assert np.linalg.norm(comm, 2) < 1e-12
+    assert np.linalg.norm(comm.toarray(), 2) < 1e-12
 
 
 def test_model_i_reduces_to_baby():
@@ -134,7 +136,7 @@ def test_model_ii_up_vacuum_annihilated():
     Q^dag (carries n_up)."""
     inst = models.build_model_ii((1.0,))
     spec = inst.spec
-    ops = operators.fermion_ops(spec)
+    ops = operators.sparse_annihilators(spec.modes)
     vac = np.zeros(spec.dim)
     vac[0] = 1.0
     dn_occupied = ops[spec.mode_index(0, 1)].conj().T @ vac
@@ -145,7 +147,7 @@ def test_model_ii_up_vacuum_annihilated():
 
 def test_model_ii_kernel_degeneracy():
     inst = models.build_model_ii((1.0, 1.0))
-    vals = np.linalg.eigvalsh(inst.h)
+    vals = np.linalg.eigvalsh(inst.h.toarray())
     kernel = int(np.sum(np.abs(vals) < 1e-10))
     assert kernel == 4  # down-spin factor free: 2^N states
     # every eigenvalue at least 2^N-fold degenerate
@@ -156,9 +158,9 @@ def test_model_ii_kernel_degeneracy():
 def test_model_ii_down_mode_time_invariant():
     inst = models.build_model_ii((1.0, 2.0))
     spec = inst.spec
-    dn = operators.fermion_ops(spec)[spec.mode_index(0, 1)]
+    dn = operators.sparse_annihilators(spec.modes)[spec.mode_index(0, 1)]
     comm = operators.bracket(inst.h, dn, "commutator")
-    assert np.linalg.norm(comm, 2) < 1e-12
+    assert np.linalg.norm(comm.toarray(), 2) < 1e-12
 
 
 @pytest.mark.parametrize("s", FLOW_POINTS)
@@ -167,7 +169,7 @@ def test_model_ii_flow_matches_conjugation(s):
     inst = models.build_model_ii(z)
     spec = inst.spec
     g = inst.g_alpha(0.0)
-    ops = operators.fermion_ops(spec)
+    ops = operators.sparse_annihilators(spec.modes)
     for k in range(2):
         up_c, dn_c = models.model_ii_flow_closed(k, s, z)
         up_b = operators.unitary_flow(g, s, ops[spec.mode_index(k, 0)])
@@ -184,7 +186,8 @@ def test_model_ii_flow_singularity_handled():
     up_c, dn_c = models.model_ii_flow_closed(0, 0.7, z)
     inst = models.build_model_ii(z)
     dn_b = operators.unitary_flow(inst.g_alpha(0.0), 0.7,
-                                  operators.fermion_ops(inst.spec)[
+                                  operators.sparse_annihilators(
+                                      inst.spec.modes)[
                                       inst.spec.mode_index(0, 1)])
     assert np.linalg.norm(dn_c - dn_b, 2) < 1e-10
 
@@ -216,24 +219,25 @@ def test_model_iii_propositions():
     eye = np.eye(inst.spec.dim)
     eta = pair.eta_n
     # (i) eta CAR on the full Fock space
-    assert np.linalg.norm(eta @ eta, 2) < 1e-12
-    assert np.abs(eta @ eta.conj().T + eta.conj().T @ eta - eye).max() < 1e-10
+    assert np.linalg.norm((eta @ eta).toarray(), 2) < 1e-12
+    assert np.abs((eta @ eta.conj().T + eta.conj().T @ eta).toarray()
+                  - eye).max() < 1e-10
     # (iii) [M, eta] = 0
     comm = operators.bracket(pair.m_n, pair.eta_n, "commutator")
-    assert np.linalg.norm(comm, 2) < 1e-12
+    assert np.linalg.norm(comm.toarray(), 2) < 1e-12
     for b in pair.b_ops:
-        assert np.linalg.norm(b @ b, 2) < 1e-14
+        assert np.linalg.norm((b @ b).toarray(), 2) < 1e-14
     for b, a3 in zip(pair.b_ops, pair.a3_ops):
         comm = operators.bracket(b, a3, "commutator")
-        assert np.linalg.norm(comm, 2) < 1e-12
+        assert np.linalg.norm(comm.toarray(), 2) < 1e-12
 
 
 def test_model_iii_pair_car_on_pair_sector():
     _, pair = models.build_model_iii_fock(2)
-    p = pair.pair_projector
+    p = pair.pair_projector.toarray()
     eye = np.eye(p.shape[0])
     for b in pair.b_ops:
-        resid = p @ (b @ b.conj().T + b.conj().T @ b - eye) @ p
+        resid = p @ ((b @ b.conj().T + b.conj().T @ b).toarray() - eye) @ p
         assert np.linalg.norm(resid, 2) < 1e-12
 
 
@@ -241,7 +245,8 @@ def test_model_iii_expansion_on_pair_sector():
     inst, pair = models.build_model_iii_fock(3)
     p = pair.pair_projector
     expansion = models.hss_pair_expansion(pair)
-    assert np.linalg.norm(p @ (inst.h - expansion) @ p, 2) < 1e-10
+    assert np.linalg.norm((p @ (inst.h - expansion) @ p).toarray(), 2) \
+        < 1e-10
 
 
 def test_model_iii_m_norm_exact_law():
@@ -253,17 +258,27 @@ def test_model_iii_m_norm_exact_law():
         assert models.fock_m_norm(n) == pytest.approx(exact, abs=1e-10)
     # the helper agrees with the dense operator where the latter is cheap
     _, pair = models.build_model_iii_fock(2)
-    assert np.linalg.norm(pair.m_n, 2) == \
+    assert np.linalg.norm(pair.m_n.toarray(), 2) == \
         pytest.approx(models.fock_m_norm(2), abs=1e-12)
 
 
 def test_model_iii_even_n_extra_ground_states():
     """N=2: pairwise-anticorrelated pair states join the kernel."""
     inst, pair = models.build_model_iii_fock(2)
-    vals = np.linalg.eigvalsh(inst.h)
+    vals = np.linalg.eigvalsh(inst.h.toarray())
     # the a^3 factor alone contributes 2^N kernel states; the pair singlet
     # sector enlarges it further for even N
     assert int(np.sum(np.abs(vals) < 1e-10)) > 4
+
+
+def test_model_iii_builds_sparse_at_its_cap():
+    """n = 4 (dimension 4096) builds without dense operators, and the pair
+    expansion of H holds on the pair sector there too (sparse exact norm)."""
+    inst, pair = models.build_model_iii_fock(4)
+    assert inst.h.shape == (4096, 4096)
+    p = pair.pair_projector
+    resid = p @ (inst.h - models.hss_pair_expansion(pair)) @ p
+    assert operators.hermitian_norm(resid) < 1e-10
 
 
 def test_model_iii_dimension_bound():
@@ -279,12 +294,41 @@ def test_symmetric_sector_spectrum_shape():
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
 
+# ------------------------------------------------------- sparse builders
+
+BUILT = (
+    ("baby", models.build_baby),
+    ("model_i", lambda: models.build_model_i((1.0, 2.0, 0.5))),
+    ("model_ii", lambda: models.build_model_ii((1.0, 0.7))),
+    ("model_iii", lambda: models.build_model_iii_fock(2)[0]),
+)
+
+
+@pytest.mark.parametrize("name,build", BUILT)
+def test_builders_return_read_only_csr(name, build):
+    inst = build()
+    for m in (inst.q, inst.h):
+        assert isinstance(m, sparse.csr_matrix) and not m.data.flags.writeable
+    q = inst.q.toarray()
+    assert np.abs(inst.h.toarray()
+                  - (q @ q.conj().T + q.conj().T @ q)).max() < 1e-14
+
+
+def test_pair_hopping_and_bcs_operators_are_read_only_csr():
+    _, pair = models.build_model_iii_fock(2)
+    bcs = [models.build_bcs(2, rep) for rep in ("fock", "dicke")]
+    for m in (*pair.b_ops, *pair.a3_ops, pair.m_n, pair.eta_n,
+              pair.pair_projector, models.hopping_supercharge(3),
+              *(b.h_bcs for b in bcs), *(b.h_ss for b in bcs)):
+        assert isinstance(m, sparse.csr_matrix) and not m.data.flags.writeable
+
+
 # --------------------------------------------------------------------- bcs
 
 def test_bcs_fock_matches_pairing_hamiltonian():
     bcs = models.build_bcs(2, "fock")
     m = models.build_model_iii_fock(2)[1].m_n
-    assert np.linalg.norm(bcs.h_bcs + m.conj().T @ m, 2) < 1e-14
+    assert np.linalg.norm((bcs.h_bcs + m.conj().T @ m).toarray(), 2) < 1e-14
     assert bcs.diff_norm <= 1.0 + 1e-12
 
 
@@ -292,6 +336,15 @@ def test_bcs_dicke_bounded_difference():
     for n in (2, 4, 8):
         bcs = models.build_bcs(n, "dicke")
         assert bcs.diff_norm <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("rep,n", (("fock", 2), ("fock", 3), ("dicke", 2),
+                                   ("dicke", 4), ("dicke", 8),
+                                   ("dicke", 16)))
+def test_bcs_difference_norm_is_exactly_one(rep, n):
+    """||H_BCS + H_SS|| = ||eta eta^dag S_z|| / N = 1: the top |S_z| = N."""
+    diff = models.build_bcs(n, rep).diff_norm
+    assert abs(diff - 1.0) <= DEFAULT_TOLERANCES["identity"]
 
 
 def test_bcs_rejects_oversize_fock():
