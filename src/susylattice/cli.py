@@ -51,10 +51,8 @@ def _decomposition_rows(label, inst, tol):
     rows.append(_residual(f"{label}_nilpotency", n,
                           operators.nilpotency_residual(inst.q),
                           tol["machine"], "PAPER"))
-    eye = np.eye(dec.eta.shape[0])
-    car = np.abs(operators.bracket(dec.eta, dec.eta.conj().T,
-                                   "anticommutator") - (eye - dec.p0)).max()
-    rows.append(_residual(f"{label}_car_completeness", n, car,
+    rows.append(_residual(f"{label}_car_completeness", n,
+                          operators.car_residual(dec),
                           tol["identity"], "PAPER"))
     even = all(m % 2 == 0 for _, m in dec.paired_spectrum)
     rows.append(_indicator(f"{label}_even_multiplicity", n, even, "PAPER"))

@@ -312,12 +312,10 @@ class BcsModel:
 def build_bcs(n, representation="dicke"):
     """The pairing Hamiltonian -M^dag M in either representation.
 
-    fock: on the 8^n Fock space of Model III (n <= 3).
+    fock: on the 8^n Fock space of Model III (n <= 4).
     dicke: on the collective multiplet tensor Clifford mode, any n.
     """
     if representation == "fock":
-        if n > 3:
-            raise DimensionError("fock BCS limited to 3 sites")
         inst, pair = build_model_iii_fock(n)
         m = pair.m_n
         h_bcs = -(m.conj().T @ m)

@@ -2,9 +2,9 @@
 
 Operators are scipy CSR matrices wherever they are built: fermion mode
 operators by the Jordan-Wigner construction, (anti)commutators and the gauge
-family.  Only the dense kernels (Hermitian matrix functions, spectra and the
-decomposition of a nilpotent supercharge Q into the package (P0, eta, F,
-G_alpha, paired spectrum)) take a dense copy of their argument.
+family.  The decomposition of a nilpotent supercharge Q into (P0, eta, F,
+G_alpha, paired spectrum) solves the exact invariant blocks of Q; only the
+Hermitian matrix functions take a dense copy of their argument.
 """
 
 from dataclasses import dataclass
@@ -115,29 +115,52 @@ def sparse_annihilators(modes):
                  for k in range(modes))
 
 
+def _blocks(pattern, *mats):
+    """Stack sparse `mats` over the connected components of the symmetrised
+    pattern of `pattern`, which must cover every pattern in `mats`.  Yields,
+    per block size, the (k, size) basis states of the k blocks of that size
+    and one (k, size, size) stack per matrix."""
+    ncomp, labels = connected_components(pattern != 0, directed=False)
+    sizes = np.bincount(labels, minlength=ncomp)
+    start = np.cumsum(sizes) - sizes
+    order = np.argsort(labels, kind="stable")
+    pos = np.empty_like(order)      # position of each state in its block
+    pos[order] = np.arange(order.size) - start[labels[order]]
+    coos = [m.tocoo() for m in mats]
+    for size in np.unique(sizes):
+        members = sizes == size
+        slot = np.cumsum(members) - 1
+        stacks = []
+        for coo in coos:
+            comp = labels[coo.row]
+            hit = members[comp]
+            stack = np.zeros((members.sum(), size, size), dtype=coo.dtype)
+            stack[slot[comp[hit]], pos[coo.row[hit]], pos[coo.col[hit]]] = \
+                coo.data[hit]
+            stacks.append(stack)
+        yield order[start[members][:, None] + np.arange(size)], stacks
+
+
+def _unblock(dim, parts):
+    """Read-only CSR in the original basis from (states, stack) pairs."""
+    rows = np.concatenate([np.repeat(s, s.shape[1]) for s, _ in parts])
+    cols = np.concatenate([np.tile(s, s.shape[1]).ravel() for s, _ in parts])
+    data = np.concatenate([stack.ravel() for _, stack in parts])
+    return read_only(sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)))
+
+
+def _dagger(stack):
+    return stack.conj().swapaxes(-1, -2)
+
+
 def hermitian_norm(m):
     """Exact spectral norm max|lambda| of a sparse Hermitian matrix: the
     connected components of its sparsity pattern are decoupled blocks, and
     equal-size blocks share one stacked eigvalsh call."""
     m = sparse.csr_matrix(m)
     _require_hermitian(m, "hermitian_norm argument")
-    ncomp, labels = connected_components(m != 0, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
-    # position of each basis state inside its component
-    rank = np.argsort(np.argsort(labels, kind="stable"))
-    pos = rank - (np.cumsum(sizes) - sizes)[labels]
-    coo = m.tocoo()
-    comp = labels[coo.row]
-    best = 0.0
-    for size in np.unique(sizes):
-        members = sizes == size
-        slot = np.cumsum(members) - 1
-        hit = members[comp]
-        stack = np.zeros((members.sum(), size, size), dtype=m.dtype)
-        stack[slot[comp[hit]], pos[coo.row[hit]], pos[coo.col[hit]]] = \
-            coo.data[hit]
-        best = max(best, float(np.abs(np.linalg.eigvalsh(stack)).max()))
-    return best
+    return max(float(np.abs(np.linalg.eigvalsh(stack)).max())
+               for _, (stack,) in _blocks(m, m))
 
 
 def bracket(a, b, kind="commutator"):
@@ -180,18 +203,6 @@ def unitary_flow(g, s, a):
     return u @ am @ u.conj().T
 
 
-def spectrum(h):
-    """Ascending (eigenvalue, multiplicity) pairs of a Hermitian matrix.
-
-    Eigenvalues closer than CLUSTER_TOL * (1 + |lambda|) merge into one entry;
-    the reported value is the cluster mean.
-    """
-    hm = _as_array(h)
-    _require_hermitian(hm, "spectrum argument")
-    vals = np.linalg.eigvalsh(hm)
-    return cluster_eigenvalues(vals)
-
-
 def diagonal_eigenvalues(h):
     """Ascending eigenvalues of a sparse Hermitian H that is diagonal in the
     basis it is stored in; raises ValueError when an off-diagonal entry
@@ -224,12 +235,12 @@ def gauge_charge(q, alpha):
 
 
 def nilpotency_residual(q):
-    """||Q^2||_F / ||Q||_F^2; zero matrices count as nilpotent."""
-    qm = _as_array(q)
-    nq = np.linalg.norm(qm)
+    """||Q^2||_F / ||Q||_F^2 over stored entries; zero Q is nilpotent."""
+    q = sparse.csr_matrix(q)
+    nq = np.linalg.norm(q.data)
     if nq == 0.0:
         return 0.0
-    return float(np.linalg.norm(qm @ qm) / nq ** 2)
+    return float(np.linalg.norm((q @ q).data) / nq ** 2)
 
 
 @dataclass(frozen=True)
@@ -238,27 +249,28 @@ class SuperDecomposition:
 
     Attributes
     ----------
-    q, h : ndarray
+    q, h : csr_matrix
         The supercharge and H = Q Q^dag + Q^dag Q.
     p0 : ndarray
-        Orthogonal projector onto ker H.
-    eta : ndarray
+        Orthogonal projector onto ker H.  Dense only because the benchmark
+        reads it with np.asarray and np.trace.
+    eta : csr_matrix
         Q / sqrt(H) on the range of 1 - P0; the collective Clifford mode.
-    f : ndarray
+    f : csr_matrix
         [eta, eta^dag]; generates the gauge rotation of G.
     paired_spectrum : tuple
         (E, multiplicity) for the strictly positive eigenvalues of H.
     alpha : float
         The gauge angle the decomposition was requested at.
 
-    The arrays are read-only.
+    The matrices are read-only.
     """
 
-    q: np.ndarray
-    h: np.ndarray
+    q: sparse.csr_matrix
+    h: sparse.csr_matrix
     p0: np.ndarray
-    eta: np.ndarray
-    f: np.ndarray
+    eta: sparse.csr_matrix
+    f: sparse.csr_matrix
     paired_spectrum: tuple
     alpha: float = 0.0
 
@@ -278,31 +290,49 @@ class SuperDecomposition:
 def super_decompose(q, alpha=0.0, check=True):
     """Decompose a nilpotent Q into (P0, eta, F, paired spectrum).
 
-    Raises NilpotencyError when ||Q^2|| > 1e-12 ||Q||^2 and ValueError when a
-    structural invariant fails at its stated tolerance (`check=True`).
+    The connected components of |Q| + |Q^dag| are invariant blocks of Q, Q^dag
+    and H; equal-size blocks share one stacked eigh, and the kernel cut is
+    relative to the global ||H||.  Raises NilpotencyError when ||Q^2|| >
+    1e-12 ||Q||^2, ValueError when an invariant fails (`check=True`).
     """
-    qm = _as_array(q)
-    res = nilpotency_residual(qm)
+    q = read_only(sparse.csr_matrix(q, copy=True))
+    res = nilpotency_residual(q)
     if res > NILPOTENCY_TOL:
         raise NilpotencyError(f"Q^2 residual {res:.3e} exceeds 1e-12")
-    h = qm @ qm.conj().T + qm.conj().T @ qm
-    vals, vecs = np.linalg.eigh(h)
-    hnorm = max(vals[-1], 0.0)
-    cut = KERNEL_CUT * max(hnorm, 1e-300)
-    kernel = vals < cut
-    p0 = (vecs[:, kernel]) @ (vecs[:, kernel]).conj().T
-    inv_sqrt = np.where(kernel, 0.0, 1.0 / np.sqrt(np.where(kernel, 1.0, vals)))
-    eta = qm @ ((vecs * inv_sqrt) @ vecs.conj().T)
-    f = bracket(eta, eta.conj().T)
-    paired = tuple(cluster_eigenvalues(vals[~kernel]))
-    qm = qm.view()          # read-only view; the caller's array stays as is
-    for m in (qm, h, p0, eta, f):
-        m.flags.writeable = False
-    dec = SuperDecomposition(q=qm, h=h, p0=p0, eta=eta, f=f,
-                             paired_spectrum=paired, alpha=alpha)
+    blocks = [(st, qb, *np.linalg.eigh(qb @ _dagger(qb) + _dagger(qb) @ qb))
+              for st, (qb,) in _blocks(q, q)]
+    cut = KERNEL_CUT * max(max(vals.max() for *_, vals, _ in blocks), 1e-300)
+    p0s, etas, fs = [], [], []
+    for st, qb, vals, vecs in blocks:
+        kernel = vals < cut
+        inv_sqrt = np.where(kernel, 0.0,
+                            1.0 / np.sqrt(np.where(kernel, 1.0, vals)))
+        eta = qb @ ((vecs * inv_sqrt[:, None, :]) @ _dagger(vecs))
+        p0s.append((st, (vecs * kernel[:, None, :]) @ _dagger(vecs)))
+        etas.append((st, eta))
+        fs.append((st, eta @ _dagger(eta) - _dagger(eta) @ eta))
+    dim = q.shape[0]
+    p0 = _unblock(dim, p0s).toarray()
+    p0.flags.writeable = False
+    levels = np.concatenate([vals[vals >= cut] for *_, vals, _ in blocks])
+    dec = SuperDecomposition(
+        q=q, h=read_only(q @ q.conj().T + q.conj().T @ q), p0=p0,
+        eta=_unblock(dim, etas), f=_unblock(dim, fs),
+        paired_spectrum=tuple(cluster_eigenvalues(levels)), alpha=alpha)
     if check:
         verify_decomposition(dec, alpha)
     return dec
+
+
+def car_residual(dec):
+    """max |eta eta^dag + eta^dag eta - (1 - P0)|, evaluated on the
+    connected components of the joint pattern of eta and P0."""
+    p0 = sparse.csr_matrix(dec.p0)
+    worst = 0.0
+    for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(p0), dec.eta, p0):
+        resid = eta @ _dagger(eta) + _dagger(eta) @ eta + p0b
+        worst = max(worst, float(np.abs(resid - np.eye(eta.shape[1])).max()))
+    return worst
 
 
 def verify_decomposition(dec, alpha=0.0):
@@ -313,11 +343,9 @@ def verify_decomposition(dec, alpha=0.0):
     - the G spectrum on range(1 - P0) is +-sqrt(E) with matched multiplicities
     - G_alpha^2 = H for the requested alpha and for alpha in {0, pi/2}
     """
-    eye = np.eye(dec.h.shape[0])
-    eta, p0 = dec.eta, dec.p0
-    ccr = bracket(eta, eta.conj().T, "anticommutator") - (eye - p0)
-    if np.abs(ccr).max() > 1e-10:
-        raise ValueError(f"eta CAR residual {np.abs(ccr).max():.3e}")
+    car = car_residual(dec)
+    if car > 1e-10:
+        raise ValueError(f"eta CAR residual {car:.3e}")
     for e_val, mult in dec.paired_spectrum:
         if mult % 2:
             raise ValueError(
@@ -326,7 +354,8 @@ def verify_decomposition(dec, alpha=0.0):
     hnorm = max(dec.paired_spectrum[-1][0] if dec.paired_spectrum else 0.0,
                 1e-300)
     g0 = gauge_charge(dec.q, 0.0)
-    gvals = np.linalg.eigvalsh(g0)
+    gvals = np.concatenate([np.linalg.eigvalsh(g).ravel()
+                            for _, (g,) in _blocks(dec.q, g0)])
     nonzero = gvals[np.abs(gvals) > np.sqrt(KERNEL_CUT * hnorm)]
     pos = cluster_eigenvalues(nonzero[nonzero > 0])
     neg = cluster_eigenvalues(-nonzero[nonzero < 0])
@@ -337,5 +366,5 @@ def verify_decomposition(dec, alpha=0.0):
             raise ValueError("G eigenvalues +-sqrt(E) do not match")
     for a in {alpha, 0.0, np.pi / 2}:
         g = gauge_charge(dec.q, a)
-        if np.abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):
+        if abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):
             raise ValueError(f"G_alpha^2 != H at alpha={a:g}")

@@ -59,10 +59,7 @@ def test_criterion_1_structure_suite(require):
             inst = build(z)
             dec = operators.super_decompose(inst.q, check=True)
             worst = max(worst, operators.nilpotency_residual(inst.q))
-            car = (dec.eta @ dec.eta.conj().T
-                   + dec.eta.conj().T @ dec.eta
-                   - (np.eye(dec.h.shape[0]) - dec.p0))
-            worst = max(worst, float(np.abs(car).max()))
+            worst = max(worst, operators.car_residual(dec))
     inst3, _ = models.build_model_iii_fock(3)
     operators.super_decompose(inst3.q, check=True)
     worst = max(worst, operators.nilpotency_residual(inst3.q))

@@ -363,7 +363,7 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     """Refactors keep the default workloads' CSV bytes, for any --jobs: the
     files under tests/golden were written by `susylab --jobs 1 ...` (tables
     and spectrum before the plain-array operator layer, verify after the
-    sparse Fock builders, the sweeps before the single sweep engine; numpy
+    blocked decomposition, the sweeps before the single sweep engine; numpy
     2.4 / scipy 1.17 on OpenBLAS, x86-64); another BLAS build may move a
     last digit."""
     for jobs in ("1", "2"):

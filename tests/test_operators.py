@@ -1,6 +1,8 @@
 """Algebraic core: Jordan-Wigner fermions, supercharge decomposition,
 matrix functions and gauge structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 
 from susylattice import models, operators as op
+from densedecomp import dense_decompose
 from tensorrep import TensorSpinRep
 
 
@@ -18,14 +21,20 @@ def test_built_operators_are_read_only():
         rows, cols = m.nonzero()        # a stored entry: no pattern change
         with pytest.raises(ValueError):
             m[rows[0], cols[0]] = 1.0
+    rows, cols = dec.eta.nonzero()
     with pytest.raises(ValueError):
-        dec.eta[0, 0] = 1.0
+        dec.eta[rows[0], cols[0]] = 1.0
+    with pytest.raises(ValueError):
+        dec.p0[0, 0] = 1.0
 
 
 def test_super_decompose_leaves_its_argument_writable():
     q = op.sparse_annihilators(1)[0].toarray()
     op.super_decompose(q)
     q[0, 0] = 0.0
+    qs = op.sparse_annihilators(1)[0].copy()
+    op.super_decompose(qs)
+    qs.data[0] = 1.0
 
 
 def test_bracket_sparse_stays_sparse_and_matches_dense():
@@ -141,9 +150,10 @@ def test_super_decompose_baby():
     a = op.sparse_annihilators(spec.modes)[0]
     dec = op.super_decompose(a)
     # H = {a, a^dag} = 1, no kernel
-    assert np.allclose(dec.h, np.eye(2))
+    assert np.allclose(dec.h.toarray(), np.eye(2))
     assert np.abs(dec.p0).max() < 1e-12
-    clusters = op.spectrum(dec.g_alpha(0.0))
+    clusters = op.cluster_eigenvalues(
+        np.linalg.eigvalsh(dec.g_alpha(0.0).toarray()))
     assert [(round(v, 10), m) for v, m in clusters] == [(-1.0, 1), (1.0, 1)]
 
 
@@ -165,10 +175,71 @@ def test_decomposition_invariants_random_model_i_charge(seed):
     q = sum(zi * ai for zi, ai in zip(z, ops))
     dec = op.super_decompose(q)
     op.verify_decomposition(dec)
-    eye = np.eye(spec.dim)
-    eta = dec.eta
-    resid = eta @ eta.conj().T + eta.conj().T @ eta - (eye - dec.p0)
-    assert np.abs(resid).max() < 1e-10
+    assert op.car_residual(dec) < 1e-10
+    _assert_matches_dense(dec)
+
+
+def _assert_matches_dense(dec):
+    p0, eta, f, paired = dense_decompose(dec.q)
+    assert np.abs(dec.p0 - p0).max() < 1e-10
+    assert np.abs(dec.eta.toarray() - eta).max() < 1e-10
+    assert np.abs(dec.f.toarray() - f).max() < 1e-10
+    assert [m for _, m in dec.paired_spectrum] == [m for _, m in paired]
+    assert np.allclose([e for e, _ in dec.paired_spectrum],
+                       [e for e, _ in paired], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("name,build", (
+    ("model_i_1", lambda: models.build_model_i((1.3,))),
+    ("model_i_2", lambda: models.build_model_i((0.4, 1.7))),
+    ("model_i_3", lambda: models.build_model_i((1.0, 2.0, 0.5))),
+    ("model_ii_1", lambda: models.build_model_ii((0.8,))),
+    ("model_ii_2", lambda: models.build_model_ii((1.0, 1.0))),
+    ("model_ii_3", lambda: models.build_model_ii((0.6, 1.1, 1.9))),
+    ("model_ii_4", lambda: models.build_model_ii((0.5, 0.9, 1.2, 1.4))),
+    ("model_iii_2", lambda: models.build_model_iii_fock(2)[0]),
+))
+def test_blocked_decomposition_matches_dense_reference(name, build):
+    dec = op.super_decompose(build().q, check=True)
+    assert isinstance(dec.eta, sparse.csr_matrix)
+    assert isinstance(dec.f, sparse.csr_matrix)
+    assert isinstance(dec.p0, np.ndarray)
+    _assert_matches_dense(dec)
+
+
+def test_model_ii_six_sites_blocked_decomposition():
+    """Kernel dimension 2^6 and every subset sum of z_i^2 as a 2^6-fold
+    level: the exact Model II spectrum at the model's site cap."""
+    z = (0.55, 0.8, 1.0, 1.15, 1.3, 1.45)
+    dec = op.super_decompose(models.build_model_ii(z).q, check=True)
+    assert round(np.trace(dec.p0).real, 9) == 2 ** 6
+    sums = sorted(sum(z[i] ** 2 for i in range(6) if mask >> i & 1)
+                  for mask in range(1, 2 ** 6))
+    assert [m for _, m in dec.paired_spectrum] == [2 ** 6] * len(sums)
+    assert np.allclose([e for e, _ in dec.paired_spectrum], sums,
+                       rtol=1e-12, atol=0)
+
+
+def test_verify_decomposition_catches_mutations():
+    """A relative 1e-6 error in one eta entry breaks CAR, an odd level
+    multiplicity breaks the pairing, and a 1e-6 diagonal shift of Q breaks
+    the +-sqrt(E) symmetry of G_0."""
+    dec = op.super_decompose(models.build_model_ii((0.7, 1.3)).q)
+    eta = dec.eta.copy()
+    eta.data[np.argmax(np.abs(eta.data))] *= 1 + 1e-6
+    bad = dataclasses.replace(dec, eta=eta)
+    assert op.car_residual(bad) > 1e-7
+    with pytest.raises(ValueError, match="CAR"):
+        op.verify_decomposition(bad)
+    (e_top, m_top), rest = dec.paired_spectrum[-1], dec.paired_spectrum[:-1]
+    unpaired = dataclasses.replace(
+        dec, paired_spectrum=rest + ((e_top, m_top - 1),))
+    with pytest.raises(ValueError, match="odd multiplicity"):
+        op.verify_decomposition(unpaired)
+    shifted = dataclasses.replace(
+        dec, q=dec.q + 1e-6 * sparse.identity(dec.q.shape[0], format="csr"))
+    with pytest.raises(ValueError, match="do not match"):
+        op.verify_decomposition(shifted)
 
 
 def test_gauge_rotate_reproduces_g_alpha():
