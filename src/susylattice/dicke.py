@@ -7,11 +7,11 @@ factor (c = 0 carries eta eta^dag = 1; c = 1 is annihilated by eta^dag and is
 the ground-state convention).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln
 
 from .operators import DimensionError, diagonal_eigenvalues
 
@@ -170,11 +170,13 @@ def coherent_spin_amplitudes(n, alpha):
     (e^{i alpha}, e^{-i alpha})/sqrt 2; component k is
     sqrt(C(n,k)) e^{i alpha (2k-n)} / 2^{n/2}, evaluated in log space.
 
-    The real amplitudes are divided by their norm before the phase is
-    applied: gammaln rounding alone leaves the norm off by more than 1e-12
-    for many n above about 1400."""
+    One table of log k! = lgamma(k+1), k = 0..n, supplies every term; the
+    (n-k)! term is the same table reversed.  The real amplitudes are
+    divided by their norm before the phase is applied: log-factorial
+    rounding alone leaves the norm off by up to 7e-13 at n = 20000."""
     k = np.arange(n + 1)
-    log_amp = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    log_amp = 0.5 * (log_fact[n] - log_fact - log_fact[::-1])
     log_amp -= 0.5 * n * np.log(2.0)
     amp = np.exp(log_amp)
     return amp / np.linalg.norm(amp) * np.exp(1j * alpha * (2 * k - n))
@@ -189,7 +191,7 @@ def bogoliubov_state(ops, alpha=0.0):
 def cos_power_integral(n):
     """integral_{-pi/2}^{pi/2} cos^n(phi) dphi, exact via gamma functions."""
     return float(np.sqrt(np.pi)
-                 * np.exp(gammaln((n + 1) / 2) - gammaln(n / 2 + 1)))
+                 * np.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)))
 
 
 def ceiling_state_integral(ops, n_nodes=None):

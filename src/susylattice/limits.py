@@ -8,12 +8,12 @@ checked at machine precision; everything genuinely asymptotic is a one-n
 cell swept over an n-list by `sweep` and handed to one of the fits.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import least_squares
 from scipy.sparse.linalg import expm_multiply
 
 from . import dicke
@@ -53,18 +53,54 @@ def sweep(cell, n_list, jobs=1):
         return tuple((n, complex(v)) for n, v in zip(ns, pool.map(cell, ns)))
 
 
+# bounds on the fitted rate p of a + b n^(-p)
+RATE_BOUNDS = (0.05, 8.0)
+
+
+def _difference_ratio(ns, p):
+    """R(p) = (n2^-p - n1^-p)/(n1^-p - n0^-p), strictly decreasing in p
+    from log(n2/n1)/log(n1/n0) at p -> 0 to 0 at p -> inf; expm1 keeps
+    both differences exact to rounding at small p."""
+    l1, l2 = math.log(ns[1] / ns[0]), math.log(ns[2] / ns[1])
+    return math.exp(-p * l1) * math.expm1(-p * l2) / math.expm1(-p * l1)
+
+
+def _three_point_rate(ns, d1, d2):
+    """The p in RATE_BOUNDS with R(p) = d2/d1, by bisection; the nearer
+    bound when R does not bracket d2/d1 on RATE_BOUNDS."""
+    lo, hi = RATE_BOUNDS
+    ratio = d2 / d1 if d1 != 0.0 else math.copysign(math.inf, d2)
+    if ratio >= _difference_ratio(ns, lo):
+        return lo
+    if ratio <= _difference_ratio(ns, hi):
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _difference_ratio(ns, mid) > ratio:
+            lo = mid
+        else:
+            hi = mid
+
+
 def extrapolate(points):
     """Fit value(n) = a + b n^(-p) over the three largest-n points.
 
     A geometric n-triple (n, rn, r^2 n) admits the closed form
-    p = log(d1/d2)/log r with d_k the successive differences; otherwise a
-    bounded least-squares solve is used.  A constant series returns the
-    constant with rate nan.
+    p = log(d1/d2)/log r with d_k the successive differences.  Any other
+    triple is interpolated exactly: p solves R(p) = d2/d1 (see
+    `_difference_ratio`) within RATE_BOUNDS, and a, b follow from the
+    first two points.  Data that need p outside RATE_BOUNDS get p at the
+    nearer bound and (a, b) by least squares over all three points.  A
+    constant series returns the constant with rate nan.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points to extrapolate")
     tail = sorted(points, key=lambda t: t[0])[-3:]
     ns = np.array([float(n) for n, _ in tail])
+    if not ns[0] < ns[1] < ns[2]:
+        raise ValueError("need three distinct n to extrapolate")
     ys = np.array([float(np.real(v)) for _, v in tail])
     d1, d2 = ys[1] - ys[0], ys[2] - ys[1]
     if abs(d1) < 1e-14 and abs(d2) < 1e-14:
@@ -73,20 +109,17 @@ def extrapolate(points):
     if abs(r1 - r2) < 1e-12 and d1 * d2 > 0 and abs(d2) < abs(d1):
         # exact 3-point solution on a geometric grid
         p = np.log(d1 / d2) / np.log(r1)
-        b = d1 / (ns[1] ** (-p) - ns[0] ** (-p))
-        a = ys[0] - b * ns[0] ** (-p)
-        res = abs(a + b * ns[2] ** (-p) - ys[2])
-        return FitResult(limit=float(a), rate=float(p), residual=float(res))
-
-    def model(theta):
-        a, b, p = theta
-        return a + b * ns ** (-p) - ys
-
-    sol = least_squares(model, x0=[ys[-1], ys[0] - ys[-1], 1.0],
-                        bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 8.0]))
-    a, _, p = sol.x
-    return FitResult(limit=float(a), rate=float(p),
-                     residual=float(np.linalg.norm(sol.fun)))
+    else:
+        p = _three_point_rate(ns, float(d1), float(d2))
+        if p in RATE_BOUNDS:
+            basis = np.column_stack([np.ones(3), (ns / ns[0]) ** (-p)])
+            coef = np.linalg.lstsq(basis, ys)[0]
+            return FitResult(limit=float(coef[0]), rate=float(p),
+                             residual=float(np.linalg.norm(basis @ coef - ys)))
+    b = d1 / (ns[1] ** (-p) - ns[0] ** (-p))
+    a = ys[0] - b * ns[0] ** (-p)
+    res = abs(a + b * ns[2] ** (-p) - ys[2])
+    return FitResult(limit=float(a), rate=float(p), residual=float(res))
 
 
 def _spin_phase_apply(ops, cx, cy, cz, denom, spin_vec):

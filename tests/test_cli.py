@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -358,6 +361,8 @@ def _sweep_argv(metric, n_list, *extra):
     ("sweep_spectral.csv", _sweep_argv("spectral", "64,128,256")),
     ("sweep_bs_super.csv", _sweep_argv("bs_super", "16,64,256")),
     ("sweep_isometry.csv", _sweep_argv("isometry", "50,100,200")),
+    ("sweep_odlro_ceiling_nongeometric.csv",
+     _sweep_argv("odlro", "1024,4096,16000", "--state", "ceiling")),
 ))
 def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     """Refactors keep the default workloads' CSV bytes, for any --jobs: the
@@ -365,8 +370,44 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     and spectrum before the plain-array operator layer, verify after the
     blocked decomposition, the sweeps before the single sweep engine; numpy
     2.4 / scipy 1.17 on OpenBLAS, x86-64); another BLAS build may move a
-    last digit."""
+    last digit.
+
+    verify, tables, sweep_bs_gaussian_y|z, sweep_bs_super and
+    sweep_meso_variance_bogoliubov were re-recorded when the Dicke
+    log-factorials moved from scipy.special.gammaln to math.lgamma: the two
+    differ in the last bit for about half of the integers up to 20002,
+    which moves 20 Bogoliubov rows by at most 7.3e-14 (see the mpmath
+    oracle in test_dicke.py).  sweep_odlro_ceiling_nongeometric pins the
+    exact three-point fit of a non-geometric n-grid."""
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# ------------------------------------------------------------ import graph
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+from susylattice import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--jobs", "1", "tables"]) == 0
+    assert cli.main(["--jobs", "1", "sweep", "--metric", "odlro", "--state",
+                     "ceiling", "--n-list", "1024,4096,16000"]) == 0
+print(sorted(m for m in ("scipy.optimize", "scipy.special")
+             if m in sys.modules))
+"""
+
+
+def test_runtime_never_loads_scipy_optimize_or_special():
+    """Neither package is in the start-up or the run of `tables` and a
+    non-geometric ODLRO sweep (the two paths that used gammaln and
+    least_squares); each would cost set-up time and resident memory."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    assert proc.stdout.strip() == "[]"

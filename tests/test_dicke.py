@@ -1,6 +1,7 @@
 """Collective-spin engine: ladder algebra, distinguished states, ceiling
 eigenproblem and the quadrature constructions."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,6 +194,33 @@ def test_cos_power_integral():
                                                         abs=1e-12)
 
 
+@pytest.mark.parametrize("n", (8, 40, 256, 2001))
+def test_cos_power_integral_matches_wallis_product(n):
+    """Against the exact integral from Wallis' recursion
+    I_n = (n-1)/n I_{n-2}, I_0 = pi, I_1 = 2, at 40 digits."""
+    with mpmath.workdps(40):
+        exact = mpmath.pi if n % 2 == 0 else mpmath.mpf(2)
+        for m in range(2 + n % 2, n + 1, 2):
+            exact *= mpmath.mpf(m - 1) / m
+        assert abs(dicke.cos_power_integral(n) / exact - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", (40, 256, 2000, 20000))
+def test_coherent_spin_amplitudes_match_exact_binomials(n):
+    """Component k is sqrt(C(n,k)/2^n) e^{i alpha (2k-n)}, here from the
+    binomial recursion C(n,k+1) = C(n,k)(n-k)/(k+1) at 30 digits."""
+    alpha = 0.3
+    amp = dicke.coherent_spin_amplitudes(n, alpha)
+    exact = []
+    with mpmath.workdps(30):
+        term = mpmath.mpf(2) ** -n
+        for k in range(n + 1):
+            exact.append(float(mpmath.sqrt(term)))
+            term = term * (n - k) / (k + 1)
+    phase = np.exp(1j * alpha * (2 * np.arange(n + 1) - n))
+    assert np.max(np.abs(amp - np.array(exact) * phase)) < 2e-12
+
+
 @pytest.mark.parametrize("n", (1, 3, 12))
 def test_bogoliubov_state_local_expectations(n):
     alpha = 0.4
@@ -214,7 +242,8 @@ def test_bogoliubov_n1_alpha0():
 
 @pytest.mark.parametrize("n", (1410, 4096, dicke.MAX_PARTICLES))
 def test_bogoliubov_normalized_at_large_n(n):
-    """gammaln rounding alone misses the 1e-12 norm check at these n."""
+    """Log-factorial rounding alone misses the 1e-14 norm check at these
+    n."""
     amp = dicke.coherent_spin_amplitudes(n, 0.3)
     assert abs(np.linalg.norm(amp) - 1.0) <= 1e-14
     ops = dicke.collective_ops(n)

@@ -1,8 +1,10 @@
 """Large-N probes: Gaussian/Weyl limits, ODLRO, derivative identities, the
 truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -29,13 +31,64 @@ def test_extrapolate_constant():
 def test_extrapolate_non_geometric_grid():
     pts = [(n, 2.0 + 5.0 * n ** -1.5) for n in (10, 17, 40)]
     fit = limits.extrapolate(pts)
-    assert fit.limit == pytest.approx(2.0, abs=1e-4)
-    assert fit.rate == pytest.approx(1.5, abs=1e-3)
+    assert fit.limit == pytest.approx(2.0, abs=1e-10)
+    assert fit.rate == pytest.approx(1.5, abs=1e-10)
+    assert fit.residual < 1e-10
+
+
+@settings(deadline=None, max_examples=200)
+@given(n0=st.integers(2, 500), r1=st.floats(1.2, 3.0),
+       r2=st.floats(1.2, 3.0), a=st.floats(-2.0, 2.0),
+       c=st.floats(0.5, 2.0), sign=st.sampled_from((-1.0, 1.0)),
+       p=st.floats(*limits.RATE_BOUNDS))
+def test_extrapolate_interpolates_any_non_geometric_triple(n0, r1, r2, a, c,
+                                                           sign, p):
+    """a + b n^(-p) through three points of a non-geometric n-triple is
+    recovered exactly, for every p in RATE_BOUNDS (b n0^(-p) = +-c)."""
+    assume(abs(r1 - r2) > 0.05)
+    ns = (float(n0), n0 * r1, n0 * r1 * r2)
+    b = sign * c * n0 ** p
+    fit = limits.extrapolate([(n, a + b * n ** -p) for n in ns])
+    assert fit.limit == pytest.approx(a, rel=1e-9, abs=1e-9)
+    assert fit.rate == pytest.approx(p, rel=1e-9)
+
+
+@pytest.mark.parametrize("p,bound", ((10.0, 8.0), (0.01, 0.05)))
+def test_extrapolate_clamps_rate_to_the_nearer_bound(p, bound):
+    """Data that need p outside RATE_BOUNDS get p at the bound and a
+    nonzero residual: the least-squares (a, b) at that p."""
+    assert bound in limits.RATE_BOUNDS
+    fit = limits.extrapolate([(n, 1.0 + n ** -p) for n in (2, 3, 5)])
+    assert fit.rate == bound
+    assert fit.residual > 0.0
+    basis = np.column_stack([np.ones(3), np.array([2.0, 3.0, 5.0]) ** -bound])
+    ys = [1.0 + n ** -p for n in (2, 3, 5)]
+    assert fit.limit == pytest.approx(np.linalg.lstsq(basis, ys)[0][0],
+                                      abs=1e-12)
+
+
+def test_extrapolate_odlro_fit_matches_mpmath_three_point_solution():
+    """The ceiling ODLRO fit on the non-geometric n-list 1024,4096,16000
+    equals the root of a + b n^(-p) = value(n) at those three points,
+    solved by mpmath at 50 digits."""
+    pts = limits.sweep(_in_state(_ceiling, limits.odlro), (1024, 4096, 16000))
+    fit = limits.extrapolate(pts)
+    with mpmath.workdps(50):
+        ns = [mpmath.mpf(n) for n, _ in pts]
+        ys = [mpmath.mpf(v.real) for _, v in pts]
+        a, _, p = mpmath.findroot(
+            lambda a, b, p: [a + b * n ** -p - y for n, y in zip(ns, ys)],
+            (ys[2], (ys[0] - ys[2]) * ns[0], mpmath.mpf(1)))
+    assert abs(fit.limit - float(a)) < 1e-12
+    assert abs(fit.rate - float(p)) < 1e-9
+    assert fit.residual < 1e-12
 
 
 def test_extrapolate_needs_three_points():
     with pytest.raises(ValueError):
         limits.extrapolate([(1, 1.0), (2, 2.0)])
+    with pytest.raises(ValueError):
+        limits.extrapolate([(2, 1.0), (2, 2.0), (3, 3.0)])
 
 
 def _in_state(build, probe):
