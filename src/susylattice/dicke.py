@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .operators import DimensionError, diagonal_eigenvalues
+from .operators import DimensionError, diagonal_eigenvalues, gauge_charge
 
 MAX_PARTICLES = 20000
 
@@ -85,18 +85,19 @@ class DickeState:
         self.vector.flags.writeable = False
 
 
-def _product_state(spin_vec, clifford_index, label, n, meta=None):
-    cl = np.zeros(2, dtype=complex)
-    cl[clifford_index] = 1.0
-    vec = np.kron(np.asarray(spin_vec, dtype=complex), cl)
+def _product_state(spin_vec, label, n, meta=None):
+    """spin_vec tensor the Clifford state annihilated by eta^dag."""
+    vec = np.kron(np.asarray(spin_vec, dtype=complex),
+                  np.array([0.0, 1.0], dtype=complex))
     return DickeState(vector=vec, label=label, n=n, meta=meta or {})
 
 
 def build_g_alpha_dicke(ops, alpha=0.0):
-    """G_alpha = (1/sqrt N)(e^{i a} eta S_- + e^{-i a} eta^dag S_+), sparse."""
-    g = (np.exp(1j * alpha) * (ops.eta_full @ ops.s_minus_full)
-         + np.exp(-1j * alpha) * (ops.eta_full.conj().T @ ops.s_plus_full))
-    return (g / np.sqrt(ops.n)).tocsr()
+    """G_alpha of Q = S_- (x) eta / sqrt N, the Dicke image of Model III's
+    M_N eta_N; sparse.  The phase goes on before the 1/sqrt N: the other
+    order moves the last bit of some entries that the goldens pin."""
+    q = sparse.kron(ops.s_minus, ops.eta, format="csr")
+    return (gauge_charge(q, alpha) / np.sqrt(ops.n)).tocsr()
 
 
 def build_hss_dicke(ops):
@@ -124,7 +125,7 @@ def _basis_state(n, k, label):
     """Spin basis vector e_k (s_z = 2k - N), Clifford factor eta^dag-killed."""
     spin = np.zeros(n + 1, dtype=complex)
     spin[k] = 1.0
-    return _product_state(spin, 1, label, n)
+    return _product_state(spin, label, n)
 
 
 def ground_state(ops):
@@ -184,7 +185,7 @@ def coherent_spin_amplitudes(n, alpha):
 
 def bogoliubov_state(ops, alpha=0.0):
     """SU(2) coherent product state with all spins in the x-y plane."""
-    return _product_state(coherent_spin_amplitudes(ops.n, alpha), 1,
+    return _product_state(coherent_spin_amplitudes(ops.n, alpha),
                           f"bogoliubov({alpha:g})", ops.n)
 
 
@@ -220,7 +221,7 @@ def ceiling_state_integral(ops, n_nodes=None):
     vec = c_const * acc
     residual = abs(np.linalg.norm(vec) - 1.0)
     vec = vec / np.linalg.norm(vec)
-    return _product_state(vec, 1, "ceiling_integral", n,
+    return _product_state(vec, "ceiling_integral", n,
                           meta={"c_norm_residual": residual})
 
 
@@ -242,7 +243,7 @@ def coherent_superposition(ops, weight, n_nodes=256):
     if norm < 1e-10:
         raise VanishingNormError(
             "coherent superposition vanished by destructive interference")
-    return _product_state(acc / norm, 1, "coherent", n)
+    return _product_state(acc / norm, "coherent", n)
 
 
 def overlap(x, y):

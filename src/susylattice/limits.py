@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from . import dicke
-from .operators import bracket
+from .operators import bracket, gauge_charge
 
 # one-site Paulis in the (up, down) basis; _LOWER is sigma_+ there and eta
 # on the Clifford mode
@@ -25,15 +25,6 @@ _PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
          "y": np.array([[0, -1j], [1j, 0]]),
          "z": np.array([[1, 0], [0, -1]], dtype=complex)}
 _LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class FluctuationParams:
-    """Arguments of the collective Weyl operator
-    exp{i (alpha S_x - beta S_y) / sqrt(2N)}."""
-
-    alpha: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -132,27 +123,25 @@ def _spin_phase_apply(ops, cx, cy, cz, denom, spin_vec):
     return expm_multiply(1j * gen.tocsc(), spin_vec)
 
 
-def _clifford_blocks(state):
-    """The two Clifford components of a product-space vector, spin-major."""
-    return state.vector.reshape(-1, 2).T
-
-
-def _collective_phase_expectation(ops, state, cx, cy, cz, denom):
-    """<state| exp{i(cx S_x + cy S_y + cz S_z)/denom} |state>; the exponent
-    acts trivially on the Clifford factor."""
+def _rotation_overlap(ops, state, rotations, denom):
+    """<state| R_k ... R_1 |state> for the collective rotations
+    R_j = exp{i(cx S_x + cy S_y + cz S_z)/denom}, (cx, cy, cz) the j-th
+    entry of `rotations`.  They act trivially on the Clifford factor, so
+    each nonzero Clifford block of the spin-major vector turns alone."""
     total = 0.0 + 0.0j
-    for block in _clifford_blocks(state):
+    for block in state.vector.reshape(-1, 2).T:
         if np.linalg.norm(block) > 0:
-            total += np.vdot(block,
-                             _spin_phase_apply(ops, cx, cy, cz, denom, block))
+            u = block
+            for cx, cy, cz in rotations:
+                u = _spin_phase_apply(ops, cx, cy, cz, denom, u)
+            total += np.vdot(block, u)
     return complex(total)
 
 
-def fluctuation_expectation(ops, state, params):
+def fluctuation_expectation(ops, state, alpha, beta):
     """<state| exp{i(alpha S_x - beta S_y)/sqrt(2N)} |state>, exactly."""
-    return _collective_phase_expectation(ops, state, params.alpha,
-                                         -params.beta, 0.0,
-                                         np.sqrt(2.0 * ops.n))
+    return _rotation_overlap(ops, state, [(alpha, -beta, 0.0)],
+                             np.sqrt(2.0 * ops.n))
 
 
 def gaussian_target(alpha, beta):
@@ -169,19 +158,10 @@ def weyl_relation_probe(ops, state, alpha, beta, reverse=False):
     residual phase (the Weyl antisymmetry); the literal alpha <-> beta swap
     leaves the -alpha beta/2 limit unchanged.
     """
-    rt = np.sqrt(2.0 * ops.n)
-    blocks = _clifford_blocks(state)
-    factors = [(0.0, -beta), (alpha, 0.0)]
+    factors = [(0.0, -beta, 0.0), (alpha, 0.0, 0.0)]
     if reverse:
         factors.reverse()
-    prod = 0.0 + 0.0j
-    for block in blocks:
-        if np.linalg.norm(block) > 0:
-            u = block
-            for cx, cy in factors:
-                u = _spin_phase_apply(ops, cx, cy, 0.0, rt, u)
-            prod += np.vdot(block, u)
-    prod = complex(prod)
+    prod = _rotation_overlap(ops, state, factors, np.sqrt(2.0 * ops.n))
     phase = float(np.angle(prod / gaussian_target(alpha, beta)))
     return prod, phase
 
@@ -189,9 +169,8 @@ def weyl_relation_probe(ops, state, alpha, beta, reverse=False):
 def bs_gaussian_probe(ops, r, axis):
     """<BS(0)| exp{i r S_axis/sqrt N} |BS(0)>, axis in {'y','z'}."""
     coeffs = {"y": (0.0, r, 0.0), "z": (0.0, 0.0, r)}[axis]
-    state = dicke.bogoliubov_state(ops, 0.0)
-    return _collective_phase_expectation(ops, state, *coeffs,
-                                         np.sqrt(ops.n))
+    return _rotation_overlap(ops, dicke.bogoliubov_state(ops, 0.0), [coeffs],
+                             np.sqrt(ops.n))
 
 
 def odlro(ops, state):
@@ -265,12 +244,10 @@ def super_identity_residuals(n=6, alpha=0.0):
 def local_super_derivative(n, axis, alpha=0.0):
     """sigma_axis'^{(1)} = -i[sigma_axis^{(1)}, G_alpha] at N = n, as a 4x4
     operator on (site 1, Clifford mode).  [sigma^{(1)}, S_+-] involves
-    sigma^{(1)} alone, so only the site-1 terms of
-    G_alpha = (e^{i alpha} S_- eta + e^{-i alpha} S_+ eta^dag)/sqrt N
-    survive; the N-site derivative is this times the identity on sites
-    2..N."""
-    g = (np.exp(1j * alpha) * np.kron(_LOWER.T, _LOWER)
-         + np.exp(-1j * alpha) * np.kron(_LOWER, _LOWER.T)) / np.sqrt(n)
+    sigma^{(1)} alone, so of the Dicke Q = S_- (x) eta / sqrt N only the
+    site-1 term sigma_-^{(1)} (x) eta / sqrt N survives; the N-site
+    derivative is this times the identity on sites 2..N."""
+    g = gauge_charge(np.kron(_LOWER.T, _LOWER), alpha) / np.sqrt(n)
     return -1j * bracket(np.kron(_PAULI[axis], np.eye(2)), g)
 
 
@@ -318,15 +295,11 @@ def witten_limit(cutoff, alpha=0.0):
     a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
     q1 = (a + a.conj().T) / np.sqrt(2)
     p1 = (a - a.conj().T) / (1j * np.sqrt(2))
-    eta = np.array([[0, 1], [0, 0]], dtype=complex)
     eye_cl = np.eye(2, dtype=complex)
-    eye_os = np.eye(d, dtype=complex)
     q = np.kron(q1, eye_cl)
     p = np.kron(p1, eye_cl)
-    eta_f = np.kron(eye_os, eta)
-    eta_a = np.exp(1j * alpha) * eta_f
-    annih = (q + 1j * p) / np.sqrt(2)          # = a on the bulk
-    g = eta_a @ annih + eta_a.conj().T @ annih.conj().T
+    eta_f = np.kron(np.eye(d, dtype=complex), _LOWER)
+    g = gauge_charge(np.kron(a, _LOWER), alpha)
     # H from the displayed formula, not G^2: the hard truncation gives G^2 a
     # spurious zero mode at the top oscillator level, while (q^2+p^2-1)/2
     # + eta eta^dag keeps the ground state unique.  G^2 = H on the bulk.
@@ -374,7 +347,7 @@ def bs_free_evolution(ops, t):
     return q2(vt) - q2(v0), p2(vt) - p2(v0)
 
 
-def gs_phase_slope(n, t_values=(0.5, 1.0, 2.0)):
+def gs_phase_slope(n):
     """Phase advance rate of <GS| A^dag(t) A |GS> for A = S_+/sqrt N under
     the normalized H_SS; exactly -1 (A|GS> is an H_SS eigenvector of
     eigenvalue 1)."""
@@ -383,7 +356,7 @@ def gs_phase_slope(n, t_values=(0.5, 1.0, 2.0)):
     g = dicke.ground_state(ops).vector
     w = ops.s_plus_full @ g / np.sqrt(n)
     slopes = []
-    for t in t_values:
+    for t in (0.5, 1.0, 2.0):
         z = np.vdot(w, expm_multiply(-1j * t * h, w))
         slopes.append(np.angle(z) / t)
     return float(np.mean(slopes))
@@ -406,28 +379,19 @@ def power_growth_fit(pts):
     return FitResult(limit=float(np.exp(logc)), rate=float(p), residual=res)
 
 
-def macroscopic_probe(ops, state):
-    """<S_./N> triple plus the state-specific macroscopic checks.
-
-    Returns a dict with keys 'triple' and, for the ceiling state,
-    'sz_spacing' (even-integer quantization) and 'isometry' (the Eq.-(3.16)
-    surrogate <4 S_+S_-/N^2>).
-    """
-    known = {"ground", "ceiling", "ceiling_integral"}
-    if state.label not in known and not state.label.startswith("bogoliubov"):
-        raise ValueError(f"unknown state label {state.label!r}")
+def macroscopic_triple(ops, state):
+    """The macroscopic expectation triple (<S_x>, <S_y>, <S_z>)/N."""
     v = state.vector
-    n = ops.n
-    triple = tuple(
-        float(np.real(np.vdot(v, m @ v))) / n
-        for m in (ops.s_x_full, ops.s_y_full, ops.s_z_full))
-    out = {"triple": triple}
-    if state.label.startswith("ceiling"):
-        diag = np.arange(-n, n + 1, 2)
-        out["sz_spacing"] = 2 if np.all(diag % 2 == 0) else 1
-        spsm = np.real(np.vdot(v, ops.s_plus_full @ (ops.s_minus_full @ v)))
-        out["isometry"] = float(4.0 * spsm / n ** 2)
-    return out
+    return tuple(float(np.real(np.vdot(v, m @ v))) / ops.n
+                 for m in (ops.s_x_full, ops.s_y_full, ops.s_z_full))
+
+
+def ceiling_isometry(ops, state):
+    """<4 S_+S_-/N^2>, the Eq.-(3.16) isometry surrogate; exactly 1 + 2/N
+    in the ceiling state."""
+    v = state.vector
+    spsm = np.real(np.vdot(v, ops.s_plus_full @ (ops.s_minus_full @ v)))
+    return float(4.0 * spsm / ops.n ** 2)
 
 
 def mesoscopic_variance(ops, state):

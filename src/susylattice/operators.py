@@ -229,7 +229,9 @@ def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
 
 def gauge_charge(q, alpha):
     """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag, in
-    the representation of Q (sparse Q gives a sparse G)."""
+    the representation of Q (sparse Q gives a sparse G).  The one builder of
+    G_alpha: the Fock models pass their Q, and the Dicke layer, the local
+    site operator and the Witten limit pass Q = A (x) eta."""
     qm = q if sparse.issparse(q) else np.asarray(q)
     return np.exp(1j * alpha) * qm + np.exp(-1j * alpha) * qm.conj().T
 
@@ -260,8 +262,6 @@ class SuperDecomposition:
         [eta, eta^dag]; generates the gauge rotation of G.
     paired_spectrum : tuple
         (E, multiplicity) for the strictly positive eigenvalues of H.
-    alpha : float
-        The gauge angle the decomposition was requested at.
 
     The matrices are read-only.
     """
@@ -272,10 +272,9 @@ class SuperDecomposition:
     eta: sparse.csr_matrix
     f: sparse.csr_matrix
     paired_spectrum: tuple
-    alpha: float = 0.0
 
-    def g_alpha(self, alpha=None):
-        return gauge_charge(self.q, self.alpha if alpha is None else alpha)
+    def g_alpha(self, alpha):
+        return gauge_charge(self.q, alpha)
 
     def gauge_rotate(self, alpha):
         """Conjugate G_0 by exp(i alpha F / 2); equals G_alpha.
@@ -287,7 +286,7 @@ class SuperDecomposition:
         return u @ self.g_alpha(0.0) @ u.conj().T
 
 
-def super_decompose(q, alpha=0.0, check=True):
+def super_decompose(q, check=True):
     """Decompose a nilpotent Q into (P0, eta, F, paired spectrum).
 
     The connected components of |Q| + |Q^dag| are invariant blocks of Q, Q^dag
@@ -318,9 +317,9 @@ def super_decompose(q, alpha=0.0, check=True):
     dec = SuperDecomposition(
         q=q, h=read_only(q @ q.conj().T + q.conj().T @ q), p0=p0,
         eta=_unblock(dim, etas), f=_unblock(dim, fs),
-        paired_spectrum=tuple(cluster_eigenvalues(levels)), alpha=alpha)
+        paired_spectrum=tuple(cluster_eigenvalues(levels)))
     if check:
-        verify_decomposition(dec, alpha)
+        verify_decomposition(dec)
     return dec
 
 
@@ -335,13 +334,13 @@ def car_residual(dec):
     return worst
 
 
-def verify_decomposition(dec, alpha=0.0):
+def verify_decomposition(dec):
     """Check every structural invariant of a SuperDecomposition.
 
     - eta eta^dag + eta^dag eta = 1 - P0 (to 1e-10)
     - strictly positive H eigenvalues have even multiplicity
     - the G spectrum on range(1 - P0) is +-sqrt(E) with matched multiplicities
-    - G_alpha^2 = H for the requested alpha and for alpha in {0, pi/2}
+    - G_alpha^2 = H at alpha = 0 and alpha = pi/2
     """
     car = car_residual(dec)
     if car > 1e-10:
@@ -364,7 +363,7 @@ def verify_decomposition(dec, alpha=0.0):
     for (vp, mp), (vn, mn) in zip(pos, neg):
         if mp != mn or abs(vp - vn) > 1e-8 * (1 + abs(vp)):
             raise ValueError("G eigenvalues +-sqrt(E) do not match")
-    for a in {alpha, 0.0, np.pi / 2}:
+    for a in (0.0, np.pi / 2):
         g = gauge_charge(dec.q, a)
         if abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):
             raise ValueError(f"G_alpha^2 != H at alpha={a:g}")

@@ -187,8 +187,7 @@ def test_criterion_6_gaussian_weyl_limits(require):
         for n in SWEEP_N:
             ops = dicke.collective_ops(n)
             val = limits.fluctuation_expectation(
-                ops, dicke.ground_state(ops),
-                limits.FluctuationParams(alpha, beta))
+                ops, dicke.ground_state(ops), alpha, beta)
             pts.append((n, complex(abs(val))))
         fit = limits.extrapolate(pts)
         target = limits.gaussian_target(alpha, beta)
@@ -286,9 +285,8 @@ def test_criterion_9_three_scale_tables(require):
     checks.append(("ceiling_var_slope", abs(slope - 0.5) <= 0.05
                    and divergent, f"{slope:.4f}"))
     ops = dicke.collective_ops(100)
-    t_gs = limits.macroscopic_probe(ops, dicke.ground_state(ops))["triple"]
-    t_bs = limits.macroscopic_probe(
-        ops, dicke.bogoliubov_state(ops, 0.0))["triple"]
+    t_gs = limits.macroscopic_triple(ops, dicke.ground_state(ops))
+    t_bs = limits.macroscopic_triple(ops, dicke.bogoliubov_state(ops, 0.0))
     checks.append(("macro_triples",
                    max(abs(np.array(t_gs) - (0, 0, -1)).max(),
                        abs(np.array(t_bs) - (1, 0, 0)).max()) < 1e-12, ""))
@@ -319,8 +317,7 @@ def test_criterion_9_three_scale_tables(require):
 def test_criterion_10_norm_facts(announce):
     # clause b: <4 S_+ S_- / N^2> on the ceiling band -> 1 within 2%
     ops = dicke.collective_ops(200)
-    iso = limits.macroscopic_probe(
-        ops, dicke.ceiling_state_ladder(ops)[1])["isometry"]
+    iso = limits.ceiling_isometry(ops, dicke.ceiling_state_ladder(ops)[1])
     assert abs(iso - 1.0) <= 0.02
     # clause c: ||H'_BCS - (-M^dag M)|| <= 1 at every tested n
     worst_bcs = max(models.build_bcs(n).diff_norm for n in (2, 4, 8, 16))

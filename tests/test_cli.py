@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from susylattice import cli, limits, operators
+from susylattice import cli, limits, models, operators
 from susylattice.dicke import MAX_PARTICLES
 from susylattice.reporting import (Report, ReportSchemaError, check_row,
                                    load_tolerances)
@@ -112,6 +112,20 @@ def test_verify_determinism(tmp_path):
     assert cli.main(["--out", str(out1), "--jobs", "1", "verify"]) == 0
     assert cli.main(["--out", str(out2), "--jobs", "4", "verify"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_nilpotency_row_can_fail():
+    """A non-nilpotent Q yields its failing nilpotency row alone, not the
+    NilpotencyError of a decomposition it does not have."""
+    q = models.hopping_supercharge(3)
+    inst = models.ModelInstance(
+        kind="hopping", spec=operators.LatticeSpec(3), couplings=(1.0,) * 3,
+        q=q, h=q @ q.conj().T + q.conj().T @ q)
+    rows = cli._decomposition_rows("hopping", inst, load_tolerances(None))
+    assert [(r.metric, r.passed) for r in rows] == [("hopping_nilpotency",
+                                                     False)]
+    assert rows[0].value == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)),
+                                          rel=1e-12)
 
 
 # ------------------------------------------------------------------- sweep

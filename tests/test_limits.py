@@ -116,7 +116,7 @@ def test_sweep_returns_ascending_points(jobs):
 def test_fluctuation_trivial_point():
     ops = dicke.collective_ops(8)
     val = limits.fluctuation_expectation(ops, dicke.ground_state(ops),
-                                         limits.FluctuationParams(0.0, 0.0))
+                                         0.0, 0.0)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_gs_gaussian_limit(ab):
     for n in (64, 256, 1024):
         ops = dicke.collective_ops(n)
         pts.append((n, limits.fluctuation_expectation(
-            ops, dicke.ground_state(ops), limits.FluctuationParams(a, b))))
+            ops, dicke.ground_state(ops), a, b)))
     fit = limits.extrapolate(pts)
     target = limits.gaussian_target(a, b)
     assert abs(fit.limit - target) < 0.01 * max(target, 0.1)
@@ -137,13 +137,12 @@ def test_gs_gaussian_limit(ab):
 
 
 def test_gs_finite_n_deviation_shrinks():
-    p = limits.FluctuationParams(1.0, 1.0)
     target = limits.gaussian_target(1.0, 1.0)
     devs = []
     for n in (16, 64, 256):
         ops = dicke.collective_ops(n)
         devs.append(abs(limits.fluctuation_expectation(
-            ops, dicke.ground_state(ops), p) - target))
+            ops, dicke.ground_state(ops), 1.0, 1.0) - target))
     assert devs[2] < devs[1] < devs[0]
 
 
@@ -175,8 +174,7 @@ def _rel_err(got, want):
 def test_gs_gaussian_closed_form(n):
     a, b = 0.8, 0.45
     ops = dicke.collective_ops(n)
-    got = limits.fluctuation_expectation(ops, dicke.ground_state(ops),
-                                         limits.FluctuationParams(a, b))
+    got = limits.fluctuation_expectation(ops, dicke.ground_state(ops), a, b)
     want = np.cos(np.hypot(a, b) / np.sqrt(2.0 * n)) ** n
     assert _rel_err(got, want) <= ORACLE_RTOL
 
@@ -219,8 +217,7 @@ def test_matrix_free_probes_match_dense_expm(n, label):
     spin = state.vector.reshape(-1, 2)[:, 1]
     a, b = 0.8, 0.45
     rt = np.sqrt(2.0 * n)
-    gauss = limits.fluctuation_expectation(ops, state,
-                                           limits.FluctuationParams(a, b))
+    gauss = limits.fluctuation_expectation(ops, state, a, b)
     want = np.vdot(spin, _dense_rotation(ops, a, -b, 0.0, rt) @ spin)
     assert abs(gauss - want) <= 1e-12
     prod, _ = limits.weyl_relation_probe(ops, state, a, b)
@@ -457,25 +454,17 @@ def test_bs_super_growth_sqrt_n():
 
 def test_macroscopic_triples():
     ops = dicke.collective_ops(100)
-    gs = limits.macroscopic_probe(ops, dicke.ground_state(ops))
-    assert gs["triple"] == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
-    bs = limits.macroscopic_probe(ops, dicke.bogoliubov_state(ops, 0.0))
-    assert bs["triple"] == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    gs = limits.macroscopic_triple(ops, dicke.ground_state(ops))
+    assert gs == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
+    bs = limits.macroscopic_triple(ops, dicke.bogoliubov_state(ops, 0.0))
+    assert bs == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_macroscopic_ceiling_isometry():
     ops = dicke.collective_ops(200)
     _, psi2 = dicke.ceiling_state_ladder(ops)
-    probe = limits.macroscopic_probe(ops, psi2)
-    assert probe["sz_spacing"] == 2
-    assert probe["isometry"] == pytest.approx(1.0 + 2.0 / 200, abs=1e-10)
-
-
-def test_macroscopic_probe_rejects_unknown_label():
-    ops = dicke.collective_ops(4)
-    coh = dicke.coherent_superposition(ops, lambda a: 1.0)
-    with pytest.raises(ValueError):
-        limits.macroscopic_probe(ops, coh)
+    assert limits.ceiling_isometry(ops, psi2) == pytest.approx(
+        1.0 + 2.0 / 200, abs=1e-10)
 
 
 def test_mesoscopic_divergence_classification():
