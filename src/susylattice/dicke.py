@@ -86,7 +86,7 @@ class DickeState:
 
 
 def _product_state(spin_vec, label, n, meta=None):
-    """spin_vec tensor the Clifford state annihilated by eta^dag."""
+    """spin_vec tensor the Clifford state killed by eta^dag."""
     vec = np.kron(np.asarray(spin_vec, dtype=complex),
                   np.array([0.0, 1.0], dtype=complex))
     return DickeState(vector=vec, label=label, n=n, meta=meta or {})
