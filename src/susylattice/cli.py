@@ -223,89 +223,43 @@ def run_verify(args, tol):
 
 # ---------------------------------------------------------------- sweep
 
-# --state label -> the map from DickeOperators to that DickeState
-STATES = {
+# --state label -> DickeOperators -> DickeState; None: the metric reads none
+_STATE_OF = {
+    None: lambda ops: None,
     "ground": dicke.ground_state,
     "ceiling": lambda ops: dicke.ceiling_state_ladder(ops)[1],
     "bogoliubov": lambda ops: dicke.bogoliubov_state(ops, 0.0),
 }
 
 
-def _state_cell(label, probe):
-    """The one-n cell n -> probe(ops, state) in the `label` state."""
-    def cell(n):
-        ops = dicke.collective_ops(n)
-        return probe(ops, STATES[label](ops))
-    return cell
-
-
-def _limit_rows(metric, pts, target, tolerance, provenance):
-    """Per-n rows against the target plus the extrapolated-limit row."""
-    rows = [check_row(metric, n, v, target, provenance, tolerance)
-            for n, v in pts]
-    fit = limits.extrapolate(pts)
-    rows.append(check_row(f"{metric}_fit_limit", 0, fit.limit, target,
-                          provenance, tolerance))
+def _limit(target, tol_key, provenance):
+    """Row builder: per-n rows against target(args) plus the
+    extrapolated-limit row."""
+    def rows(key, args, tol, pts):
+        fit = (f"{key[0]}_fit_limit", 0, limits.extrapolate(pts).limit)
+        return [check_row(m, n, v, target(args), provenance, tol[tol_key])
+                for m, n, v in [(key[0], n, v) for n, v in pts] + [fit]]
     return rows
 
 
-def _gaussian_cell(args):
-    return _state_cell(args.state, lambda ops, state:
-                       limits.fluctuation_expectation(ops, state, args.alpha,
-                                                      args.beta))
-
-
-def _gaussian_rows(args, tol, pts):
-    return _limit_rows("gaussian", pts,
-                       limits.gaussian_target(args.alpha, args.beta),
-                       tol["gaussian"], "PAPER")
-
-
-def _bs_gaussian(axis):
-    def cell(args):
-        return lambda n: limits.bs_gaussian_probe(dicke.collective_ops(n),
-                                                  args.r, axis)
-
-    def rows(args, tol, pts):
-        return _limit_rows(f"bs_gaussian_{axis}", pts,
-                           float(np.exp(-args.r * args.r / 2.0)),
-                           tol["gaussian"], "PAPER")
-    return cell, rows
-
-
-def _weyl_phase_cell(args):
-    def probe(ops, state):
-        return limits.weyl_relation_probe(ops, state, args.alpha, args.beta)[1]
-    return _state_cell(args.state, probe)
-
-
-def _weyl_phase_rows(args, tol, pts):
-    return _limit_rows("weyl_phase", pts, -args.alpha * args.beta / 2.0,
-                       tol["slope"], "DERIVED")
-
-
-def _odlro_rows(args, tol, pts):
-    if args.state == "ceiling":
-        return _limit_rows("odlro", pts, 0.5, tol["odlro"], "PAPER")
-    return _limit_rows("odlro", pts, 0.0, tol["machine"], "PAPER")
-
-
-def _meso_variance_rows(args, tol, pts):
-    rows = [check_row(f"meso_variance[{args.state}]", n, v, v, "DERIVED",
-                      0.0) for n, v in pts]
-    slope, divergent = limits.variance_divergence(pts)
-    if args.state == "ceiling":
-        rows.append(check_row("meso_variance_slope", 0, slope, 0.5,
-                              "DERIVED", tol["slope"]))
-        rows.append(_indicator("meso_variance_divergent", 0, divergent,
-                               "PAPER"))
-    else:
-        rows.append(_indicator("meso_variance_bounded", 0, not divergent,
-                               "DERIVED"))
+def _meso_rows(divergent):
+    """Row builder: the per-n variances, then the divergence rows where
+    the variance diverges (ceiling) or the boundedness row elsewhere."""
+    def rows(key, args, tol, pts):
+        out = [check_row(f"meso_variance[{key[1]}]", n, v, v, "DERIVED", 0.0)
+               for n, v in pts]
+        slope, grows = limits.variance_divergence(pts)
+        if not divergent:
+            return out + [_indicator("meso_variance_bounded", 0, not grows,
+                                     "DERIVED")]
+        return out + [check_row("meso_variance_slope", 0, slope, 0.5,
+                                "DERIVED", tol["slope"]),
+                      _indicator("meso_variance_divergent", 0, grows,
+                                 "PAPER")]
     return rows
 
 
-def _spectral_rows(args, tol, pts):
+def _spectral_rows(key, args, tol, pts):
     target = float(limits.witten_limit(64).bulk_levels()[3])
     rows = [check_row("hss_level_6", n, v, target, "DERIVED",
                       abs(target) * 0.05 + 2.5 / n) for n, v in pts]
@@ -317,7 +271,7 @@ def _spectral_rows(args, tol, pts):
     return rows
 
 
-def _bs_super_rows(args, tol, pts):
+def _bs_super_rows(key, args, tol, pts):
     rows = [check_row("bs_eta_prime_growth", n, v, 0.5 * np.sqrt(n),
                       "DERIVED", tol["identity"]) for n, v in pts]
     rows.append(check_row("bs_super_exponent", 0,
@@ -326,11 +280,7 @@ def _bs_super_rows(args, tol, pts):
     return rows
 
 
-def _isometry_cell(args):
-    return _state_cell("ceiling", limits.ceiling_isometry)
-
-
-def _isometry_rows(args, tol, pts):
+def _isometry_rows(key, args, tol, pts):
     rows = [check_row("isometry", n, v, 1.0 + 2.0 / n, "DERIVED",
                       tol["spectral"]) for n, v in pts]
     rows.append(check_row("isometry_limit", 0, limits.extrapolate(pts).limit,
@@ -338,35 +288,82 @@ def _isometry_rows(args, tol, pts):
     return rows
 
 
-# metric -> (args -> one-n cell, (args, tol, swept points) -> rows)
-SWEEP_METRICS = {
-    "gaussian": (_gaussian_cell, _gaussian_rows),
-    "bs_gaussian_y": _bs_gaussian("y"),
-    "bs_gaussian_z": _bs_gaussian("z"),
-    "weyl_phase": (_weyl_phase_cell, _weyl_phase_rows),
-    "odlro": (lambda args: _state_cell(args.state, limits.odlro),
-              _odlro_rows),
-    "meso_variance": (
-        lambda args: _state_cell(args.state, limits.mesoscopic_variance),
-        _meso_variance_rows),
-    "spectral": (lambda args: limits.spectral_level, _spectral_rows),
-    "bs_super": (lambda args: lambda n: limits.bs_eta_prime(n, args.alpha),
-                 _bs_super_rows),
-    "isometry": (_isometry_cell, _isometry_rows),
+# the limit exp(-r^2/2) of both BS(0) axes
+_bs_gaussian = _limit(lambda a: float(np.exp(-a.r * a.r / 2.0)), "gaussian",
+                      "PAPER")
+
+# (metric, --state) -> (probe (ops, state, args) -> value at one n,
+# row builder (key, args, tol, swept points) -> rows); the state None marks
+# a metric that reads no --state.  The probes look `limits` up per call.
+SWEEP = {
+    ("gaussian", "ground"): (
+        lambda o, s, a: limits.fluctuation_expectation(o, s, a.alpha, a.beta),
+        _limit(lambda a: limits.gaussian_target(a.alpha, a.beta), "gaussian",
+               "PAPER")),
+    ("bs_gaussian_y", None): (
+        lambda o, s, a: limits.bs_gaussian_probe(o, a.r, "y"), _bs_gaussian),
+    ("bs_gaussian_z", None): (
+        lambda o, s, a: limits.bs_gaussian_probe(o, a.r, "z"), _bs_gaussian),
+    ("weyl_phase", "ground"): (
+        lambda o, s, a: limits.weyl_relation_probe(o, s, a.alpha, a.beta)[1],
+        _limit(lambda a: -a.alpha * a.beta / 2.0, "slope", "DERIVED")),
+    ("odlro", "ground"): (lambda o, s, a: limits.odlro(o, s),
+                          _limit(lambda a: 0.0, "machine", "PAPER")),
+    ("odlro", "ceiling"): (lambda o, s, a: limits.odlro(o, s),
+                           _limit(lambda a: 0.5, "odlro", "PAPER")),
+    ("odlro", "bogoliubov"): (lambda o, s, a: limits.odlro(o, s),
+                              _limit(lambda a: 0.0, "machine", "PAPER")),
+    ("meso_variance", "ground"): (
+        lambda o, s, a: limits.mesoscopic_variance(o, s), _meso_rows(False)),
+    ("meso_variance", "ceiling"): (
+        lambda o, s, a: limits.mesoscopic_variance(o, s), _meso_rows(True)),
+    ("meso_variance", "bogoliubov"): (
+        lambda o, s, a: limits.mesoscopic_variance(o, s), _meso_rows(False)),
+    ("spectral", None): (lambda o, s, a: limits.spectral_level(o),
+                         _spectral_rows),
+    ("bs_super", None): (lambda o, s, a: limits.bs_eta_prime(o, a.alpha),
+                         _bs_super_rows),
+    ("isometry", "ceiling"): (lambda o, s, a: limits.ceiling_isometry(o, s),
+                              _isometry_rows),
 }
 
 
+def sweep_key(metric, state):
+    """The SWEEP key of `--metric`, `--state`.  A left-out state (None) is
+    `ground` where the metric reads it, else the metric's one state; a
+    state the metric does not read is a UsageError."""
+    states = [s for m, s in SWEEP if m == metric]
+    if not states:
+        raise UsageError(f"unknown metric {metric!r}; choose from "
+                         f"{sorted({m for m, _ in SWEEP})}")
+    if state is None:
+        state = "ground" if "ground" in states else states[0]
+    if state not in states:
+        valid = ("no --state" if states == [None]
+                 else "--state " + " or ".join(states))
+        raise UsageError(f"metric {metric!r} takes {valid}, got --state "
+                         f"{state}")
+    return metric, state
+
+
+def _cell(key, args):
+    """The one-n cell n -> probe(ops, state, args) of the SWEEP entry."""
+    probe, make_state = SWEEP[key][0], _STATE_OF[key[1]]
+
+    def cell(n):
+        ops = dicke.collective_ops(n)
+        return probe(ops, make_state(ops), args)
+    return cell
+
+
 def run_sweep(args, tol):
-    if args.metric not in SWEEP_METRICS:
-        raise UsageError(f"unknown metric {args.metric!r}; choose from "
-                         f"{sorted(SWEEP_METRICS)}")
+    key = sweep_key(args.metric, args.state)
     if len(args.n_list) < 3:
         raise UsageError("sweep needs at least 3 n-values for the fit")
-    cell, rows = SWEEP_METRICS[args.metric]
-    pts = limits.sweep(cell(args), args.n_list, args.jobs)
-    report = Report(config_echo=_echo(args))
-    report.extend(rows(args, tol, pts))
-    return report
+    args.state = key[1]         # the config echo records the resolved state
+    pts = limits.sweep(_cell(key, args), args.n_list, args.jobs)
+    return Report(config_echo=_echo(args),
+                  rows=SWEEP[key][1](key, args, tol, pts))
 
 
 # ---------------------------------------------------------------- spectrum
@@ -444,7 +441,7 @@ def run_tables(args, tol):
     e2 = np.real(np.vdot(v, hb @ (hb @ v)))
     report.add(_residual("t1_cs_local_stationary", n_big, e2 - e1 * e1,
                          tol["spectral"], "DERIVED"))
-    meso = limits.sweep(_state_cell("ceiling", limits.mesoscopic_variance),
+    meso = limits.sweep(_cell(("meso_variance", "ceiling"), args),
                         (50, 100, 200), args.jobs)
     slope, _ = limits.variance_divergence(meso)
     report.add(check_row("t1_cs_meso_divergence_slope", 0, slope, 0.5,
@@ -474,7 +471,8 @@ def run_tables(args, tol):
     report.add(_residual("t2_bs_local_finite", n_meso,
                          abs(np.vdot(bs1, sx1p @ bs1)), tol["identity"],
                          "PAPER"))
-    growth = limits.sweep(limits.bs_eta_prime, (16, 64, 256), args.jobs)
+    growth = limits.sweep(lambda n: limits.bs_eta_prime(
+        dicke.collective_ops(n)), (16, 64, 256), args.jobs)
     report.add(check_row("t2_bs_meso_growth_exponent", 0,
                          limits.power_growth_fit(growth).rate, 0.5, "PAPER",
                          tol["slope"]))
@@ -502,11 +500,9 @@ class UsageError(Exception):
 
 
 def _echo(args):
-    echo = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func",) and v is not None}
-    echo = {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in echo.items()}
-    return echo
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in sorted(vars(args).items())
+            if k != "func" and v is not None}
 
 
 def _n_list(text):
@@ -542,7 +538,7 @@ def build_parser():
     p_sweep.add_argument("--alpha", type=float, default=1.0)
     p_sweep.add_argument("--beta", type=float, default=1.0)
     p_sweep.add_argument("--r", type=float, default=1.0)
-    p_sweep.add_argument("--state", choices=sorted(STATES), default="ground")
+    p_sweep.add_argument("--state", choices=sorted(filter(None, _STATE_OF)))
     p_sweep.set_defaults(func=run_sweep)
 
     p_spec = sub.add_parser("spectrum", help="emit model spectra")

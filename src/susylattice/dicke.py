@@ -195,6 +195,16 @@ def cos_power_integral(n):
                  * np.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)))
 
 
+def _bogoliubov_quadrature(n, nodes, weight):
+    """sum_a weight(a) BS(a) over `nodes`, BS(a)_k = BS(0)_k e^{ia(2k-n)}."""
+    k = np.arange(n + 1)
+    base = coherent_spin_amplitudes(n, 0.0)
+    acc = np.zeros(n + 1, dtype=complex)
+    for a in nodes:
+        acc += weight(a) * base * np.exp(1j * a * (2 * k - n))
+    return acc
+
+
 def ceiling_state_integral(ops, n_nodes=None):
     """psi2 as the angular integral of rotated Bogoliubov states.
 
@@ -211,12 +221,7 @@ def ceiling_state_integral(ops, n_nodes=None):
     if n_nodes < 4 * n:
         raise ValueError(f"quadrature grid too coarse: {n_nodes} < 4n")
     nodes = -np.pi / 2 + np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    weight = np.pi / n_nodes
-    k = np.arange(n + 1)
-    base = coherent_spin_amplitudes(n, 0.0)
-    acc = np.zeros(n + 1, dtype=complex)
-    for a in nodes:
-        acc += weight * base * np.exp(1j * a * (2 * k - n))
+    acc = _bogoliubov_quadrature(n, nodes, lambda a: np.pi / n_nodes)
     c_const = 1.0 / np.sqrt(np.pi * cos_power_integral(n))
     vec = c_const * acc
     residual = abs(np.linalg.norm(vec) - 1.0)
@@ -234,11 +239,7 @@ def coherent_superposition(ops, weight, n_nodes=256):
     """
     n = ops.n
     nodes = -np.pi + 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    k = np.arange(n + 1)
-    base = coherent_spin_amplitudes(n, 0.0)
-    acc = np.zeros(n + 1, dtype=complex)
-    for a in nodes:
-        acc += complex(weight(a)) * base * np.exp(1j * a * (2 * k - n))
+    acc = _bogoliubov_quadrature(n, nodes, lambda a: complex(weight(a)))
     norm = np.linalg.norm(acc)
     if norm < 1e-10:
         raise VanishingNormError(
@@ -251,9 +252,3 @@ def overlap(x, y):
     if x.n != y.n:
         raise ValueError(f"particle numbers differ: {x.n} vs {y.n}")
     return complex(np.vdot(x.vector, y.vector))
-
-
-def expectation(state, op_full):
-    """<state| A |state> for a lifted (sparse or dense) operator."""
-    v = state.vector
-    return complex(np.vdot(v, op_full @ v))

@@ -316,9 +316,9 @@ def witten_ground_vector(model):
     return v
 
 
-def spectral_level(n):
-    """Sorted H_SS level 6 at n, the counterpart of the limit-model level
-    witten_limit(...).bulk_levels()[3] = 2.
+def spectral_level(ops):
+    """Sorted H_SS level 6 at N = ops.n >= 3, the counterpart of the
+    limit-model level witten_limit(...).bulk_levels()[3] = 2.
 
     The low band of H_SS is a doubled Witten tower {0,0,1,1,1,1,2,2,2,2,...},
     one copy per band edge (all-down and all-up both carry a zero mode), so
@@ -326,7 +326,9 @@ def spectral_level(n):
     exposes the 1/n convergence rate; lower levels match the limit exactly
     at every n.
     """
-    return dicke.hss_eigenvalues(dicke.collective_ops(n))[6]
+    if ops.n < 3:
+        raise ValueError(f"spectral level 6 needs n >= 3, got n = {ops.n}")
+    return dicke.hss_eigenvalues(ops)[6]
 
 
 def bs_free_evolution(ops, t):
@@ -362,9 +364,8 @@ def gs_phase_slope(n):
     return float(np.mean(slopes))
 
 
-def bs_eta_prime(n, alpha=0.0):
-    """|<BS| eta' |BS>| at n, eta' = -i[eta, G_alpha]; exactly sqrt(N)/2."""
-    ops = dicke.collective_ops(n)
+def bs_eta_prime(ops, alpha=0.0):
+    """|<BS| eta' |BS>|, eta' = -i[eta, G_alpha]; exactly sqrt(N)/2."""
     etap = -1j * bracket(ops.eta_full, dicke.build_g_alpha_dicke(ops, alpha))
     v = dicke.bogoliubov_state(ops, alpha).vector
     return abs(np.vdot(v, etap @ v))

@@ -80,19 +80,16 @@ class LatticeSpec:
         return site * self.n_flavors + flavor
 
 
-def bit_operator(nbits, mask, kind="lower", string=0):
-    """Sparse one-site operator on the 2^nbits bit-string basis, read off
-    the bits of the basis index: kind "lower" = [[0,1],[0,0]] (clears the
-    `mask` bit), "z" = diag(1,-1) (-1 where it is set), each times the sign
-    string (-1)^popcount(index & string), e.g. the Jordan-Wigner string."""
+def bit_operator(nbits, mask, string=0):
+    """Sparse one-site [[0,1],[0,0]] on the 2^nbits bit-string basis, read
+    off the bits of the basis index: it clears the `mask` bit, times the
+    sign string (-1)^popcount(index & string), e.g. the Jordan-Wigner
+    string."""
     idx = np.arange(2 ** nbits)
     par = idx & string
     for shift in (16, 8, 4, 2, 1):      # xor-fold to the popcount parity
         par = par ^ (par >> shift)
     sign = 1.0 - 2.0 * (par & 1)
-    if kind == "z":
-        return sparse.diags(sign * (1.0 - 2.0 * ((idx & mask) != 0)),
-                            format="csr", dtype=complex)
     cols = idx[(idx & mask) != 0]
     return sparse.csr_matrix((sign[cols].astype(complex), (cols ^ mask, cols)),
                              shape=(idx.size, idx.size))
@@ -275,15 +272,6 @@ class SuperDecomposition:
 
     def g_alpha(self, alpha):
         return gauge_charge(self.q, alpha)
-
-    def gauge_rotate(self, alpha):
-        """Conjugate G_0 by exp(i alpha F / 2); equals G_alpha.
-
-        The half-angle is forced by F eta = eta, eta F = -eta: conjugation by
-        exp(i t F) multiplies the odd part of G by exp(2 i t).
-        """
-        u = hermitian_function(self.f, lambda v: np.exp(1j * alpha / 2 * v))
-        return u @ self.g_alpha(0.0) @ u.conj().T
 
 
 def super_decompose(q, check=True):

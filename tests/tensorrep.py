@@ -5,16 +5,26 @@ The Dicke engine cannot express single-site operators, and the library
 evaluates the per-site supertransformation derivatives on site 1 and the
 Clifford mode alone (`limits.local_super_derivative`); the full 2^(N+1)
 space here checks that locality and the collective shortcuts at small N.
-Sparse operators on a bit-string basis of N+1 bits (`operators.bit_operator`):
-site j is bit N-j (site 0 most significant), the Clifford mode is bit 0; a
-clear site bit is spin up, a set one spin down.
+Sparse operators on a bit-string basis of N+1 bits (`operators.bit_operator`
+and `z_operator` below): site j is bit N-j (site 0 most significant), the
+Clifford mode is bit 0; a clear site bit is spin up, a set one spin down.
 """
 
 import numpy as np
+from scipy import sparse
 
 from susylattice.operators import DimensionError, bit_operator
 
 MAX_SITES = 12
+
+
+def z_operator(nbits, mask, string=0):
+    """diag(1,-1) on the `mask` bit (-1 where it is set) of the 2^nbits
+    bit-string basis, times the sign string (-1)^popcount(index & string)."""
+    idx = np.arange(2 ** nbits)
+    flips = np.array([bin(i & string).count("1") for i in range(idx.size)])
+    flips += (idx & mask) != 0
+    return sparse.diags(1.0 - 2.0 * (flips % 2), format="csr", dtype=complex)
 
 
 class TensorSpinRep:
@@ -28,7 +38,7 @@ class TensorSpinRep:
         masks = [1 << (n - j) for j in range(n)]
         self.sp = [bit_operator(n + 1, m) for m in masks]
         self.sm = [s.T.tocsr() for s in self.sp]
-        self.sz = [bit_operator(n + 1, m, "z") for m in masks]
+        self.sz = [z_operator(n + 1, m) for m in masks]
         self.sx = [p + m for p, m in zip(self.sp, self.sm)]
         self.sy = [-1j * p + 1j * m for p, m in zip(self.sp, self.sm)]
         self.s_plus = sum(self.sp[1:], self.sp[0])

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from susylattice import cli, dicke, limits, models, operators
+from expect import expectation
 
 RNG = np.random.default_rng(20260824)
 
@@ -158,7 +159,7 @@ def test_criterion_5_ceiling_law(require):
         psi1, psi2 = dicke.ceiling_state_ladder(ops)
         hu = dicke.hss_unnormalized(ops)
         for psi in (psi1, psi2):
-            val = dicke.expectation(psi, hu).real
+            val = expectation(psi, hu).real
             resid = np.linalg.norm(hu @ psi.vector - val * psi.vector)
             scale = n * (n + 2) / 4.0
             worst_rel = max(worst_rel, abs(val - scale) / scale,
@@ -251,8 +252,9 @@ def test_criterion_8_witten_limit(require):
                     *(float(np.linalg.norm(
                         limits.witten_limit(64, a).g_alpha @ v))
                       for a in (0.0, 0.9, 2.1)))
-    conv = limits.extrapolate(limits.sweep(limits.spectral_level,
-                                           (64, 128, 256)))
+    conv = limits.extrapolate(limits.sweep(
+        lambda n: limits.spectral_level(dicke.collective_ops(n)),
+        (64, 128, 256)))
     ok = (spec_dev < 1e-8 and n_zero == 1 and alpha_dev < 1e-10
           and 0.8 <= conv.rate <= 1.2)
     require(8, ok, f"tower dev {spec_dev:.1e}, zero modes {n_zero}, "
@@ -270,8 +272,9 @@ def test_criterion_9_three_scale_tables(require):
                                                 1.0)
     checks.append(("bs_t2", abs(q_drift - 1.0) <= 0.10 and
                    abs(p_drift) < 1e-10, f"{q_drift:.4f}"))
-    growth = limits.power_growth_fit(limits.sweep(limits.bs_eta_prime,
-                                                  (64, 128, 256)))
+    growth = limits.power_growth_fit(limits.sweep(
+        lambda n: limits.bs_eta_prime(dicke.collective_ops(n)),
+        (64, 128, 256)))
     checks.append(("bs_sqrt_n", abs(growth.rate - 0.5) <= 0.05,
                    f"{growth.rate:.4f}"))
 

@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from susylattice import cli, limits, models, operators
+from susylattice import cli, dicke, limits, models, operators
 from susylattice.dicke import MAX_PARTICLES
 from susylattice.reporting import (Report, ReportSchemaError, check_row,
                                    load_tolerances)
@@ -224,11 +225,28 @@ def _spy_on_sweep(monkeypatch):
     return jobs_seen
 
 
-@pytest.mark.parametrize("metric", sorted(cli.SWEEP_METRICS))
-def test_sweep_metric_runs_on_jobs_threads(metric, monkeypatch, capsys):
+def _sweep_pairs():
+    """Every cli.SWEEP key as (metric, state) params: the metric's default
+    state is left out of the argv (id: the metric), the others are given
+    with --state (id: metric-state)."""
+    pairs = []
+    for metric, state in cli.SWEEP:
+        given = None if cli.sweep_key(metric, None)[1] == state else state
+        pairs.append(pytest.param(metric, given, id="-".join(
+            filter(None, (metric, given)))))
+    return sorted(pairs, key=lambda p: p.id)
+
+
+def _state_argv(state):
+    return [] if state is None else ["--state", state]
+
+
+@pytest.mark.parametrize("metric,state", _sweep_pairs())
+def test_sweep_metric_runs_on_jobs_threads(metric, state, monkeypatch,
+                                           capsys):
     jobs_seen = _spy_on_sweep(monkeypatch)
     code, out = run_cli(["--jobs", "3", "sweep", "--metric", metric,
-                         "--n-list", "16,32,64"], capsys)
+                         "--n-list", "16,32,64", *_state_argv(state)], capsys)
     assert code in (0, 1) and out
     assert jobs_seen == [3]
 
@@ -250,14 +268,83 @@ def test_tables_builds_no_per_site_operator(monkeypatch, capsys):
     assert code == 0 and out
 
 
-@pytest.mark.parametrize("metric", sorted(cli.SWEEP_METRICS))
-def test_sweep_reaches_max_particles(metric, capsys):
+@pytest.mark.parametrize("metric,state", _sweep_pairs())
+def test_sweep_reaches_max_particles(metric, state, capsys):
     code, out = run_cli(["--jobs", "1", "sweep", "--metric", metric,
-                         "--n-list", f"5000,10000,{MAX_PARTICLES}"], capsys)
+                         "--n-list", f"5000,10000,{MAX_PARTICLES}",
+                         *_state_argv(state)], capsys)
     assert code == 0
     rows = list(csv.reader(out.splitlines()))[1:]
     assert rows and all(r[7] == "pass" for r in rows)
     assert str(MAX_PARTICLES) in {r[1] for r in rows}
+
+
+@pytest.mark.parametrize("state", (None, "ground", "ceiling", "bogoliubov"))
+@pytest.mark.parametrize("metric", sorted({m for m, _ in cli.SWEEP}))
+def test_sweep_state_is_read_or_rejected(metric, state, capsys):
+    """Every (metric, --state) either has a SWEEP entry, where all rows
+    pass, or exits 2 with empty stdout and names the states it reads."""
+    code = exit_code(["--jobs", "1", "sweep", "--metric", metric,
+                      "--n-list", "40,120,360", *_state_argv(state)])
+    captured = capsys.readouterr()
+    states = [s for m, s in cli.SWEEP if m == metric]
+    if state is None or state in states:
+        assert code == 0
+        rows = list(csv.reader(captured.out.splitlines()))[1:]
+        assert rows and all(r[7] == "pass" for r in rows)
+    else:
+        assert code == 2 and captured.out == ""
+        if states == [None]:
+            assert "takes no --state" in captured.err
+        else:
+            assert all(s in captured.err for s in states)
+
+
+def test_sweep_default_state_resolves_and_is_echoed(tmp_path):
+    """A left-out --state is ground where the metric reads it, else its one
+    state; the JSON config echo records the state the sweep ran in."""
+    want = {"gaussian": "ground", "weyl_phase": "ground", "odlro": "ground",
+            "meso_variance": "ground", "isometry": "ceiling",
+            "spectral": None, "bs_gaussian_y": None, "bs_gaussian_z": None,
+            "bs_super": None}
+    assert want == {m: cli.sweep_key(m, None)[1] for m, _ in cli.SWEEP}
+    for metric in ("isometry", "odlro", "spectral"):
+        out = tmp_path / f"{metric}.json"
+        assert cli.main(["--jobs", "1", "--out", str(out), "--format",
+                         "json", "sweep", "--metric", metric,
+                         "--n-list", "16,32,64"]) == 0
+        config = json.loads(out.read_text())["metadata"]["config"]
+        assert config.get("state") == want[metric]
+
+
+def test_sweep_spectral_below_three_particles_is_usage_error(capsys):
+    """Level 6 needs 2(n+1) > 6 levels: n = 1 or 2 exits 2, not IndexError."""
+    code = exit_code(["sweep", "--metric", "spectral", "--n-list", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "n >= 3" in captured.err
+    with pytest.raises(ValueError, match="n >= 3"):
+        limits.spectral_level(dicke.collective_ops(2))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_sweep_table_lists_the_sweep_keys():
+    """The README's metric/state table names exactly the cli.SWEEP keys and
+    each metric's default state ("-" where the metric reads none)."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| `--metric` |"):].split("\n\n", 1)[0]
+    keys, defaults = set(), {}
+    for line in table.splitlines()[2:]:
+        metric, accepted, default = (c.strip() for c in
+                                     line.strip("|").split("|"))
+        metric = metric.strip("`")
+        states = re.findall(r"`(\w+)`", accepted) or [None]
+        keys |= {(metric, s) for s in states}
+        defaults[metric] = (re.findall(r"`(\w+)`", default) or [None])[0]
+    assert keys == set(cli.SWEEP)
+    assert defaults == {m: cli.sweep_key(m, None)[1] for m, _ in cli.SWEEP}
 
 
 # ---------------------------------------------------------------- spectrum

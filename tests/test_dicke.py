@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from susylattice import dicke, models
+from expect import expectation
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 40))
@@ -90,9 +91,9 @@ def test_ground_state_properties():
     gs = dicke.ground_state(ops)
     h = dicke.build_hss_dicke(ops)
     assert np.linalg.norm(h @ gs.vector) < 1e-12
-    assert dicke.expectation(gs, ops.s_z_full).real == pytest.approx(-6.0)
-    assert abs(dicke.expectation(gs, ops.s_x_full)) < 1e-14
-    assert abs(dicke.expectation(gs, ops.s_y_full)) < 1e-14
+    assert expectation(gs, ops.s_z_full).real == pytest.approx(-6.0)
+    assert abs(expectation(gs, ops.s_x_full)) < 1e-14
+    assert abs(expectation(gs, ops.s_y_full)) < 1e-14
     # Clifford factor annihilated by eta^dag
     assert np.linalg.norm(ops.eta_full.conj().T @ gs.vector) < 1e-14
 
@@ -108,7 +109,7 @@ def test_ceiling_ladder_eigenrelations(n):
     assert np.abs(sz @ spin1 - 2 * spin1).max() < 1e-12
     hu = dicke.hss_unnormalized(ops)
     for psi in (psi1, psi2):
-        val = dicke.expectation(psi, hu).real
+        val = expectation(psi, hu).real
         resid = np.linalg.norm(hu @ psi.vector - val * psi.vector)
         assert abs(4 * val - n * (n + 2)) < 1e-9 * n * (n + 2)
         assert resid < 1e-9 * n
@@ -226,12 +227,12 @@ def test_bogoliubov_state_local_expectations(n):
     alpha = 0.4
     ops = dicke.collective_ops(n)
     bs = dicke.bogoliubov_state(ops, alpha)
-    assert dicke.expectation(bs, ops.s_x_full).real / n == pytest.approx(
+    assert expectation(bs, ops.s_x_full).real / n == pytest.approx(
         np.cos(2 * alpha), abs=1e-12)
     # the phase convention puts the spins along (cos 2a, -sin 2a, 0)
-    assert dicke.expectation(bs, ops.s_y_full).real / n == pytest.approx(
+    assert expectation(bs, ops.s_y_full).real / n == pytest.approx(
         -np.sin(2 * alpha), abs=1e-12)
-    assert abs(dicke.expectation(bs, ops.s_z_full)) < 1e-12
+    assert abs(expectation(bs, ops.s_z_full)) < 1e-12
 
 
 def test_bogoliubov_n1_alpha0():
@@ -248,7 +249,7 @@ def test_bogoliubov_normalized_at_large_n(n):
     assert abs(np.linalg.norm(amp) - 1.0) <= 1e-14
     ops = dicke.collective_ops(n)
     bs = dicke.bogoliubov_state(ops, 0.3)
-    assert dicke.expectation(bs, ops.s_x_full).real / n == pytest.approx(
+    assert expectation(bs, ops.s_x_full).real / n == pytest.approx(
         np.cos(0.6), abs=1e-12)
 
 
@@ -291,7 +292,7 @@ def test_coherent_incoherent_local_agreement():
     n = 16
     ops = dicke.collective_ops(n)
     coh = dicke.coherent_superposition(ops, lambda a: 1.0)
-    val = dicke.expectation(coh, ops.s_x_full).real / n
+    val = expectation(coh, ops.s_x_full).real / n
     nodes = -np.pi + 2 * np.pi * (np.arange(512) + 0.5) / 512
     incoherent = np.mean([np.cos(2 * a) for a in nodes])
     assert val == pytest.approx(incoherent, abs=1e-10)

@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from susylattice import dicke, limits
+from expect import expectation
 from tensorrep import MAX_SITES, TensorSpinRep
 
 
@@ -287,7 +288,7 @@ def test_odlro_identity_against_fock():
     rep = TensorSpinRep(n)
     ops = dicke.collective_ops(n)
     bs = dicke.bogoliubov_state(ops, 0.25)
-    collective = (dicke.expectation(
+    collective = (expectation(
         bs, ops.s_x_full @ ops.s_x_full).real - n) / (n * (n - 1))
     v = rep.bogoliubov_vector(0.25)
     literal = np.vdot(v, (rep.sx[0] @ rep.sx[1]) @ v).real
@@ -400,7 +401,8 @@ def test_witten_cutoff_validation():
 
 
 def test_spectral_convergence_rate():
-    pts = limits.sweep(limits.spectral_level, (64, 256, 1024))
+    pts = limits.sweep(lambda n: limits.spectral_level(
+        dicke.collective_ops(n)), (64, 256, 1024))
     fit = limits.extrapolate(pts)
     assert fit.limit == pytest.approx(2.0, abs=1e-8)
     assert 0.8 <= fit.rate <= 1.2
@@ -446,7 +448,8 @@ def test_gs_phase_slope_exact():
 
 
 def test_bs_super_growth_sqrt_n():
-    pts = limits.sweep(limits.bs_eta_prime, (16, 64, 256))
+    pts = limits.sweep(lambda n: limits.bs_eta_prime(
+        dicke.collective_ops(n)), (16, 64, 256))
     assert limits.power_growth_fit(pts).rate == pytest.approx(0.5, abs=1e-6)
     for n, v in pts:
         assert abs(v) == pytest.approx(np.sqrt(n) / 2, abs=1e-9)

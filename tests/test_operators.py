@@ -11,7 +11,7 @@ from scipy.linalg import block_diag
 
 from susylattice import models, operators as op
 from densedecomp import dense_decompose
-from tensorrep import TensorSpinRep
+from tensorrep import TensorSpinRep, z_operator
 
 
 def test_built_operators_are_read_only():
@@ -242,13 +242,23 @@ def test_verify_decomposition_catches_mutations():
         op.verify_decomposition(shifted)
 
 
+def gauge_rotate(dec, alpha):
+    """Conjugate G_0 by exp(i alpha F / 2); equals G_alpha.
+
+    The half-angle is forced by F eta = eta, eta F = -eta: conjugation by
+    exp(i t F) multiplies the odd part of G by exp(2 i t).
+    """
+    u = op.hermitian_function(dec.f, lambda v: np.exp(1j * alpha / 2 * v))
+    return u @ dec.g_alpha(0.0) @ u.conj().T
+
+
 def test_gauge_rotate_reproduces_g_alpha():
     """e^{i alpha F/2} G_0 e^{-i alpha F/2} = G_alpha on the SUSY sector."""
     spec = op.LatticeSpec(2, 1)
     ops = op.sparse_annihilators(spec.modes)
     q = ops[0] + 2.0 * ops[1]
     dec = op.super_decompose(q)
-    rotated = dec.gauge_rotate(0.8)
+    rotated = gauge_rotate(dec, 0.8)
     direct = op.gauge_charge(q, 0.8).toarray()
     assert np.linalg.norm(rotated - direct, 2) < 1e-10
 
@@ -289,7 +299,7 @@ def test_sparse_annihilators_match_kronecker_chain(modes):
 def test_bit_operator_z_with_sign_string():
     # sigma_z on the low bit of 3, times the string on the two high bits
     ref = kron_chain([_Z, _Z, _Z])
-    assert np.array_equal(op.bit_operator(3, 1, "z", string=6).toarray(), ref)
+    assert np.array_equal(z_operator(3, 1, string=6).toarray(), ref)
 
 
 _PAULIS = {"sx": [[0, 1], [1, 0]], "sy": [[0, -1j], [1j, 0]],
