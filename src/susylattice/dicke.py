@@ -9,6 +9,7 @@ the ground-state convention).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -22,15 +23,33 @@ class VanishingNormError(ValueError):
     """A superposition interfered destructively to (numerically) zero."""
 
 
+_EYE_CLIFFORD = sparse.identity(2, dtype=complex, format="csr")
+
+
+def _lifted(name):
+    """The multiplet operator `name` tensor the Clifford identity, built on
+    first read and then kept."""
+    return cached_property(lambda self: sparse.kron(
+        getattr(self, name), _EYE_CLIFFORD, format="csr"))
+
+
 class DickeOperators:
     """Ladder operators on the spin-N/2 multiplet plus the Clifford mode.
 
     s_plus, s_minus, s_z live on the (N+1)-dimensional multiplet and follow
     the Pauli-sum normalization: [s_plus, s_minus] = s_z, [s_z, s_plus] =
-    2 s_plus, s_z eigenvalues -N, -N+2, ..., N.  The *_full attributes are the
-    same operators lifted to the 2(N+1)-dimensional product space, where eta
-    acts on the Clifford factor.
+    2 s_plus, s_z eigenvalues -N, -N+2, ..., N; s_x and s_y are built from
+    them.  The *_full attributes are the same operators lifted to the
+    2(N+1)-dimensional product space, where eta acts on the Clifford factor.
+    The lifts are built on first read, so a probe that works on the
+    multiplet alone (the rotations) never pays for them.
     """
+
+    s_plus_full = _lifted("s_plus")
+    s_minus_full = _lifted("s_minus")
+    s_z_full = _lifted("s_z")
+    s_x_full = _lifted("s_x")
+    s_y_full = _lifted("s_y")
 
     def __init__(self, n):
         if n < 1:
@@ -49,12 +68,11 @@ class DickeOperators:
         self.s_y = ((self.s_plus - self.s_minus) / 1j).tocsr()
         self.eta = sparse.csr_matrix(
             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        eye_spin = sparse.identity(n + 1, dtype=complex, format="csr")
-        eye_cl = sparse.identity(2, dtype=complex, format="csr")
-        self.eta_full = sparse.kron(eye_spin, self.eta, format="csr")
-        for name in ("s_plus", "s_minus", "s_z", "s_x", "s_y"):
-            lifted = sparse.kron(getattr(self, name), eye_cl, format="csr")
-            setattr(self, name + "_full", lifted)
+
+    @cached_property
+    def eta_full(self):
+        eye_spin = sparse.identity(self.n + 1, dtype=complex, format="csr")
+        return sparse.kron(eye_spin, self.eta, format="csr")
 
     @property
     def dim(self):

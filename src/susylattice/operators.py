@@ -12,7 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 # Sparse Jordan-Wigner operators on at most 2^14 Fock states; the dense
 # kernels stop far below that, at the per-model site caps.
@@ -112,13 +111,40 @@ def sparse_annihilators(modes):
                  for k in range(modes))
 
 
+def _components(pattern):
+    """Component label of every state under the symmetrised pattern of
+    sparse `pattern`, numbered by the rank of each component's smallest
+    state: the labels of scipy.sparse.csgraph.connected_components.
+
+    Min-label propagation with pointer jumping.  Each round, every edge
+    whose ends carry different labels hooks the larger label, a root, onto
+    the smaller; then every label jumps to its own label until each points
+    at a root.  Rounds repeat until no edge joins two labels.  A label is
+    always a state of the same component and never grows, so each
+    component ends labelled by its smallest state."""
+    coo = sparse.coo_matrix(pattern)
+    stored = coo.data != 0
+    rows, cols = coo.row[stored], coo.col[stored]
+    labels = np.arange(pattern.shape[0])
+    while True:
+        at_row, at_col = labels[rows], labels[cols]
+        split = at_row != at_col
+        if not split.any():
+            return np.unique(labels, return_inverse=True)[1]
+        np.minimum.at(labels, np.maximum(at_row, at_col)[split],
+                      np.minimum(at_row, at_col)[split])
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+
+
 def _blocks(pattern, *mats):
     """Stack sparse `mats` over the connected components of the symmetrised
     pattern of `pattern`, which must cover every pattern in `mats`.  Yields,
     per block size, the (k, size) basis states of the k blocks of that size
     and one (k, size, size) stack per matrix."""
-    ncomp, labels = connected_components(pattern != 0, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
+    labels = _components(pattern)
+    sizes = np.bincount(labels)
     start = np.cumsum(sizes) - sizes
     order = np.argsort(labels, kind="stable")
     pos = np.empty_like(order)      # position of each state in its block

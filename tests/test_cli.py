@@ -379,6 +379,16 @@ def test_spectrum_witten_below_cutoff_is_usage_error(capsys):
                                                         abs=1e-10)
 
 
+def test_spectrum_witten_above_bound_is_usage_error(capsys):
+    """Just above MAX_WITTEN_CUTOFF the run exits 2 with a DimensionError
+    message instead of building dense arrays for the OOM killer."""
+    bound = limits.MAX_WITTEN_CUTOFF
+    code = cli.main(["spectrum", "--model", "witten", "--n", str(bound + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"exceeds bound {bound}" in err
+
+
 @pytest.mark.parametrize("model,n", (("model_i", 10), ("model_ii", 6)))
 def test_spectrum_fock_models_at_their_caps(model, n, capsys):
     """Unit couplings: Model I has H = N * 1; Model II has the subset-sum
@@ -479,7 +489,16 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     differ in the last bit for about half of the integers up to 20002,
     which moves 20 Bogoliubov rows by at most 7.3e-14 (see the mpmath
     oracle in test_dicke.py).  sweep_odlro_ceiling_nongeometric pins the
-    exact three-point fit of a non-geometric n-grid."""
+    exact three-point fit of a non-geometric n-grid.
+
+    tables, sweep_gaussian, sweep_bs_gaussian_y|z and sweep_weyl_phase were
+    re-recorded when the rotations moved from expm_multiply to the
+    Chebyshev-Bessel sum, the tables time evolutions to elementwise phases
+    and the 2x2 rotation to eigh: 13 rotation rows moved by at most 3.4e-16
+    and stay within 3e-16 of their closed forms; in tables,
+    t1_gs_meso_phase_slope moved from 1 - 1.4e-13 to 1,
+    t1_bs_meso_p_constant from 8.9e-16 to 0 and t1_bs_local_rotation from
+    2.7e-16 to 1.1e-15."""
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0
@@ -489,21 +508,33 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
 # ------------------------------------------------------------ import graph
 
 _IMPORT_GUARD = """
-import contextlib, io, sys
+import contextlib, io, json, sys
+FORBIDDEN = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph",
+             "scipy.optimize", "scipy.special")
 from susylattice import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["--jobs", "1", "tables"]) == 0
-    assert cli.main(["--jobs", "1", "sweep", "--metric", "odlro", "--state",
-                     "ceiling", "--n-list", "1024,4096,16000"]) == 0
-print(sorted(m for m in ("scipy.optimize", "scipy.special")
-             if m in sys.modules))
+runs = [["verify"], ["tables"]]
+runs += [["spectrum", "--model", model, "--n", n] for model, n in (
+    ("dicke", "40"), ("witten", "16"), ("model_i", "3"), ("model_ii", "3"),
+    ("model_iii", "2"))]
+runs += [["sweep", "--metric", metric, "--n-list", "40,100,360",
+          *(["--state", state] if state else [])] for metric, state in cli.SWEEP]
+seen = [["import susylattice.cli", 0]]
+for argv in runs:
+    seen[-1].append(sorted(m for m in FORBIDDEN if m in sys.modules))
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([" ".join(argv), cli.main(["--jobs", "1", *argv])])
+seen[-1].append(sorted(m for m in FORBIDDEN if m in sys.modules))
+print(json.dumps(seen))
 """
 
 
 def test_runtime_never_loads_scipy_optimize_or_special():
-    """Neither package is in the start-up or the run of `tables` and a
-    non-geometric ODLRO sweep (the two paths that used gammaln and
-    least_squares); each would cost set-up time and resident memory."""
+    """The runtime imports scipy.sparse alone: no scipy.linalg,
+    scipy.sparse.linalg, scipy.sparse.csgraph, scipy.optimize or
+    scipy.special after `import susylattice.cli`, nor after `verify`,
+    `tables`, `spectrum` of every model and every accepted SWEEP pair (on a
+    non-geometric n-grid, which takes the interpolating fit).  Each would
+    cost set-up time and resident memory."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
@@ -511,4 +542,7 @@ def test_runtime_never_loads_scipy_optimize_or_special():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=300)
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 1 + 2 + 5 + len(cli.SWEEP)
+    assert [(step, code, loaded) for step, code, loaded in seen
+            if code != 0 or loaded] == []

@@ -1,14 +1,18 @@
 """Large-N probes: Gaussian/Weyl limits, ODLRO, derivative identities, the
 truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
-from susylattice import dicke, limits
+from susylattice import dicke, limits, operators
+from susylattice.operators import DimensionError
 from expect import expectation
 from tensorrep import MAX_SITES, TensorSpinRep
 
@@ -231,6 +235,62 @@ def test_matrix_free_probes_match_dense_expm(n, label):
         assert np.abs(got - dense).max() <= 1e-12
 
 
+# The Chebyshev rotation against expm_multiply.  Against the exact pure-S_z
+# rotation, expm_multiply's own error is 10-100x the Chebyshev sum's (3e-12
+# against 4e-14 at n = 20000, |c| = 5); 1e-12 relative leaves room for it
+# at the coefficients below.
+ROTATION_RTOL = 1e-12
+
+
+def _assert_rotation_matches_expm_multiply(ops, coeffs, denom, spin):
+    cx, cy, cz = coeffs
+    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) / denom
+    want = expm_multiply(1j * gen.tocsc(), spin)
+    got = limits._spin_phase_apply(ops, cx, cy, cz, denom, spin)
+    assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", (64, 2000, dicke.MAX_PARTICLES))
+@pytest.mark.parametrize("label", ("ground", "bogoliubov(0)", "ceiling"))
+@pytest.mark.parametrize("coeffs", ((0.8, -0.45, 0.0), (0.0, 0.0, 0.75)),
+                         ids=("xy", "pure_z"))
+def test_chebyshev_rotation_matches_expm_multiply(n, label, coeffs):
+    ops = dicke.collective_ops(n)
+    state = {"ground": dicke.ground_state, "ceiling": _ceiling,
+             "bogoliubov(0)": lambda o: dicke.bogoliubov_state(o, 0.0)}[label]
+    spin = state(ops).vector.reshape(-1, 2)[:, 1]
+    _assert_rotation_matches_expm_multiply(ops, coeffs, np.sqrt(2.0 * n),
+                                           spin)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+       coeffs=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+def test_chebyshev_rotation_random_generator(n, seed, coeffs):
+    rng = np.random.default_rng(seed)
+    spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    _assert_rotation_matches_expm_multiply(dicke.collective_ops(n), coeffs,
+                                           np.sqrt(n), spin)
+
+
+def test_chebyshev_rotation_at_rho_zero_returns_its_argument():
+    ops = dicke.collective_ops(50)
+    spin = dicke.bogoliubov_state(ops, 0.3).vector.reshape(-1, 2)[:, 1]
+    assert limits._spin_phase_apply(ops, 0.0, 0.0, 0.0, 10.0, spin) is spin
+
+
+@pytest.mark.parametrize("rho", (1e-300, 1e-9, 0.5, 2.404825557695773, 30.0,
+                                 141.0))
+def test_bessel_coefficients_match_mpmath(rho):
+    """Miller's recurrence against mpmath J_k(rho) at every kept order, and
+    the first dropped order is below the tail; 1e-300 would overflow the
+    recurrence."""
+    j = limits._bessel_j(rho)
+    want = [float(mpmath.besselj(k, rho)) for k in range(j.size + 1)]
+    assert np.abs(j - want[:-1]).max() <= 1e-15
+    assert abs(want[-1]) < limits.BESSEL_TAIL
+
+
 # --------------------------------------------------------------- Weyl phase
 
 def test_weyl_phase_trivial():
@@ -358,6 +418,15 @@ def test_local_rotation_identity():
     assert limits.local_rotation_check(2.0) < 1e-9
 
 
+@pytest.mark.parametrize("t", (0.0, 0.7, 2.0, -5.3))
+def test_local_rotation_unitary_matches_expm(t):
+    """The eigh-based exp(-it sigma_x/2) of local_rotation_check against
+    scipy's Pade expm."""
+    sx = limits._PAULI["x"]
+    u = operators.hermitian_function(sx / 2, lambda v: np.exp(-1j * t * v))
+    assert np.abs(u - expm(-1j * t * sx / 2)).max() <= 1e-15
+
+
 # ------------------------------------------------------------- Witten limit
 
 def test_witten_spectrum_and_ground_state():
@@ -400,6 +469,20 @@ def test_witten_cutoff_validation():
         limits.witten_limit(4)
 
 
+def test_witten_cutoff_above_bound_raises_before_building():
+    """Just above MAX_WITTEN_CUTOFF the call raises DimensionError having
+    allocated nothing: each dense (2 cutoff)^2 complex array it would build
+    is 256 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError):
+            limits.witten_limit(limits.MAX_WITTEN_CUTOFF + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
 def test_spectral_convergence_rate():
     pts = limits.sweep(lambda n: limits.spectral_level(
         dicke.collective_ops(n)), (64, 256, 1024))
@@ -418,6 +501,22 @@ def test_hss_levels_match_witten_exactly_below_gap():
 
 
 # ------------------------------------------------------------ BCS evolution
+
+@pytest.mark.parametrize("n", (2, 64, 256))
+@pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
+def test_bs_free_evolution_matches_expm_multiply(n, t):
+    """The elementwise e^{-itH} against expm_multiply of the sparse H."""
+    ops = dicke.collective_ops(n)
+    h = -(ops.s_plus @ ops.s_minus).tocsc() / n
+    v0 = dicke.coherent_spin_amplitudes(n, 0.0)
+    vt = expm_multiply(-1j * t * h, v0)
+
+    def drift(m):
+        return float(np.real(np.vdot(vt, m @ (m @ vt))
+                             - np.vdot(v0, m @ (m @ v0)))) / n
+    assert limits.bs_free_evolution(ops, t) == pytest.approx(
+        (drift(ops.s_y), drift(ops.s_z)), abs=1e-12)
+
 
 def test_bs_free_evolution_zero_time():
     qd, pd = limits.bs_free_evolution(dicke.collective_ops(64), 0.0)
@@ -445,6 +544,30 @@ def test_bcs_sz_commutes_with_generator():
 def test_gs_phase_slope_exact():
     assert limits.gs_phase_slope(64) == pytest.approx(-1.0, abs=1e-10)
     assert limits.gs_phase_slope(256) == pytest.approx(-1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", (2, 64, 256))
+def test_gs_phase_slope_matches_expm_multiply(n):
+    """The elementwise e^{-itH_SS} against expm_multiply of the sparse H."""
+    ops = dicke.collective_ops(n)
+    h = dicke.build_hss_dicke(ops).tocsc()
+    w = ops.s_plus_full @ dicke.ground_state(ops).vector / np.sqrt(n)
+    want = np.mean([np.angle(np.vdot(w, expm_multiply(-1j * t * h, w))) / t
+                    for t in (0.5, 1.0, 2.0)])
+    assert limits.gs_phase_slope(n) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("evolve", (
+    lambda: limits.gs_phase_slope(4),
+    lambda: limits.bs_free_evolution(dicke.collective_ops(4), 1.0)))
+def test_time_evolutions_refuse_a_non_diagonal_h(monkeypatch, evolve):
+    """Both evolutions apply e^{-itH} elementwise only after checking that
+    H is diagonal."""
+    def off_diagonal(h):
+        raise ValueError("H is not diagonal in its basis")
+    monkeypatch.setattr(limits, "diagonal_eigenvalues", off_diagonal)
+    with pytest.raises(ValueError, match="not diagonal"):
+        evolve()
 
 
 def test_bs_super_growth_sqrt_n():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag
+from scipy.sparse.csgraph import connected_components
 
 from susylattice import models, operators as op
 from densedecomp import dense_decompose
@@ -218,6 +219,49 @@ def test_model_ii_six_sites_blocked_decomposition():
     assert [m for _, m in dec.paired_spectrum] == [2 ** 6] * len(sums)
     assert np.allclose([e for e, _ in dec.paired_spectrum], sums,
                        rtol=1e-12, atol=0)
+
+
+def _fock_patterns(build):
+    """Q and H of a Fock model, plus the joint eta/P0 pattern that
+    car_residual blocks over where the decomposition is small."""
+    inst = build()
+    mats = [inst.q, inst.h]
+    if inst.spec.dim <= 256:
+        dec = op.super_decompose(inst.q, check=False)
+        mats.append(abs(dec.eta) + abs(sparse.csr_matrix(dec.p0)))
+    return mats
+
+
+FOCK_MODELS = {
+    "baby": models.build_baby,
+    **{f"model_i_{n}": lambda n=n: models.build_model_i((1.0,) * n)
+       for n in (1, 2, 3, 10)},
+    **{f"model_ii_{n}": lambda n=n: models.build_model_ii(
+        (0.5, 0.9, 1.2, 1.4, 1.0, 0.7)[:n]) for n in range(1, 7)},
+    **{f"model_iii_{n}": lambda n=n: models.build_model_iii_fock(n)[0]
+       for n in range(1, 5)}}
+
+
+@pytest.mark.parametrize("build", FOCK_MODELS.values(), ids=FOCK_MODELS)
+def test_components_match_csgraph_on_fock_models(build):
+    """The numpy labelling equals csgraph's labels array: the same
+    partition, and the blocks stack in the same order."""
+    for m in _fock_patterns(build):
+        want = connected_components(m != 0, directed=False)[1]
+        assert np.array_equal(op._components(m), want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(1, 300),
+       density=st.floats(0.0, 0.02))
+def test_components_match_csgraph_on_random_patterns(seed, dim, density):
+    """Directed random patterns with stored zeros: csgraph symmetrises the
+    pattern and drops the zeros, and so must the numpy labelling."""
+    m = sparse.random(dim, dim, density=density, format="csr",
+                      random_state=seed)
+    m.data[::3] = 0.0
+    want = connected_components(m != 0, directed=False)[1]
+    assert np.array_equal(op._components(m), want)
 
 
 def test_verify_decomposition_catches_mutations():
