@@ -387,8 +387,10 @@ def run_spectrum(args, tol):
         vals = models.model_iii_symmetric_sector_spectrum(n)
     else:
         raise UsageError(f"unknown spectrum model {args.model!r}")
-    for i, v in enumerate(np.asarray(vals)[:args.levels]):
-        report.add(check_row(f"spectrum_level_{i:04d}", n, float(v),
+    vals = np.asarray(vals)[:args.levels]
+    width = max(4, len(str(len(vals) - 1)))   # rows sort as strings
+    for i, v in enumerate(vals):
+        report.add(check_row(f"spectrum_level_{i:0{width}d}", n, float(v),
                              float(v), "DERIVED", 0.0))
     return report
 

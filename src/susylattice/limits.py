@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import dicke
 from .operators import (DimensionError, bracket, diagonal_eigenvalues,
@@ -324,27 +325,28 @@ def local_rotation_check(t=0.7):
 
 MIN_WITTEN_CUTOFF = 8
 
-# The largest cutoff measured to finish: 31 s and 1.96 GB at 2000 (dense
-# 4000^2 arrays on 2 vCPU, 8 GB); about 5000 would pass 8 GB.
-MAX_WITTEN_CUTOFF = 2000
+# dicke.MAX_PARTICLES, the largest n `spectral` compares against.  CSR is
+# O(cutoff): spectrum --model witten --n 20000 took 1.0 s, 70 MB on 2 vCPU.
+MAX_WITTEN_CUTOFF = 20000
 
 
 @dataclass(frozen=True)
 class WittenLimitModel:
-    """Truncated supersymmetric oscillator: H = (q^2+p^2-1)/2 + eta eta^dag."""
+    """Truncated supersymmetric oscillator H = (q^2+p^2-1)/2 + eta eta^dag;
+    every operator is CSR, and H is diagonal in the product basis."""
 
     cutoff: int
     alpha: float
-    q: np.ndarray
-    p: np.ndarray
-    h: np.ndarray
-    g_alpha: np.ndarray
+    q: sparse.csr_matrix
+    p: sparse.csr_matrix
+    h: sparse.csr_matrix
+    g_alpha: sparse.csr_matrix
 
     def bulk_levels(self):
-        """Eigenvalues below the truncation-edge exclusion (top 25%)."""
-        w = np.linalg.eigvalsh(self.h)
+        """Eigenvalues below the truncation-edge exclusion (top 25%), read
+        off the diagonal of H."""
         keep = int(np.ceil(2 * self.cutoff * 0.75))
-        return np.sort(w)[:keep]
+        return diagonal_eigenvalues(self.h)[:keep]
 
 
 def witten_limit(cutoff, alpha=0.0):
@@ -354,22 +356,18 @@ def witten_limit(cutoff, alpha=0.0):
     if cutoff > MAX_WITTEN_CUTOFF:
         raise DimensionError(
             f"cutoff {cutoff} exceeds bound {MAX_WITTEN_CUTOFF}")
-    d = cutoff
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
-    q1 = (a + a.conj().T) / np.sqrt(2)
-    p1 = (a - a.conj().T) / (1j * np.sqrt(2))
-    eye_cl = np.eye(2, dtype=complex)
-    q = np.kron(q1, eye_cl)
-    p = np.kron(p1, eye_cl)
-    eta_f = np.kron(np.eye(d, dtype=complex), _LOWER)
-    g = gauge_charge(np.kron(a, _LOWER), alpha)
+    a = sparse.diags(np.sqrt(np.arange(1, cutoff, dtype=float)), 1,
+                     format="csr", dtype=complex)
+    a_f = sparse.kron(a, sparse.identity(2), format="csr")
+    eta = sparse.kron(sparse.identity(cutoff), _LOWER, format="csr")
+    q = (a_f + a_f.conj().T) / np.sqrt(2)
+    p = (a_f - a_f.conj().T) / (1j * np.sqrt(2))
+    g = gauge_charge(sparse.kron(a, _LOWER, format="csr"), alpha)
     # H from the displayed formula, not G^2: the hard truncation gives G^2 a
     # spurious zero mode at the top oscillator level, while (q^2+p^2-1)/2
     # + eta eta^dag keeps the ground state unique.  G^2 = H on the bulk.
-    h = (q @ q + p @ p - np.eye(2 * d, dtype=complex)) / 2 \
-        + eta_f @ eta_f.conj().T
-    return WittenLimitModel(cutoff=cutoff, alpha=alpha, q=q, p=p, h=h,
-                            g_alpha=g)
+    h = (q @ q + p @ p - sparse.identity(2 * cutoff)) / 2 + eta @ eta.conj().T
+    return WittenLimitModel(cutoff, alpha, q, p, h, g)
 
 
 def witten_ground_vector(model):

@@ -246,7 +246,7 @@ def test_criterion_8_witten_limit(require):
     levels = model.bulk_levels()[:32]            # below d/2
     expected = np.array([np.ceil(j / 2.0) for j in range(32)])
     spec_dev = float(np.abs(levels - expected).max())
-    n_zero = int(np.sum(np.linalg.eigvalsh(model.h) < 1e-8))
+    n_zero = int(np.sum(np.linalg.eigvalsh(model.h.toarray()) < 1e-8))
     v = limits.witten_ground_vector(model)
     alpha_dev = max(float(np.linalg.norm(model.h @ v)),
                     *(float(np.linalg.norm(

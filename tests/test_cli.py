@@ -381,12 +381,33 @@ def test_spectrum_witten_below_cutoff_is_usage_error(capsys):
 
 def test_spectrum_witten_above_bound_is_usage_error(capsys):
     """Just above MAX_WITTEN_CUTOFF the run exits 2 with a DimensionError
-    message instead of building dense arrays for the OOM killer."""
+    message; at the bound it runs."""
     bound = limits.MAX_WITTEN_CUTOFF
     code = cli.main(["spectrum", "--model", "witten", "--n", str(bound + 1)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert f"exceeds bound {bound}" in err
+    code, out = run_cli(["spectrum", "--model", "witten", "--n", str(bound),
+                         "--levels", "1"], capsys)
+    assert code == 0
+    (row,) = list(csv.reader(out.splitlines()))[1:]
+    assert row[:2] == ["spectrum_level_0000", str(bound)]
+    assert abs(float(row[2])) < 1e-12
+
+
+def test_spectrum_rows_ascend_past_9999_levels(capsys):
+    """Dicke n = 5000 has 10002 levels: the index is padded to five digits,
+    so the string-sorted rows keep both the indices and the levels
+    ascending down the CSV."""
+    code, out = run_cli(["spectrum", "--model", "dicke", "--n", "5000"],
+                        capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) == 10002
+    assert [r[0] for r in rows] == [f"spectrum_level_{i:05d}"
+                                    for i in range(10002)]
+    values = [float(r[2]) for r in rows]
+    assert values == sorted(values)
 
 
 @pytest.mark.parametrize("model,n", (("model_i", 10), ("model_ii", 6)))
@@ -498,7 +519,12 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     and stay within 3e-16 of their closed forms; in tables,
     t1_gs_meso_phase_slope moved from 1 - 1.4e-13 to 1,
     t1_bs_meso_p_constant from 8.9e-16 to 0 and t1_bs_local_rotation from
-    2.7e-16 to 1.1e-15."""
+    2.7e-16 to 1.1e-15.
+
+    sweep_spectral was re-recorded when the Witten limit moved to CSR and
+    its levels to the diagonal read: the target column of the three
+    hss_level_6 rows and of spectral_limit moved from 1.9999999999999996
+    (a dense eigvalsh) to 2; no value moved."""
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0

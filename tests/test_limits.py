@@ -430,8 +430,12 @@ def test_local_rotation_unitary_matches_expm(t):
 # ------------------------------------------------------------- Witten limit
 
 def test_witten_spectrum_and_ground_state():
+    """The diagonal read against a dense eigensolve of the same H, and the
+    oscillator tower {0, 1, 1, 2, 2, ...} below the truncation edge."""
     model = limits.witten_limit(64)
     levels = model.bulk_levels()
+    dense = np.linalg.eigvalsh(model.h.toarray())[:levels.size]
+    assert np.abs(levels - dense).max() < 1e-12
     d2 = 32
     expect = np.concatenate([[0.0], np.repeat(np.arange(1, d2), 2)])[:d2]
     assert np.abs(levels[:d2] - expect).max() < 1e-8
@@ -451,14 +455,15 @@ def test_witten_ground_alpha_independent():
 
 def test_witten_g_square_matches_h_on_bulk():
     model = limits.witten_limit(32)
-    g2 = model.g_alpha @ model.g_alpha
+    g2 = (model.g_alpha @ model.g_alpha).toarray()
     keep = [i for i in range(64) if i // 2 < 22]
-    assert np.abs((g2 - model.h)[np.ix_(keep, keep)]).max() < 1e-10
+    assert np.abs((g2 - model.h.toarray())[np.ix_(keep, keep)]).max() < 1e-10
 
 
 def test_witten_commutator_bulk():
     model = limits.witten_limit(32)
-    comm = model.q @ model.p - model.p @ model.q
+    q, p = model.q.toarray(), model.p.toarray()
+    comm = q @ p - p @ q
     keep = [i for i in range(64) if i // 2 < 24]
     eye = np.eye(64)
     assert np.abs((comm - 1j * eye)[np.ix_(keep, keep)]).max() < 1e-10
@@ -471,8 +476,7 @@ def test_witten_cutoff_validation():
 
 def test_witten_cutoff_above_bound_raises_before_building():
     """Just above MAX_WITTEN_CUTOFF the call raises DimensionError having
-    allocated nothing: each dense (2 cutoff)^2 complex array it would build
-    is 256 MB."""
+    allocated nothing."""
     tracemalloc.start()
     try:
         with pytest.raises(DimensionError):
@@ -483,13 +487,33 @@ def test_witten_cutoff_above_bound_raises_before_building():
     assert peak < 1e5
 
 
+def test_witten_limit_at_bound_is_sparse_and_small():
+    """At MAX_WITTEN_CUTOFF every operator field is CSR and the build peaks
+    under 64 MB; one dense (2 cutoff)^2 complex array would be 25.6 GB."""
+    tracemalloc.start()
+    try:
+        model = limits.witten_limit(limits.MAX_WITTEN_CUTOFF, 0.7)
+        levels = model.bulk_levels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    for name in ("q", "p", "h", "g_alpha"):
+        assert sparse.issparse(getattr(model, name))
+        assert getattr(model, name).format == "csr"
+    half = limits.MAX_WITTEN_CUTOFF // 2          # below the truncated top
+    assert levels.size == 3 * half
+    tower = np.ceil(np.arange(half) / 2.0)
+    assert np.abs(levels[:half] - tower).max() < 1e-9
+
+
 def test_spectral_convergence_rate():
     pts = limits.sweep(lambda n: limits.spectral_level(
         dicke.collective_ops(n)), (64, 256, 1024))
     fit = limits.extrapolate(pts)
     assert fit.limit == pytest.approx(2.0, abs=1e-8)
     assert 0.8 <= fit.rate <= 1.2
-    assert limits.witten_limit(64).bulk_levels()[3] == pytest.approx(2.0)
+    assert limits.witten_limit(64).bulk_levels()[3] == 2.0
     for n, v in pts:
         assert v.real == pytest.approx(2.0 - 2.0 / n, abs=1e-10)
 
