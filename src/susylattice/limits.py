@@ -116,6 +116,10 @@ def extrapolate(points):
 # Jacobi-Anger orders whose Bessel coefficient falls below this are dropped
 BESSEL_TAIL = 1e-16
 
+# Largest rotation angle rho = |c| N/denom: about rho + 11 rho^(1/3) orders
+# of O(N) each.  rho = 2000 took 0.6 s at N = 20000 on 2 vCPU.
+MAX_ROTATION_RHO = 2000
+
 # i^k, exactly
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
@@ -155,9 +159,13 @@ def _spin_phase_apply(ops, cx, cy, cz, denom, spin_vec):
     Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984).  T_k(x) v follows
     the three-term recurrence, each product taken from numpy slices of the
     three diagonals of 2x: O(n) time and memory per order, about
-    rho + 11 rho^(1/3) orders.  rho = 0 returns `spin_vec` itself.
+    rho + 11 rho^(1/3) orders.  rho = 0 returns `spin_vec` itself; rho
+    above MAX_ROTATION_RHO (or nan) raises DimensionError before any work.
     """
     rho = math.hypot(cx, cy, cz) * ops.n / denom
+    if not rho <= MAX_ROTATION_RHO:
+        raise DimensionError(f"rotation angle rho = {rho:g} exceeds bound "
+                             f"{MAX_ROTATION_RHO}")
     if rho == 0.0:
         return spin_vec
     scale = 2.0 / (rho * denom)
@@ -332,8 +340,8 @@ MAX_WITTEN_CUTOFF = 20000
 
 @dataclass(frozen=True)
 class WittenLimitModel:
-    """Truncated supersymmetric oscillator H = (q^2+p^2-1)/2 + eta eta^dag;
-    every operator is CSR, and H is diagonal in the product basis."""
+    """Truncated supersymmetric oscillator H = N + eta eta^dag, N the number
+    operator; every operator is CSR, and H is diagonal in the product basis."""
 
     cutoff: int
     alpha: float
@@ -363,10 +371,11 @@ def witten_limit(cutoff, alpha=0.0):
     q = (a_f + a_f.conj().T) / np.sqrt(2)
     p = (a_f - a_f.conj().T) / (1j * np.sqrt(2))
     g = gauge_charge(sparse.kron(a, _LOWER, format="csr"), alpha)
-    # H from the displayed formula, not G^2: the hard truncation gives G^2 a
-    # spurious zero mode at the top oscillator level, while (q^2+p^2-1)/2
-    # + eta eta^dag keeps the ground state unique.  G^2 = H on the bulk.
-    h = (q @ q + p @ p - sparse.identity(2 * cutoff)) / 2 + eta @ eta.conj().T
+    # (q^2+p^2-1)/2 + eta eta^dag in its number-operator form, exact at every
+    # level (a^dag a would square sqrt(k)).  G^2 = H except at the top level,
+    # where the truncated a a^dag gives G^2 a spurious zero mode.
+    number = sparse.diags(np.arange(cutoff, dtype=complex))
+    h = eta @ eta.conj().T + sparse.kron(number, sparse.identity(2))
     return WittenLimitModel(cutoff, alpha, q, p, h, g)
 
 

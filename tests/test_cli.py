@@ -447,6 +447,27 @@ def test_tables_all_cells_pass(capsys):
     assert code == 0
 
 
+def test_table_cells_are_the_golden_rows():
+    """Each tables row comes from exactly one TABLE_CELLS entry."""
+    golden = (GOLDEN / "tables.csv").read_text().splitlines()[1:]
+    assert set(cli.TABLE_CELLS) == {line.split(",")[0] for line in golden}
+    assert len(cli.TABLE_CELLS) == len(golden) == 17
+
+
+@pytest.mark.parametrize("metric", sorted(cli.TABLE_CELLS))
+def test_each_table_cell_can_fail(metric, monkeypatch, capsys):
+    """A cell whose value is swapped for target + 1 fails its own row and
+    no other, and tables exits 1."""
+    n, _, target, key, provenance = cli.TABLE_CELLS[metric]
+    monkeypatch.setitem(cli.TABLE_CELLS, metric,
+                        (n, lambda x: target + 1, target, key, provenance))
+    code, out = run_cli(["--jobs", "1", "tables"], capsys)
+    assert code == 1
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) == 17
+    assert [r[0] for r in rows if r[7] == "fail"] == [metric]
+
+
 def test_tables_determinism(tmp_path):
     outs = [tmp_path / f"{k}.csv" for k in range(3)]
     for out, jobs in zip(outs, ("1", "2", "1")):
@@ -531,6 +552,50 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# --------------------------------------------------------- bad CLI input
+
+def _python(*argv, timeout=120):
+    """`python argv` in a fresh interpreter with this checkout's src first on
+    the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+_ANGLE_SWEEP = ["sweep", "--metric", "gaussian", "--n-list", "16,32,64"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["--jobs", "0", "verify"],
+    ["verify", "--model", "qcd"],
+    ["sweep", "--metric", "gaussian", "--n-list", "64,32,128"],
+    ["sweep", "--metric", "gaussian", "--n-list", "16,32"],
+    ["sweep", "--metric", "odlro", "--n-list", "16,32,64", "--state", "foo"],
+    ["sweep", "--metric", "isometry", "--n-list", "16,32,64",
+     "--state", "ground"],
+    ["sweep", "--metric", "spectral", "--n-list", "2,4,8"],
+    ["spectrum", "--model", "dicke", "--n", "8", "--levels", "0"],
+    ["spectrum", "--model", "witten", "--n", "7"],
+    ["spectrum", "--model", "witten", "--n", "20001"],
+    [*_ANGLE_SWEEP, "--alpha", "inf"],
+    [*_ANGLE_SWEEP, "--alpha=-inf"],
+    [*_ANGLE_SWEEP, "--beta", "nan"],
+    [*_ANGLE_SWEEP, "--alpha", "1e308"],
+    ["sweep", "--metric", "bs_gaussian_y", "--n-list", "16,32,64",
+     "--r", "1e4"],
+), ids=" ".join)
+def test_bad_input_exits_2_cleanly(argv):
+    """Every documented usage error, the non-finite angles and the angles
+    past MAX_ROTATION_RHO exit 2 with empty stdout and no traceback."""
+    proc = _python("-m", "susylattice.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # ------------------------------------------------------------ import graph
 
 _IMPORT_GUARD = """
@@ -561,13 +626,8 @@ def test_runtime_never_loads_scipy_optimize_or_special():
     `tables`, `spectrum` of every model and every accepted SWEEP pair (on a
     non-geometric n-grid, which takes the interpolating fit).  Each would
     cost set-up time and resident memory."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=300)
+    proc = _python("-c", _IMPORT_GUARD, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert len(seen) == 1 + 2 + 5 + len(cli.SWEEP)
     assert [(step, code, loaded) for step, code, loaded in seen

@@ -279,6 +279,46 @@ def test_chebyshev_rotation_at_rho_zero_returns_its_argument():
     assert limits._spin_phase_apply(ops, 0.0, 0.0, 0.0, 10.0, spin) is spin
 
 
+@pytest.mark.parametrize("coeffs", ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                                    (0.6, -0.48, 0.64)),
+                         ids=("x", "pure_z", "xyz"))
+def test_chebyshev_rotation_at_the_rho_bound(coeffs):
+    """At rho = MAX_ROTATION_RHO (denominator n, unit |c|) the sum still
+    matches the exponential of the dense generator's eigendecomposition; a
+    pure-S_z generator is diagonal, so its exponential is exact."""
+    n, bound = 64, limits.MAX_ROTATION_RHO
+    ops = dicke.collective_ops(n)
+    rng = np.random.default_rng(7)
+    spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    cx, cy, cz = (bound * c for c in coeffs)
+    got = limits._spin_phase_apply(ops, cx, cy, cz, n, spin)
+    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z).toarray() / n
+    w, v = np.linalg.eigh(gen)
+    want = v @ (np.exp(1j * w) * (v.conj().T @ spin))
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(spin)
+    if coeffs == (0.0, 0.0, 1.0):
+        exact = np.exp(1j * cz * ops.s_z.diagonal().real / n) * spin
+        assert np.linalg.norm(got - exact) <= 1e-11 * np.linalg.norm(spin)
+
+
+def test_rotation_above_rho_bound_raises_before_building():
+    """Just above MAX_ROTATION_RHO, and at an angle whose rho overflows to
+    inf or is nan, the rotation raises DimensionError having allocated
+    nothing: the Bessel array and the order count grow with rho."""
+    ops = dicke.collective_ops(dicke.MAX_PARTICLES)
+    spin = dicke.ground_state(ops).vector.reshape(-1, 2)[:, 1]
+    bound = limits.MAX_ROTATION_RHO
+    tracemalloc.start()
+    try:
+        for c in (bound + 1.0, 1e308, np.inf, np.nan):
+            with pytest.raises(DimensionError, match="exceeds bound"):
+                limits._spin_phase_apply(ops, c, 0.0, 0.0, ops.n, spin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
 @pytest.mark.parametrize("rho", (1e-300, 1e-9, 0.5, 2.404825557695773, 30.0,
                                  141.0))
 def test_bessel_coefficients_match_mpmath(rho):
@@ -489,7 +529,9 @@ def test_witten_cutoff_above_bound_raises_before_building():
 
 def test_witten_limit_at_bound_is_sparse_and_small():
     """At MAX_WITTEN_CUTOFF every operator field is CSR and the build peaks
-    under 64 MB; one dense (2 cutoff)^2 complex array would be 25.6 GB."""
+    under 64 MB; one dense (2 cutoff)^2 complex array would be 25.6 GB.  The
+    kept levels are the oscillator tower {0, 1, 1, 2, 2, ...} exactly, with
+    no truncation artefact from the top level."""
     tracemalloc.start()
     try:
         model = limits.witten_limit(limits.MAX_WITTEN_CUTOFF, 0.7)
@@ -501,10 +543,8 @@ def test_witten_limit_at_bound_is_sparse_and_small():
     for name in ("q", "p", "h", "g_alpha"):
         assert sparse.issparse(getattr(model, name))
         assert getattr(model, name).format == "csr"
-    half = limits.MAX_WITTEN_CUTOFF // 2          # below the truncated top
-    assert levels.size == 3 * half
-    tower = np.ceil(np.arange(half) / 2.0)
-    assert np.abs(levels[:half] - tower).max() < 1e-9
+    assert levels.size == 3 * limits.MAX_WITTEN_CUTOFF // 2
+    assert np.array_equal(levels, np.ceil(np.arange(levels.size) / 2.0))
 
 
 def test_spectral_convergence_rate():
