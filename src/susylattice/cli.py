@@ -28,17 +28,13 @@ def _indicator(metric, n, ok, provenance):
 # ---------------------------------------------------------------- verify
 
 def _verify_baby(tol):
-    rows = []
     inst = models.build_baby()
     a = operators.sparse_annihilators(inst.spec.modes)[0]
-    for s in FLOW_POINTS:
-        g = inst.g_alpha(0.6)
-        brute = operators.unitary_flow(g, s, a)
-        closed = models.baby_flow_closed(s, 0.6)
-        rows.append(check_row(f"baby_flow_s={s:.6g}", 1,
-                              np.linalg.norm(brute - closed, 2), 0, "PAPER",
-                              tol["identity"]))
-    return rows
+    s = np.array(FLOW_POINTS)
+    gaps = np.linalg.norm(operators.unitary_flow(inst.g_alpha(0.6), s, a)
+                          - models.baby_flow_closed(s, 0.6), 2, axis=(-2, -1))
+    return [check_row(f"baby_flow_s={p:.6g}", 1, gap, 0, "PAPER",
+                      tol["identity"]) for p, gap in zip(FLOW_POINTS, gaps)]
 
 
 def _decomposition_rows(label, inst, tol):
@@ -57,7 +53,7 @@ def _decomposition_rows(label, inst, tol):
     even = all(m % 2 == 0 for _, m in dec.paired_spectrum)
     rows.append(_indicator(f"{label}_even_multiplicity", n, even, "PAPER"))
     try:
-        operators.verify_decomposition(dec)
+        operators.verify_pairing(dec)
         ok = True
     except ValueError:
         ok = False
@@ -75,12 +71,10 @@ def _verify_model_i(tol):
     rows = _decomposition_rows("model_i", inst, tol)
     aa = operators.sparse_annihilators(inst.spec.modes)
     g = inst.g_alpha(0.0)
-    worst = 0.0
-    for s in FLOW_POINTS:
-        for k in range(len(z)):
-            brute = operators.unitary_flow(g, s, aa[k])
-            closed = models.model_i_flow_closed(k, s, z)
-            worst = max(worst, np.linalg.norm(brute - closed, 2))
+    s = np.array(FLOW_POINTS)
+    worst = max(np.linalg.norm(operators.unitary_flow(g, s, aa[k])
+                               - models.model_i_flow_closed(k, s, z), 2,
+                               axis=(-2, -1)).max() for k in range(len(z)))
     rows.append(check_row("model_i_flow", 3, worst, 0, "PAPER",
                           tol["identity"]))
     # non-locality witness at s = pi/4
@@ -100,14 +94,14 @@ def _verify_model_ii(tol):
     rows = _decomposition_rows("model_ii", inst, tol)
     g = inst.g_alpha(0.0)
     ops = operators.sparse_annihilators(inst.spec.modes)
+    s = np.array(FLOW_POINTS)
     worst = 0.0
-    for s in FLOW_POINTS:
-        for k in range(2):
-            closed = models.model_ii_flow_closed(k, s, z)
-            for flavor, c in enumerate(closed):
-                a = ops[inst.spec.mode_index(k, flavor)]
-                brute = operators.unitary_flow(g, s, a)
-                worst = max(worst, np.linalg.norm(brute - c, 2))
+    for k in range(2):
+        for flavor, c in enumerate(models.model_ii_flow_closed(k, s, z)):
+            brute = operators.unitary_flow(
+                g, s, ops[inst.spec.mode_index(k, flavor)])
+            worst = max(worst, np.linalg.norm(brute - c, 2,
+                                              axis=(-2, -1)).max())
     rows.append(check_row("model_ii_flow", 2, worst, 0, "PAPER",
                           tol["identity"]))
     kern = int(np.sum(np.abs(operators.diagonal_eigenvalues(inst.h)) < 1e-9))
@@ -390,17 +384,18 @@ def run_spectrum(args, tol):
 
 def _table_inputs(args):
     """What more than one tables cell reads, built once per run."""
-    ops = dicke.collective_ops(200)
+    ops, ops256 = dicke.collective_ops(200), dicke.collective_ops(256)
     return SimpleNamespace(
-        ops=ops, ground=dicke.ground_state(ops),
+        ops=ops, ops256=ops256, ground=dicke.ground_state(ops),
         ceiling=dicke.ceiling_state_ladder(ops)[1],
         szp=-1j * operators.bracket(ops.s_z_full,
                                     dicke.build_g_alpha_dicke(ops)),
-        drift=limits.bs_free_evolution(dicke.collective_ops(256), 1.0),
+        drift=limits.bs_free_evolution(ops256, 1.0),
         meso=limits.sweep(_cell(("meso_variance", "ceiling"), args),
                           (50, 100, 200), args.jobs),
         growth=limits.sweep(lambda n: limits.bs_eta_prime(
-            dicke.collective_ops(n)), (16, 64, 256), args.jobs))
+            ops256 if n == 256 else dicke.collective_ops(n)), (16, 64, 256),
+            args.jobs))
 
 
 def _expect(op, v):
@@ -437,7 +432,8 @@ TABLE_CELLS = {
         6, lambda x: limits.eom_identity_residuals(6)["sz_dot"], 0,
         "identity", "TRIVIAL"),
     "t1_gs_meso_phase_slope": (
-        256, lambda x: abs(limits.gs_phase_slope(256)), 1, "slope", "PAPER"),
+        256, lambda x: abs(limits.gs_phase_slope(x.ops256)), 1, "slope",
+        "PAPER"),
     "t1_gs_macro_triple": (
         200, lambda x: _triple_distance(x, x.ground, (0, 0, -1)), 0,
         "machine", "PAPER"),

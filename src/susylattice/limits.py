@@ -159,14 +159,15 @@ def _spin_phase_apply(ops, cx, cy, cz, denom, spin_vec):
     Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984).  T_k(x) v follows
     the three-term recurrence, each product taken from numpy slices of the
     three diagonals of 2x: O(n) time and memory per order, about
-    rho + 11 rho^(1/3) orders.  rho = 0 returns `spin_vec` itself; rho
-    above MAX_ROTATION_RHO (or nan) raises DimensionError before any work.
+    rho + 11 rho^(1/3) orders.  rho < 2 BESSEL_TAIL (J_0 = 1) returns
+    `spin_vec` itself; rho above MAX_ROTATION_RHO (or nan) raises
+    DimensionError before any work.
     """
     rho = math.hypot(cx, cy, cz) * ops.n / denom
     if not rho <= MAX_ROTATION_RHO:
         raise DimensionError(f"rotation angle rho = {rho:g} exceeds bound "
                              f"{MAX_ROTATION_RHO}")
-    if rho == 0.0:
+    if rho < 2.0 * BESSEL_TAIL:
         return spin_vec
     scale = 2.0 / (rho * denom)
     two_x = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) * scale
@@ -420,11 +421,11 @@ def bs_free_evolution(ops, t):
     return q2(vt) - q2(v0), p2(vt) - p2(v0)
 
 
-def gs_phase_slope(n):
+def gs_phase_slope(ops):
     """Phase advance rate of <GS| A^dag(t) A |GS> for A = S_+/sqrt N under
     the normalized H_SS; exactly -1 (A|GS> is an H_SS eigenvector of
     eigenvalue 1)."""
-    ops = dicke.collective_ops(n)
+    n = ops.n
     h = dicke.build_hss_dicke(ops)
     diagonal_eigenvalues(h)             # raises unless H is diagonal
     g = dicke.ground_state(ops).vector

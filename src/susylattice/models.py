@@ -71,10 +71,11 @@ def baby_flow_closed(s, alpha=0.0):
 
     The alpha phases are the ones forced by G_alpha = e^{ia} a + e^{-ia} a^dag
     under conjugation exp(isG) a exp(-isG); expanding the BCH series gives
-    e^{-2ia} on the a^dag term.
+    e^{-2ia} on the a^dag term.  A 1-D array of s gives one a(s) per s.
     """
     a = sparse_annihilators(1)[0].toarray()
     ad = a.conj().T
+    s = np.asarray(s)[..., None, None]
     c, sn = np.cos(s), np.sin(s)
     return (c * c * a + np.exp(-2j * alpha) * sn * sn * ad
             + 1j * np.exp(-1j * alpha) * c * sn * bracket(ad, a))
@@ -95,11 +96,12 @@ def build_model_i(z, kind="ModelI"):
 def model_i_flow_closed(k, s, z):
     """Closed form a_k(s) = (a_k - z_k/2G) e^{-2isG} + z_k/2G for Model I.
 
-    G is invertible because G^2 = sum z_i^2 > 0.
+    G^2 = sum z_i^2 > 0 makes G invertible.  A 1-D array of s gives a stack.
     """
     model = build_model_i(z)
     g = model.g_alpha(0.0)
     a_k = sparse_annihilators(model.spec.modes)[k].toarray()
+    s = np.asarray(s)[..., None]
     g_inv = hermitian_function(g, lambda v: 1.0 / v)
     exp_m2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v))
     shift = 0.5 * z[k] * g_inv
@@ -137,14 +139,15 @@ def model_ii_flow_closed(k, s, z):
     up:   a_up,k(s)   = a_up,k exp(-is(G - (a_dn,k + a_dn,k^dag) z_k)) exp(-isG)
     down: a_dn,k(s)   = a_dn,k exp(-2isG) + z_k n_up,k phi(G),
           phi(x) = (1 - exp(-2isx)) / (2x), extended by phi(0) = is.
+    A 1-D array of s gives stacks, so the mode operators are dense arrays.
     """
     model = build_model_ii(z)
     spec = model.spec
     ops = sparse_annihilators(spec.modes)
-    up = ops[spec.mode_index(k, 0)]
-    dn = ops[spec.mode_index(k, 1)]
-    g = model.g_alpha(0.0)
+    up, dn = (ops[spec.mode_index(k, f)].toarray() for f in (0, 1))
+    g = model.g_alpha(0.0).toarray()
     shifted = g - z[k] * (dn + dn.conj().T)
+    s = np.asarray(s)[..., None]
     exp_isg = hermitian_function(g, lambda v: np.exp(-1j * s * v))
     exp_shift = hermitian_function(shifted, lambda v: np.exp(-1j * s * v))
     a_up_s = up @ exp_shift @ exp_isg

@@ -205,25 +205,28 @@ def _require_hermitian(m, what):
 
 
 def hermitian_function(g, fn):
-    """Apply a scalar function to a Hermitian matrix via eigendecomposition."""
+    """Apply a scalar function to a Hermitian matrix via eigendecomposition;
+    fn may return one row per flow parameter, which gives a stack."""
     gm = _as_array(g)
     _require_hermitian(gm, "matrix-function argument")
     vals, vecs = np.linalg.eigh(gm)
-    return (vecs * fn(vals)) @ vecs.conj().T
+    return (vecs * fn(vals)[..., None, :]) @ vecs.conj().T
 
 
 def unitary_flow(g, s, a):
     """Conjugate `a` by exp(isG): the one-parameter automorphism of G.
 
     G must be Hermitian; the conjugation preserves the spectrum of `a`.
+    A 1-D array of s gives one operator per s from one eigh of G.
     """
     am = _as_array(a)
     if np.shape(g) != am.shape:
         raise ValueError("generator and operator dimensions differ")
-    if not np.isfinite(s):
+    s = np.asarray(s)[..., None]
+    if not np.isfinite(s).all():
         raise ValueError("flow parameter must be finite")
     u = hermitian_function(g, lambda v: np.exp(1j * s * v))
-    return u @ am @ u.conj().T
+    return u @ am @ _dagger(u)
 
 
 def diagonal_eigenvalues(h):
@@ -277,8 +280,8 @@ class SuperDecomposition:
     q, h : csr_matrix
         The supercharge and H = Q Q^dag + Q^dag Q.
     p0 : ndarray
-        Orthogonal projector onto ker H.  Dense only because the benchmark
-        reads it with np.asarray and np.trace.
+        Orthogonal projector onto ker H, scattered block by block.  Dense
+        only because the benchmark reads it with np.asarray and np.trace.
     eta : csr_matrix
         Q / sqrt(H) on the range of 1 - P0; the collective Clifford mode.
     f : csr_matrix
@@ -325,7 +328,9 @@ def super_decompose(q, check=True):
         etas.append((st, eta))
         fs.append((st, eta @ _dagger(eta) - _dagger(eta) @ eta))
     dim = q.shape[0]
-    p0 = _unblock(dim, p0s).toarray()
+    p0 = np.zeros((dim, dim), dtype=complex)
+    for st, block in p0s:
+        p0[st[:, :, None], st[:, None, :]] = block
     p0.flags.writeable = False
     levels = np.concatenate([vals[vals >= cut] for *_, vals, _ in blocks])
     dec = SuperDecomposition(
@@ -338,9 +343,11 @@ def super_decompose(q, check=True):
 
 
 def car_residual(dec):
-    """max |eta eta^dag + eta^dag eta - (1 - P0)|, evaluated on the
-    connected components of the joint pattern of eta and P0."""
-    p0 = sparse.csr_matrix(dec.p0)
+    """max |eta eta^dag + eta^dag eta - (1 - P0)| on the connected
+    components of the joint pattern of eta and the nonzeros of P0."""
+    rows, cols = np.divmod(np.flatnonzero(dec.p0 != 0), dec.p0.shape[1])
+    p0 = sparse.csr_matrix((dec.p0[rows, cols], (rows, cols)),
+                           shape=dec.p0.shape)
     worst = 0.0
     for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(p0), dec.eta, p0):
         resid = eta @ _dagger(eta) + _dagger(eta) @ eta + p0b
@@ -348,24 +355,18 @@ def car_residual(dec):
     return worst
 
 
-def verify_decomposition(dec):
-    """Check every structural invariant of a SuperDecomposition.
+def verify_pairing(dec):
+    """Check the pairing invariants of a SuperDecomposition (ValueError):
 
-    - eta eta^dag + eta^dag eta = 1 - P0 (to 1e-10)
     - strictly positive H eigenvalues have even multiplicity
     - the G spectrum on range(1 - P0) is +-sqrt(E) with matched multiplicities
-    - G_alpha^2 = H at alpha = 0 and alpha = pi/2
     """
-    car = car_residual(dec)
-    if car > 1e-10:
-        raise ValueError(f"eta CAR residual {car:.3e}")
     for e_val, mult in dec.paired_spectrum:
         if mult % 2:
             raise ValueError(
                 f"positive eigenvalue {e_val:.6g} has odd multiplicity {mult}")
     # H >= 0, so ||H|| is its top paired level
-    hnorm = max(dec.paired_spectrum[-1][0] if dec.paired_spectrum else 0.0,
-                1e-300)
+    hnorm = max([e for e, _ in dec.paired_spectrum[-1:]] + [1e-300])
     g0 = gauge_charge(dec.q, 0.0)
     gvals = np.concatenate([np.linalg.eigvalsh(g).ravel()
                             for _, (g,) in _blocks(dec.q, g0)])
@@ -377,6 +378,20 @@ def verify_decomposition(dec):
     for (vp, mp), (vn, mn) in zip(pos, neg):
         if mp != mn or abs(vp - vn) > 1e-8 * (1 + abs(vp)):
             raise ValueError("G eigenvalues +-sqrt(E) do not match")
+
+
+def verify_decomposition(dec):
+    """Check every structural invariant of a SuperDecomposition.
+
+    - eta eta^dag + eta^dag eta = 1 - P0 (to 1e-10)
+    - the pairing invariants of verify_pairing
+    - G_alpha^2 = H at alpha = 0 and alpha = pi/2
+    """
+    car = car_residual(dec)
+    if car > 1e-10:
+        raise ValueError(f"eta CAR residual {car:.3e}")
+    verify_pairing(dec)
+    hnorm = max([e for e, _ in dec.paired_spectrum[-1:]] + [1e-300])
     for a in (0.0, np.pi / 2):
         g = gauge_charge(dec.q, a)
         if abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):

@@ -265,11 +265,11 @@ def test_criterion_8_witten_limit(require):
 
 def test_criterion_9_three_scale_tables(require):
     checks = []
-    slope = limits.gs_phase_slope(256)
+    ops256 = dicke.collective_ops(256)
+    slope = limits.gs_phase_slope(ops256)
     checks.append(("gs_slope", abs(abs(slope) - 1.0) <= 0.05,
                    f"{slope:+.4f}"))
-    q_drift, p_drift = limits.bs_free_evolution(dicke.collective_ops(256),
-                                                1.0)
+    q_drift, p_drift = limits.bs_free_evolution(ops256, 1.0)
     checks.append(("bs_t2", abs(q_drift - 1.0) <= 0.10 and
                    abs(p_drift) < 1e-10, f"{q_drift:.4f}"))
     growth = limits.power_growth_fit(limits.sweep(

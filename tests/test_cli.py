@@ -1,6 +1,7 @@
 """CLI driver: schema, determinism, exit-status contracts."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from susylattice import cli, dicke, limits, models, operators
@@ -127,6 +129,41 @@ def test_nilpotency_row_can_fail():
                                                      False)]
     assert rows[0].value == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)),
                                           rel=1e-12)
+
+
+def test_car_defect_fails_the_car_row_but_not_the_pm_row(monkeypatch):
+    """A relative 1e-6 error in one eta entry breaks CAR only: the
+    pm_symmetry row checks the pairing and +-sqrt(E), not CAR again."""
+    inst = models.build_model_ii((0.7, 1.3))
+    dec = operators.super_decompose(inst.q)
+    eta = dec.eta.copy()
+    eta.data[np.argmax(np.abs(eta.data))] *= 1 + 1e-6
+    bad = dataclasses.replace(dec, eta=eta)
+    monkeypatch.setattr(operators, "super_decompose",
+                        lambda q, check=True: bad)
+    rows = {r.metric: r.passed for r in cli._decomposition_rows(
+        "m", inst, load_tolerances(None))}
+    assert rows == {"m_nilpotency": True, "m_car_completeness": False,
+                    "m_even_multiplicity": True, "m_pm_symmetry": True,
+                    "m_g_square": True}
+
+
+@pytest.mark.parametrize("suite,most", (("baby", 1), ("model_i", 11),
+                                        ("model_ii", 15)))
+def test_flow_suites_diagonalise_each_generator_once(suite, most,
+                                                     monkeypatch):
+    """One eigh per generator over every flow parameter: the flow checks
+    call the matrix functions with the array of FLOW_POINTS."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rows = cli.VERIFY_SUITES[suite](load_tolerances(None))
+    assert all(r.passed for r in rows)
+    assert 0 < len(calls) <= most
 
 
 # ------------------------------------------------------------------- sweep
@@ -256,6 +293,21 @@ def test_tables_sweeps_run_on_jobs_threads(monkeypatch, capsys):
     code, _ = run_cli(["--jobs", "3", "tables"], capsys)
     assert code == 0
     assert jobs_seen == [3, 3]
+
+
+def test_tables_build_the_n256_operators_once(monkeypatch, capsys):
+    """gs_phase_slope, bs_free_evolution and the n = 256 bs_eta_prime cell
+    share one DickeOperators(256)."""
+    built = []
+    collective_ops = dicke.collective_ops
+
+    def counted(n):
+        built.append(n)
+        return collective_ops(n)
+    monkeypatch.setattr(dicke, "collective_ops", counted)
+    code, _ = run_cli(["--jobs", "2", "tables"], capsys)
+    assert code == 0
+    assert built.count(256) == 1
 
 
 def test_tables_builds_no_per_site_operator(monkeypatch, capsys):

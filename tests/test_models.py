@@ -193,6 +193,55 @@ def test_model_ii_flow_singularity_handled():
     assert np.linalg.norm(dn_c - dn_b, 2) < 1e-10
 
 
+# ------------------------------------------------- flows over an array of s
+
+def _assert_stack_is_per_s(stack, per_s):
+    """stack[i] equals per_s(FLOW_POINTS[i]) to 1e-15."""
+    assert stack.shape[0] == len(FLOW_POINTS)
+    for layer, s in zip(stack, FLOW_POINTS):
+        assert np.abs(layer - per_s(s)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("build,alpha", (
+    (models.build_baby, 0.6),
+    (lambda: models.build_model_i((1.0, 2.0, 2.0)), 0.0),
+    (lambda: models.build_model_ii((1.0,)), 0.0),
+    (lambda: models.build_model_ii((1.0, 1.0)), 0.0)),
+    ids=("baby", "model_i", "model_ii_1", "model_ii_2"))
+def test_unitary_flow_stack_matches_scalar_calls(build, alpha):
+    inst = build()
+    g = inst.g_alpha(alpha)
+    for a in operators.sparse_annihilators(inst.spec.modes):
+        _assert_stack_is_per_s(
+            operators.unitary_flow(g, np.array(FLOW_POINTS), a),
+            lambda s: operators.unitary_flow(g, s, a))
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.6, 1.9))
+def test_baby_flow_stack_matches_scalar_calls(alpha):
+    _assert_stack_is_per_s(
+        models.baby_flow_closed(np.array(FLOW_POINTS), alpha),
+        lambda s: models.baby_flow_closed(s, alpha))
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_model_i_flow_stack_matches_scalar_calls(k):
+    z = (1.0, 2.0, 2.0)
+    _assert_stack_is_per_s(
+        models.model_i_flow_closed(k, np.array(FLOW_POINTS), z),
+        lambda s: models.model_i_flow_closed(k, s, z))
+
+
+@pytest.mark.parametrize("z,k", (((1.0,), 0), ((1.0, 1.0), 0),
+                                 ((1.0, 1.0), 1), ((0.7, 1.3), 1)))
+def test_model_ii_flow_stack_matches_scalar_calls(z, k):
+    """z = (1.0,) puts s on the kernel of G, where phi(0) = is."""
+    stacks = models.model_ii_flow_closed(k, np.array(FLOW_POINTS), z)
+    for flavor, stack in enumerate(stacks):
+        _assert_stack_is_per_s(
+            stack, lambda s: models.model_ii_flow_closed(k, s, z)[flavor])
+
+
 # ----------------------------------------------------------- counterexample
 
 def test_hopping_candidate_not_nilpotent():

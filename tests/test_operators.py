@@ -110,7 +110,8 @@ def test_unitary_flow_rejects_bad_input():
     g = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(ValueError, match="dimensions differ"):
         op.unitary_flow(g, 0.3, np.eye(4, dtype=complex))
-    for s in (np.inf, np.nan):
+    for s in (np.inf, np.nan, np.array([0.3, np.inf, 0.4]),
+              np.array([0.3, 0.4, np.nan])):
         with pytest.raises(ValueError, match="finite"):
             op.unitary_flow(g, s, g)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -275,6 +276,7 @@ def test_verify_decomposition_catches_mutations():
     assert op.car_residual(bad) > 1e-7
     with pytest.raises(ValueError, match="CAR"):
         op.verify_decomposition(bad)
+    op.verify_pairing(bad)          # the pairing does not read eta
     (e_top, m_top), rest = dec.paired_spectrum[-1], dec.paired_spectrum[:-1]
     unpaired = dataclasses.replace(
         dec, paired_spectrum=rest + ((e_top, m_top - 1),))
