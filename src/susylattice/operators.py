@@ -345,9 +345,8 @@ def super_decompose(q, check=True):
 def car_residual(dec):
     """max |eta eta^dag + eta^dag eta - (1 - P0)| on the connected
     components of the joint pattern of eta and the nonzeros of P0."""
-    rows, cols = np.divmod(np.flatnonzero(dec.p0 != 0), dec.p0.shape[1])
-    p0 = sparse.csr_matrix((dec.p0[rows, cols], (rows, cols)),
-                           shape=dec.p0.shape)
+    nz = np.nonzero(dec.p0)
+    p0 = sparse.csr_matrix((dec.p0[nz], nz), shape=dec.p0.shape)
     worst = 0.0
     for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(p0), dec.eta, p0):
         resid = eta @ _dagger(eta) + _dagger(eta) @ eta + p0b
@@ -356,7 +355,7 @@ def car_residual(dec):
 
 
 def verify_pairing(dec):
-    """Check the pairing invariants of a SuperDecomposition (ValueError):
+    """Raise ValueError unless the pairing invariants hold; return ||H||:
 
     - strictly positive H eigenvalues have even multiplicity
     - the G spectrum on range(1 - P0) is +-sqrt(E) with matched multiplicities
@@ -366,7 +365,8 @@ def verify_pairing(dec):
             raise ValueError(
                 f"positive eigenvalue {e_val:.6g} has odd multiplicity {mult}")
     # H >= 0, so ||H|| is its top paired level
-    hnorm = max([e for e, _ in dec.paired_spectrum[-1:]] + [1e-300])
+    hnorm = max(dec.paired_spectrum[-1][0] if dec.paired_spectrum else 0.0,
+                1e-300)
     g0 = gauge_charge(dec.q, 0.0)
     gvals = np.concatenate([np.linalg.eigvalsh(g).ravel()
                             for _, (g,) in _blocks(dec.q, g0)])
@@ -378,6 +378,7 @@ def verify_pairing(dec):
     for (vp, mp), (vn, mn) in zip(pos, neg):
         if mp != mn or abs(vp - vn) > 1e-8 * (1 + abs(vp)):
             raise ValueError("G eigenvalues +-sqrt(E) do not match")
+    return hnorm
 
 
 def verify_decomposition(dec):
@@ -390,8 +391,7 @@ def verify_decomposition(dec):
     car = car_residual(dec)
     if car > 1e-10:
         raise ValueError(f"eta CAR residual {car:.3e}")
-    verify_pairing(dec)
-    hnorm = max([e for e, _ in dec.paired_spectrum[-1:]] + [1e-300])
+    hnorm = verify_pairing(dec)
     for a in (0.0, np.pi / 2):
         g = gauge_charge(dec.q, a)
         if abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):
