@@ -71,15 +71,15 @@ def _verify_model_i(tol):
     rows = _decomposition_rows("model_i", inst, tol)
     aa = operators.sparse_annihilators(inst.spec.modes)
     g = inst.g_alpha(0.0)
-    s = np.array(FLOW_POINTS)
-    worst = max(np.linalg.norm(operators.unitary_flow(g, s, aa[k])
-                               - models.model_i_flow_closed(k, s, z), 2,
-                               axis=(-2, -1)).max() for k in range(len(z)))
+    # the last flow point, s = pi/4, is the non-locality witness's
+    s = np.array(FLOW_POINTS + (np.pi / 4,))
+    flows = [operators.unitary_flow(g, s, a) for a in aa]
+    worst = max(np.linalg.norm(flow - models.model_i_flow_closed(k, s, inst),
+                               2, axis=(-2, -1)).max()
+                for k, flow in enumerate(flows))
     rows.append(check_row("model_i_flow", 3, worst, 0, "PAPER",
                           tol["identity"]))
-    # non-locality witness at s = pi/4
-    moved = operators.unitary_flow(g, np.pi / 4, aa[0])
-    cross = np.linalg.norm(operators.bracket(moved, aa[1]), 2)
+    cross = np.linalg.norm(operators.bracket(flows[0][-1], aa[1]), 2)
     rows.append(_indicator("model_i_nonlocal", 3, cross > 1e-3, "PAPER"))
     scalar = sum(x * x for x in z) * np.eye(inst.h.shape[0], dtype=complex)
     rows.append(check_row("model_i_h_scalar", 3,
@@ -97,7 +97,7 @@ def _verify_model_ii(tol):
     s = np.array(FLOW_POINTS)
     worst = 0.0
     for k in range(2):
-        for flavor, c in enumerate(models.model_ii_flow_closed(k, s, z)):
+        for flavor, c in enumerate(models.model_ii_flow_closed(k, s, inst)):
             brute = operators.unitary_flow(
                 g, s, ops[inst.spec.mode_index(k, flavor)])
             worst = max(worst, np.linalg.norm(brute - c, 2,
@@ -388,7 +388,7 @@ def _table_inputs(args):
     return SimpleNamespace(
         ops=ops, ops256=ops256, ground=dicke.ground_state(ops),
         ceiling=dicke.ceiling_state_ladder(ops)[1],
-        szp=-1j * operators.bracket(ops.s_z_full,
+        szp=-1j * operators.bracket(operators.lift(ops.s_z),
                                     dicke.build_g_alpha_dicke(ops)),
         drift=limits.bs_free_evolution(ops256, 1.0),
         meso=limits.sweep(_cell(("meso_variance", "ceiling"), args),

@@ -4,17 +4,17 @@ tensored with one Clifford mode.
 The product space has dimension 2(N+1) and is ordered spin-major: basis index
 2k + c where k counts raised spins (s_z = 2k - N) and c indexes the Clifford
 factor (c = 0 carries eta eta^dag = 1; c = 1 is annihilated by eta^dag and is
-the ground-state convention).
+the ground-state convention), the order of operators.lift.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .operators import DimensionError, diagonal_eigenvalues, gauge_charge
+from .operators import (ETA, DimensionError, diagonal_eigenvalues,
+                        gauge_charge, lift)
 
 MAX_PARTICLES = 20000
 
@@ -23,33 +23,16 @@ class VanishingNormError(ValueError):
     """A superposition interfered destructively to (numerically) zero."""
 
 
-_EYE_CLIFFORD = sparse.identity(2, dtype=complex, format="csr")
-
-
-def _lifted(name):
-    """The multiplet operator `name` tensor the Clifford identity, built on
-    first read and then kept."""
-    return cached_property(lambda self: sparse.kron(
-        getattr(self, name), _EYE_CLIFFORD, format="csr"))
-
-
 class DickeOperators:
-    """Ladder operators on the spin-N/2 multiplet plus the Clifford mode.
+    """Ladder operators on the spin-N/2 multiplet.
 
     s_plus, s_minus, s_z live on the (N+1)-dimensional multiplet and follow
     the Pauli-sum normalization: [s_plus, s_minus] = s_z, [s_z, s_plus] =
     2 s_plus, s_z eigenvalues -N, -N+2, ..., N; s_x and s_y are built from
-    them.  The *_full attributes are the same operators lifted to the
-    2(N+1)-dimensional product space, where eta acts on the Clifford factor.
-    The lifts are built on first read, so a probe that works on the
-    multiplet alone (the rotations) never pays for them.
+    them.  operators.lift and lift_apply carry them to the
+    2(N+1)-dimensional product space, where operators.ETA acts on the
+    Clifford factor.
     """
-
-    s_plus_full = _lifted("s_plus")
-    s_minus_full = _lifted("s_minus")
-    s_z_full = _lifted("s_z")
-    s_x_full = _lifted("s_x")
-    s_y_full = _lifted("s_y")
 
     def __init__(self, n):
         if n < 1:
@@ -66,13 +49,6 @@ class DickeOperators:
                                 dtype=complex)
         self.s_x = (self.s_plus + self.s_minus).tocsr()
         self.s_y = ((self.s_plus - self.s_minus) / 1j).tocsr()
-        self.eta = sparse.csr_matrix(
-            np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-    @cached_property
-    def eta_full(self):
-        eye_spin = sparse.identity(self.n + 1, dtype=complex, format="csr")
-        return sparse.kron(eye_spin, self.eta, format="csr")
 
     @property
     def dim(self):
@@ -114,7 +90,7 @@ def build_g_alpha_dicke(ops, alpha=0.0):
     """G_alpha of Q = S_- (x) eta / sqrt N, the Dicke image of Model III's
     M_N eta_N; sparse.  The phase goes on before the 1/sqrt N: the other
     order moves the last bit of some entries that the goldens pin."""
-    q = sparse.kron(ops.s_minus, ops.eta, format="csr")
+    q = lift(ops.s_minus, ETA)
     return (gauge_charge(q, alpha) / np.sqrt(ops.n)).tocsr()
 
 
@@ -122,12 +98,6 @@ def build_hss_dicke(ops):
     """Normalized H_SS = G_alpha^2; gauge independent by construction."""
     g = build_g_alpha_dicke(ops, 0.0)
     return (g @ g).tocsr()
-
-
-def hss_unnormalized(ops):
-    """N * H_SS: the block convention in which the ceiling eigenvalue is
-    N(N+2)/4."""
-    return (ops.n * build_hss_dicke(ops)).tocsr()
 
 
 def hss_eigenvalues(ops):

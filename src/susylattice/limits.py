@@ -16,15 +16,13 @@ import numpy as np
 from scipy import sparse
 
 from . import dicke
-from .operators import (DimensionError, bracket, diagonal_eigenvalues,
-                        gauge_charge, hermitian_function)
+from .operators import (ETA, DimensionError, bracket, diagonal_eigenvalues,
+                        gauge_charge, hermitian_function, lift, lift_apply)
 
-# one-site Paulis in the (up, down) basis; _LOWER is sigma_+ there and eta
-# on the Clifford mode
+# one-site Paulis in the (up, down) basis; ETA is sigma_+ there
 _PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
          "y": np.array([[0, -1j], [1j, 0]]),
          "z": np.array([[1, 0], [0, -1]], dtype=complex)}
-_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -239,6 +237,14 @@ def bs_gaussian_probe(ops, r, axis):
                              np.sqrt(ops.n))
 
 
+def _sx_moments(ops, state):
+    """(<S_x>, <S_x^2>) in `state`, S_x applied twice."""
+    v = state.vector
+    sx_v = lift_apply(ops.s_x, v)
+    return (float(np.real(np.vdot(v, sx_v))),
+            float(np.real(np.vdot(v, lift_apply(ops.s_x, sx_v)))))
+
+
 def odlro(ops, state):
     """|omega(sigma_x^k sigma_x^j) - omega(sigma_x^k) omega(sigma_x^j)|,
     k != j, via the permutation-symmetric identity
@@ -246,11 +252,21 @@ def odlro(ops, state):
     n = ops.n
     if n < 2:
         raise ValueError("ODLRO needs at least two sites")
-    v = state.vector
-    sx = ops.s_x_full
-    sx2 = float(np.real(np.vdot(v, sx @ (sx @ v))))
-    sx1 = float(np.real(np.vdot(v, sx @ v)))
+    sx1, sx2 = _sx_moments(ops, state)
     return abs((sx2 - n) / (n * (n - 1)) - (sx1 / n) ** 2)
+
+
+def _eta_lift(n_levels):
+    """1 (x) eta on `n_levels` ladder levels tensor the Clifford mode."""
+    return lift(sparse.identity(n_levels, dtype=complex, format="csr"), ETA)
+
+
+def _dense_collective(n):
+    """The Dicke operators at N = n and, dense, the lifted S_+, S_-, S_z and
+    eta that the identity residuals read."""
+    ops = dicke.collective_ops(n)
+    return ops, *(m.toarray() for m in (lift(ops.s_plus), lift(ops.s_minus),
+                                        lift(ops.s_z), _eta_lift(n + 1)))
 
 
 def eom_identity_residuals(n=6):
@@ -262,12 +278,8 @@ def eom_identity_residuals(n=6):
     Exact at every n; the S_+ and eta sign conventions are the ones the
     matrices force (see the decisions ledger).
     """
-    ops = dicke.collective_ops(n)
+    ops, sp, sm, sz, eta = _dense_collective(n)
     h = dicke.build_hss_dicke(ops).toarray()
-    sp = ops.s_plus_full.toarray()
-    sm = ops.s_minus_full.toarray()
-    sz = ops.s_z_full.toarray()
-    eta = ops.eta_full.toarray()
     eecd = eta @ eta.conj().T
     out = {}
     out["sz_dot"] = np.linalg.norm(-1j * bracket(sz, h), 2)
@@ -285,12 +297,8 @@ def super_identity_residuals(n=6, alpha=0.0):
     S_+' = e^{i alpha} sqrt N eta [S_-, S_+]/N ... checked in the form the
     matrices force; exact at every n.
     """
-    ops = dicke.collective_ops(n)
+    ops, sp, sm, sz, eta = _dense_collective(n)
     g = dicke.build_g_alpha_dicke(ops, alpha).toarray()
-    sp = ops.s_plus_full.toarray()
-    sm = ops.s_minus_full.toarray()
-    sz = ops.s_z_full.toarray()
-    eta = ops.eta_full.toarray()
     etad = eta.conj().T
     f = bracket(eta, etad)
     rt = np.sqrt(n)
@@ -313,7 +321,7 @@ def local_super_derivative(n, axis, alpha=0.0):
     sigma^{(1)} alone, so of the Dicke Q = S_- (x) eta / sqrt N only the
     site-1 term sigma_-^{(1)} (x) eta / sqrt N survives; the N-site
     derivative is this times the identity on sites 2..N."""
-    g = gauge_charge(np.kron(_LOWER.T, _LOWER), alpha) / np.sqrt(n)
+    g = gauge_charge(np.kron(ETA.T, ETA), alpha) / np.sqrt(n)
     return -1j * bracket(np.kron(_PAULI[axis], np.eye(2)), g)
 
 
@@ -334,8 +342,8 @@ def local_rotation_check(t=0.7):
 
 MIN_WITTEN_CUTOFF = 8
 
-# dicke.MAX_PARTICLES, the largest n `spectral` compares against.  CSR is
-# O(cutoff): spectrum --model witten --n 20000 took 1.0 s, 70 MB on 2 vCPU.
+# Caps `spectrum --model witten --n`; the `spectral` sweep reads only
+# witten_limit(64).  CSR is O(cutoff): --n 20000 took 1.0 s, 66 MB on 2 vCPU.
 MAX_WITTEN_CUTOFF = 20000
 
 
@@ -367,24 +375,17 @@ def witten_limit(cutoff, alpha=0.0):
             f"cutoff {cutoff} exceeds bound {MAX_WITTEN_CUTOFF}")
     a = sparse.diags(np.sqrt(np.arange(1, cutoff, dtype=float)), 1,
                      format="csr", dtype=complex)
-    a_f = sparse.kron(a, sparse.identity(2), format="csr")
-    eta = sparse.kron(sparse.identity(cutoff), _LOWER, format="csr")
+    a_f = lift(a)
+    eta = _eta_lift(cutoff)
     q = (a_f + a_f.conj().T) / np.sqrt(2)
     p = (a_f - a_f.conj().T) / (1j * np.sqrt(2))
-    g = gauge_charge(sparse.kron(a, _LOWER, format="csr"), alpha)
+    g = gauge_charge(lift(a, ETA), alpha)
     # (q^2+p^2-1)/2 + eta eta^dag in its number-operator form, exact at every
     # level (a^dag a would square sqrt(k)).  G^2 = H except at the top level,
     # where the truncated a a^dag gives G^2 a spurious zero mode.
     number = sparse.diags(np.arange(cutoff, dtype=complex))
-    h = eta @ eta.conj().T + sparse.kron(number, sparse.identity(2))
+    h = eta @ eta.conj().T + lift(number)
     return WittenLimitModel(cutoff, alpha, q, p, h, g)
-
-
-def witten_ground_vector(model):
-    """The unique zero mode: oscillator vacuum tensor eta^dag-annihilated."""
-    v = np.zeros(2 * model.cutoff, dtype=complex)
-    v[1] = 1.0
-    return v
 
 
 def spectral_level(ops):
@@ -429,7 +430,7 @@ def gs_phase_slope(ops):
     h = dicke.build_hss_dicke(ops)
     diagonal_eigenvalues(h)             # raises unless H is diagonal
     g = dicke.ground_state(ops).vector
-    w = ops.s_plus_full @ g / np.sqrt(n)
+    w = lift_apply(ops.s_plus, g) / np.sqrt(n)
     slopes = []
     for t in (0.5, 1.0, 2.0):
         z = np.vdot(w, np.exp(-1j * t * h.diagonal()) * w)
@@ -439,7 +440,8 @@ def gs_phase_slope(ops):
 
 def bs_eta_prime(ops, alpha=0.0):
     """|<BS| eta' |BS>|, eta' = -i[eta, G_alpha]; exactly sqrt(N)/2."""
-    etap = -1j * bracket(ops.eta_full, dicke.build_g_alpha_dicke(ops, alpha))
+    etap = -1j * bracket(_eta_lift(ops.n + 1),
+                         dicke.build_g_alpha_dicke(ops, alpha))
     v = dicke.bogoliubov_state(ops, alpha).vector
     return abs(np.vdot(v, etap @ v))
 
@@ -456,26 +458,23 @@ def power_growth_fit(pts):
 def macroscopic_triple(ops, state):
     """The macroscopic expectation triple (<S_x>, <S_y>, <S_z>)/N."""
     v = state.vector
-    return tuple(float(np.real(np.vdot(v, m @ v))) / ops.n
-                 for m in (ops.s_x_full, ops.s_y_full, ops.s_z_full))
+    return tuple(float(np.real(np.vdot(v, lift_apply(m, v)))) / ops.n
+                 for m in (ops.s_x, ops.s_y, ops.s_z))
 
 
 def ceiling_isometry(ops, state):
     """<4 S_+S_-/N^2>, the Eq.-(3.16) isometry surrogate; exactly 1 + 2/N
     in the ceiling state."""
     v = state.vector
-    spsm = np.real(np.vdot(v, ops.s_plus_full @ (ops.s_minus_full @ v)))
+    spsm = np.real(np.vdot(v, lift_apply(ops.s_plus,
+                                         lift_apply(ops.s_minus, v))))
     return float(4.0 * spsm / ops.n ** 2)
 
 
 def mesoscopic_variance(ops, state):
     """Variance (<S_x^2> - <S_x>^2)/N of S_x/sqrt N in `state`."""
-    n = ops.n
-    v = state.vector
-    sx = ops.s_x_full
-    ex = float(np.real(np.vdot(v, sx @ v)))
-    ex2 = float(np.real(np.vdot(v, sx @ (sx @ v))))
-    return (ex2 - ex ** 2) / n
+    ex, ex2 = _sx_moments(ops, state)
+    return (ex2 - ex ** 2) / ops.n
 
 
 def variance_divergence(points):

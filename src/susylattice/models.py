@@ -20,6 +20,7 @@ from .operators import (
     gauge_charge,
     hermitian_function,
     hermitian_norm,
+    lift,
     nilpotency_residual,
     read_only,
     sparse_annihilators,
@@ -93,18 +94,16 @@ def build_model_i(z, kind="ModelI"):
     return _instance(kind, spec, z, q)
 
 
-def model_i_flow_closed(k, s, z):
-    """Closed form a_k(s) = (a_k - z_k/2G) e^{-2isG} + z_k/2G for Model I.
-
-    G^2 = sum z_i^2 > 0 makes G invertible.  A 1-D array of s gives a stack.
-    """
-    model = build_model_i(z)
+def model_i_flow_closed(k, s, model):
+    """Closed form a_k(s) = (a_k - z_k/2G) e^{-2isG} + z_k/2G in Model I
+    `model`; G^2 = sum z_i^2 > 0 makes G invertible.  A 1-D array of s
+    gives a stack."""
     g = model.g_alpha(0.0)
     a_k = sparse_annihilators(model.spec.modes)[k].toarray()
     s = np.asarray(s)[..., None]
     g_inv = hermitian_function(g, lambda v: 1.0 / v)
     exp_m2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v))
-    shift = 0.5 * z[k] * g_inv
+    shift = 0.5 * model.couplings[k] * g_inv
     return (a_k - shift) @ exp_m2isg + shift
 
 
@@ -133,16 +132,15 @@ def build_model_ii(z):
     return _instance("ModelII", spec, z, q)
 
 
-def model_ii_flow_closed(k, s, z):
-    """Closed forms of the Model II supertransformation at site k.
+def model_ii_flow_closed(k, s, model):
+    """Closed forms of the supertransformation of Model II `model` at site k.
 
     up:   a_up,k(s)   = a_up,k exp(-is(G - (a_dn,k + a_dn,k^dag) z_k)) exp(-isG)
     down: a_dn,k(s)   = a_dn,k exp(-2isG) + z_k n_up,k phi(G),
           phi(x) = (1 - exp(-2isx)) / (2x), extended by phi(0) = is.
     A 1-D array of s gives stacks, so the mode operators are dense arrays.
     """
-    model = build_model_ii(z)
-    spec = model.spec
+    spec, z = model.spec, model.couplings
     ops = sparse_annihilators(spec.modes)
     up, dn = (ops[spec.mode_index(k, f)].toarray() for f in (0, 1))
     g = model.g_alpha(0.0).toarray()
@@ -328,7 +326,7 @@ def build_bcs(n, representation="dicke"):
 
         ops = dicke.collective_ops(n)
         h_ss = dicke.build_hss_dicke(ops)
-        h_bcs = -(ops.s_plus_full @ ops.s_minus_full) / n
+        h_bcs = -lift(ops.s_plus @ ops.s_minus) / n
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return BcsModel(n=n, representation=representation,

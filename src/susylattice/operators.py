@@ -253,6 +253,26 @@ def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
     return out
 
 
+# eta on the Clifford mode, in the (eta eta^dag = 1, eta^dag-killed) basis
+ETA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+ETA.flags.writeable = False
+
+
+def lift(a, clifford=None):
+    """a (x) c as CSR on the product of a ladder space with one Clifford
+    mode, c the 2x2 identity unless given (e.g. ETA).  The product basis is
+    ladder-major with the Clifford factor last: index 2k + c."""
+    c = np.eye(2, dtype=complex) if clifford is None else clifford
+    return sparse.kron(a, c, format="csr")
+
+
+def lift_apply(a, vec):
+    """lift(a) @ vec without building lift(a): `a` acts on both Clifford
+    components of the ladder-major `vec` at once, summing in the same
+    order, so the result is bit for bit that of lift(a) @ vec."""
+    return (a @ vec.reshape(-1, 2)).ravel()
+
+
 def gauge_charge(q, alpha):
     """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag, in
     the representation of Q (sparse Q gives a sparse G).  The one builder of

@@ -10,6 +10,7 @@ dispatch never changes output bytes.
 import csv
 import io
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -128,12 +129,22 @@ class Report:
 
 
 def load_tolerances(path=None):
+    """DEFAULT_TOLERANCES updated from the JSON object in `path`, whose
+    values must be finite, non-negative reals; JSON true is not 1."""
     tol = dict(DEFAULT_TOLERANCES)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ReportSchemaError("tolerance file must hold a JSON object")
         unknown = set(overrides) - set(tol)
         if unknown:
             raise ReportSchemaError(f"unknown tolerance keys {sorted(unknown)}")
+        bad = sorted(k for k, v in overrides.items() if isinstance(v, bool)
+                     or not isinstance(v, (int, float))
+                     or not 0 <= v <= sys.float_info.max)
+        if bad:
+            raise ReportSchemaError(f"tolerances {bad} are not finite, "
+                                    "non-negative reals")
         tol.update(overrides)
     return tol

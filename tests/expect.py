@@ -1,10 +1,26 @@
-"""<state| A |state> for a Dicke state, the tests' one expectation-value
-helper; the library's probes take their expectations inline."""
+"""Test-side helpers: the tests' one expectation value, and closed forms
+that only the tests read."""
 
 import numpy as np
+
+from susylattice import dicke
 
 
 def expectation(state, op_full):
     """<state| A |state> for a lifted (sparse or dense) operator."""
     v = state.vector
     return complex(np.vdot(v, op_full @ v))
+
+
+def hss_unnormalized(ops):
+    """N * H_SS: the block convention in which the ceiling eigenvalue is
+    N(N+2)/4."""
+    return (ops.n * dicke.build_hss_dicke(ops)).tocsr()
+
+
+def witten_ground_vector(model):
+    """The unique zero mode of a Witten limit model: oscillator vacuum
+    tensor the eta^dag-annihilated Clifford state."""
+    v = np.zeros(2 * model.cutoff, dtype=complex)
+    v[1] = 1.0
+    return v

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from susylattice import cli, dicke, limits, models, operators
-from expect import expectation
+from expect import expectation, hss_unnormalized, witten_ground_vector
 
 RNG = np.random.default_rng(20260824)
 
@@ -97,7 +97,7 @@ def test_criterion_2_closed_flows(require):
     ops1 = operators.sparse_annihilators(m1.spec.modes)
     for k in (0, 2):
         for s in FLOW_S:
-            closed = models.model_i_flow_closed(k, s, z1)
+            closed = models.model_i_flow_closed(k, s, m1)
             brute = operators.unitary_flow(m1.g_alpha(0.0), s, ops1[k])
             worst = max(worst, float(np.abs(closed - brute).max()),
                         _car_residual(closed))
@@ -107,7 +107,7 @@ def test_criterion_2_closed_flows(require):
     ops2 = operators.sparse_annihilators(m2.spec.modes)
     for k in (0, 1):
         for s in FLOW_S:
-            up_c, dn_c = models.model_ii_flow_closed(k, s, z2)
+            up_c, dn_c = models.model_ii_flow_closed(k, s, m2)
             up_b = operators.unitary_flow(
                 m2.g_alpha(0.0), s, ops2[m2.spec.mode_index(k, 0)])
             dn_b = operators.unitary_flow(
@@ -157,7 +157,7 @@ def test_criterion_5_ceiling_law(require):
     for n in (2, 10, 100, 1000):
         ops = dicke.collective_ops(n)
         psi1, psi2 = dicke.ceiling_state_ladder(ops)
-        hu = dicke.hss_unnormalized(ops)
+        hu = hss_unnormalized(ops)
         for psi in (psi1, psi2):
             val = expectation(psi, hu).real
             resid = np.linalg.norm(hu @ psi.vector - val * psi.vector)
@@ -247,7 +247,7 @@ def test_criterion_8_witten_limit(require):
     expected = np.array([np.ceil(j / 2.0) for j in range(32)])
     spec_dev = float(np.abs(levels - expected).max())
     n_zero = int(np.sum(np.linalg.eigvalsh(model.h.toarray()) < 1e-8))
-    v = limits.witten_ground_vector(model)
+    v = witten_ground_vector(model)
     alpha_dev = max(float(np.linalg.norm(model.h @ v)),
                     *(float(np.linalg.norm(
                         limits.witten_limit(64, a).g_alpha @ v))

@@ -79,6 +79,21 @@ def test_tolerance_overrides(tmp_path):
         load_tolerances(str(bad))
 
 
+@pytest.mark.parametrize("body", ('5', 'null', '{"identity": null}',
+                                  '{"identity": -1}', '{"identity": NaN}',
+                                  '{"identity": true}'))
+def test_malformed_tolerance_file_exits_2(body, tmp_path, capsys):
+    """A tolerance file that is not an object of finite, non-negative
+    reals is a usage error: not a traceback, not a row that fails on every
+    input, and not a bool read as 1."""
+    path = tmp_path / "tol.json"
+    path.write_text(body)
+    assert cli.main(["--tol-file", str(path), "verify",
+                     "--model", "baby"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_default_passes(capsys):
@@ -148,7 +163,7 @@ def test_car_defect_fails_the_car_row_but_not_the_pm_row(monkeypatch):
                     "m_g_square": True}
 
 
-@pytest.mark.parametrize("suite,most", (("baby", 1), ("model_i", 11),
+@pytest.mark.parametrize("suite,most", (("baby", 1), ("model_i", 10),
                                         ("model_ii", 15)))
 def test_flow_suites_diagonalise_each_generator_once(suite, most,
                                                      monkeypatch):

@@ -1,12 +1,18 @@
 """Collective-spin engine: ladder algebra, distinguished states, ceiling
 eigenproblem and the quadrature constructions."""
 
+import ast
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from susylattice import dicke, models
-from expect import expectation
+from susylattice.operators import ETA, lift, lift_apply
+from expect import expectation, hss_unnormalized
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 40))
@@ -39,12 +45,93 @@ def test_n2_ladder_amplitude():
     assert np.linalg.norm(ops.s_plus @ lowest) == pytest.approx(np.sqrt(2))
 
 
+def _eta_full(ops):
+    return lift(sparse.identity(ops.n + 1, format="csr"), ETA)
+
+
 def test_lifted_operators_commute_with_eta():
     ops = dicke.collective_ops(3)
-    for name in ("s_plus_full", "s_z_full", "s_x_full"):
-        m = getattr(ops, name)
-        comm = (m @ ops.eta_full - ops.eta_full @ m)
+    eta = _eta_full(ops)
+    for m in (lift(ops.s_plus), lift(ops.s_z), lift(ops.s_x)):
+        comm = (m @ eta - eta @ m)
         assert abs(comm).max() < 1e-14
+
+
+# --------------------------------------------------------- the Clifford lift
+
+def _multiplet_operators(ops):
+    """Every DickeOperators multiplet operator, and S_+ S_-."""
+    return {"s_plus": ops.s_plus, "s_minus": ops.s_minus, "s_z": ops.s_z,
+            "s_x": ops.s_x, "s_y": ops.s_y,
+            "s_plus_s_minus": ops.s_plus @ ops.s_minus}
+
+
+def _probe_vectors(dim, rng):
+    """Two random complex vectors, then basis vectors: all of them up to
+    dimension 16, else the first, middle and last two."""
+    out = [rng.normal(size=dim) + 1j * rng.normal(size=dim)
+           for _ in range(2)]
+    picks = range(dim) if dim <= 16 else (0, 1, dim // 2 - 1, dim // 2,
+                                          dim - 2, dim - 1)
+    for k in picks:
+        e = np.zeros(dim, dtype=complex)
+        e[k] = 1.0
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 7, 200, 5000))
+def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
+    """lift_apply(a, v) is lift(a) @ v to the last bit, so the probes that
+    apply an operator without building its lift keep every golden byte."""
+    ops = dicke.collective_ops(n)
+    vectors = _probe_vectors(ops.dim, np.random.default_rng(n))
+    for name, a in _multiplet_operators(ops).items():
+        full = lift(a)
+        for v in vectors:
+            assert np.array_equal(lift_apply(a, v), full @ v), name
+
+
+@pytest.mark.parametrize("n", (1, 7))
+def test_lift_is_the_kronecker_product(n):
+    """lift(a, c) is a (x) c, ladder-major: the identity by default, or
+    ETA on the Clifford factor."""
+    for name, a in _multiplet_operators(dicke.collective_ops(n)).items():
+        for c, got in ((np.eye(2), lift(a)), (ETA, lift(a, ETA))):
+            assert got.format == "csr"
+            assert np.array_equal(got.toarray(), np.kron(a.toarray(), c)), \
+                name
+
+
+SRC = Path(dicke.__file__).resolve().parent
+
+
+def _sparse_kron_sites():
+    """(module, top-level definition) of every sparse.kron in the package,
+    and of every kron imported from scipy.sparse by name."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                attr = (isinstance(node, ast.Attribute) and node.attr == "kron"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "sparse")
+                named = (isinstance(node, ast.ImportFrom)
+                         and (node.module or "").startswith("scipy")
+                         and any(a.name == "kron" for a in node.names))
+                if attr or named:
+                    sites.add((path.stem, getattr(top, "name", None)))
+    return sites
+
+
+def test_one_clifford_lift():
+    """The product-space order lives in operators.lift alone, and the Dicke
+    layer keeps no lifted copies of its operators."""
+    assert _sparse_kron_sites() == {("operators", "lift")}
+    text = (SRC / "dicke.py").read_text(encoding="utf-8")
+    for word in ("_full", "_lifted", "cached_property"):
+        assert word not in text, word
 
 
 def test_bounds_and_errors():
@@ -91,11 +178,11 @@ def test_ground_state_properties():
     gs = dicke.ground_state(ops)
     h = dicke.build_hss_dicke(ops)
     assert np.linalg.norm(h @ gs.vector) < 1e-12
-    assert expectation(gs, ops.s_z_full).real == pytest.approx(-6.0)
-    assert abs(expectation(gs, ops.s_x_full)) < 1e-14
-    assert abs(expectation(gs, ops.s_y_full)) < 1e-14
+    assert expectation(gs, lift(ops.s_z)).real == pytest.approx(-6.0)
+    assert abs(expectation(gs, lift(ops.s_x))) < 1e-14
+    assert abs(expectation(gs, lift(ops.s_y))) < 1e-14
     # Clifford factor annihilated by eta^dag
-    assert np.linalg.norm(ops.eta_full.conj().T @ gs.vector) < 1e-14
+    assert np.linalg.norm(_eta_full(ops).conj().T @ gs.vector) < 1e-14
 
 
 @pytest.mark.parametrize("n", (2, 4, 100))
@@ -107,7 +194,7 @@ def test_ceiling_ladder_eigenrelations(n):
     spin1 = psi1.vector.reshape(n + 1, 2)[:, 1]
     assert np.linalg.norm(sz @ spin2) < 1e-12          # S_z psi2 = 0
     assert np.abs(sz @ spin1 - 2 * spin1).max() < 1e-12
-    hu = dicke.hss_unnormalized(ops)
+    hu = hss_unnormalized(ops)
     for psi in (psi1, psi2):
         val = expectation(psi, hu).real
         resid = np.linalg.norm(hu @ psi.vector - val * psi.vector)
@@ -227,12 +314,12 @@ def test_bogoliubov_state_local_expectations(n):
     alpha = 0.4
     ops = dicke.collective_ops(n)
     bs = dicke.bogoliubov_state(ops, alpha)
-    assert expectation(bs, ops.s_x_full).real / n == pytest.approx(
+    assert expectation(bs, lift(ops.s_x)).real / n == pytest.approx(
         np.cos(2 * alpha), abs=1e-12)
     # the phase convention puts the spins along (cos 2a, -sin 2a, 0)
-    assert expectation(bs, ops.s_y_full).real / n == pytest.approx(
+    assert expectation(bs, lift(ops.s_y)).real / n == pytest.approx(
         -np.sin(2 * alpha), abs=1e-12)
-    assert abs(expectation(bs, ops.s_z_full)) < 1e-12
+    assert abs(expectation(bs, lift(ops.s_z))) < 1e-12
 
 
 def test_bogoliubov_n1_alpha0():
@@ -249,7 +336,7 @@ def test_bogoliubov_normalized_at_large_n(n):
     assert abs(np.linalg.norm(amp) - 1.0) <= 1e-14
     ops = dicke.collective_ops(n)
     bs = dicke.bogoliubov_state(ops, 0.3)
-    assert expectation(bs, ops.s_x_full).real / n == pytest.approx(
+    assert expectation(bs, lift(ops.s_x)).real / n == pytest.approx(
         np.cos(0.6), abs=1e-12)
 
 
@@ -292,7 +379,7 @@ def test_coherent_incoherent_local_agreement():
     n = 16
     ops = dicke.collective_ops(n)
     coh = dicke.coherent_superposition(ops, lambda a: 1.0)
-    val = expectation(coh, ops.s_x_full).real / n
+    val = expectation(coh, lift(ops.s_x)).real / n
     nodes = -np.pi + 2 * np.pi * (np.arange(512) + 0.5) / 512
     incoherent = np.mean([np.cos(2 * a) for a in nodes])
     assert val == pytest.approx(incoherent, abs=1e-10)

@@ -87,15 +87,15 @@ def test_model_i_flow_matches_conjugation(s):
     ops = operators.sparse_annihilators(inst.spec.modes)
     for k in range(2):
         brute = operators.unitary_flow(g, s, ops[k])
-        closed = models.model_i_flow_closed(k, s, z)
+        closed = models.model_i_flow_closed(k, s, inst)
         assert np.linalg.norm(brute - closed, 2) < 1e-10
         assert _car_ok(closed, 2)
 
 
 def test_model_i_flow_cross_site_car():
-    z = (1.0, 2.0)
-    a0 = models.model_i_flow_closed(0, 0.3, z)
-    a1 = models.model_i_flow_closed(1, 0.3, z)
+    inst = models.build_model_i((1.0, 2.0))
+    a0 = models.model_i_flow_closed(0, 0.3, inst)
+    a1 = models.model_i_flow_closed(1, 0.3, inst)
     for b in (a1, a1.conj().T):
         anti = operators.bracket(a0, b, "anticommutator")
         assert np.linalg.norm(anti, 2) < 1e-10
@@ -119,7 +119,8 @@ def test_model_i_time_evolution_trivial():
 
 def test_model_i_reduces_to_baby():
     baby = models.baby_flow_closed(0.7, 0.0)
-    via_model_i = models.model_i_flow_closed(0, 0.7, (1.0,))
+    via_model_i = models.model_i_flow_closed(0, 0.7,
+                                             models.build_model_i((1.0,)))
     assert np.linalg.norm(baby - via_model_i, 2) < 1e-10
 
 
@@ -172,7 +173,7 @@ def test_model_ii_flow_matches_conjugation(s):
     g = inst.g_alpha(0.0)
     ops = operators.sparse_annihilators(spec.modes)
     for k in range(2):
-        up_c, dn_c = models.model_ii_flow_closed(k, s, z)
+        up_c, dn_c = models.model_ii_flow_closed(k, s, inst)
         up_b = operators.unitary_flow(g, s, ops[spec.mode_index(k, 0)])
         dn_b = operators.unitary_flow(g, s, ops[spec.mode_index(k, 1)])
         assert np.linalg.norm(up_c - up_b, 2) < 1e-10
@@ -183,9 +184,8 @@ def test_model_ii_flow_matches_conjugation(s):
 
 def test_model_ii_flow_singularity_handled():
     """G has a kernel; the phi(0) = is extension must keep the flow exact."""
-    z = (1.0,)
-    up_c, dn_c = models.model_ii_flow_closed(0, 0.7, z)
-    inst = models.build_model_ii(z)
+    inst = models.build_model_ii((1.0,))
+    up_c, dn_c = models.model_ii_flow_closed(0, 0.7, inst)
     dn_b = operators.unitary_flow(inst.g_alpha(0.0), 0.7,
                                   operators.sparse_annihilators(
                                       inst.spec.modes)[
@@ -226,20 +226,21 @@ def test_baby_flow_stack_matches_scalar_calls(alpha):
 
 @pytest.mark.parametrize("k", range(3))
 def test_model_i_flow_stack_matches_scalar_calls(k):
-    z = (1.0, 2.0, 2.0)
+    inst = models.build_model_i((1.0, 2.0, 2.0))
     _assert_stack_is_per_s(
-        models.model_i_flow_closed(k, np.array(FLOW_POINTS), z),
-        lambda s: models.model_i_flow_closed(k, s, z))
+        models.model_i_flow_closed(k, np.array(FLOW_POINTS), inst),
+        lambda s: models.model_i_flow_closed(k, s, inst))
 
 
 @pytest.mark.parametrize("z,k", (((1.0,), 0), ((1.0, 1.0), 0),
                                  ((1.0, 1.0), 1), ((0.7, 1.3), 1)))
 def test_model_ii_flow_stack_matches_scalar_calls(z, k):
     """z = (1.0,) puts s on the kernel of G, where phi(0) = is."""
-    stacks = models.model_ii_flow_closed(k, np.array(FLOW_POINTS), z)
+    inst = models.build_model_ii(z)
+    stacks = models.model_ii_flow_closed(k, np.array(FLOW_POINTS), inst)
     for flavor, stack in enumerate(stacks):
         _assert_stack_is_per_s(
-            stack, lambda s: models.model_ii_flow_closed(k, s, z)[flavor])
+            stack, lambda s: models.model_ii_flow_closed(k, s, inst)[flavor])
 
 
 # ----------------------------------------------------------- counterexample
