@@ -2,14 +2,13 @@
 three-scale table reproduction, emitted as CSV or JSON reports.
 
 Exit codes: 0 all rows pass, 1 at least one failing row, 2 usage error.
-Reports are deterministic: identical configs produce byte-identical CSV
-bodies regardless of the --jobs setting (rows are sorted by (metric, n)).
+Every cell runs on the calling thread.  Reports are deterministic:
+identical configs produce byte-identical CSV bodies (rows are sorted by
+(metric, n)).  --jobs is accepted for compatibility and has no effect.
 """
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,11 +68,11 @@ def _verify_model_i(tol):
     z = (1.0, 2.0, 2.0)
     inst = models.build_model_i(z)
     rows = _decomposition_rows("model_i", inst, tol)
-    aa = operators.sparse_annihilators(inst.spec.modes)
-    g = inst.g_alpha(0.0)
+    aa = np.stack([a.toarray() for a in
+                   operators.sparse_annihilators(inst.spec.modes)])
     # the last flow point, s = pi/4, is the non-locality witness's
     s = np.array(FLOW_POINTS + (np.pi / 4,))
-    flows = [operators.unitary_flow(g, s, a) for a in aa]
+    flows = operators.unitary_flow(inst.g_alpha(0.0), s, aa)
     worst = max(np.linalg.norm(flow - models.model_i_flow_closed(k, s, inst),
                                2, axis=(-2, -1)).max()
                 for k, flow in enumerate(flows))
@@ -92,14 +91,14 @@ def _verify_model_ii(tol):
     z = (1.0, 1.0)
     inst = models.build_model_ii(z)
     rows = _decomposition_rows("model_ii", inst, tol)
-    g = inst.g_alpha(0.0)
-    ops = operators.sparse_annihilators(inst.spec.modes)
+    ops = np.stack([a.toarray() for a in
+                    operators.sparse_annihilators(inst.spec.modes)])
     s = np.array(FLOW_POINTS)
+    flows = operators.unitary_flow(inst.g_alpha(0.0), s, ops)
     worst = 0.0
     for k in range(2):
         for flavor, c in enumerate(models.model_ii_flow_closed(k, s, inst)):
-            brute = operators.unitary_flow(
-                g, s, ops[inst.spec.mode_index(k, flavor)])
+            brute = flows[inst.spec.mode_index(k, flavor)]
             worst = max(worst, np.linalg.norm(brute - c, 2,
                                               axis=(-2, -1)).max())
     rows.append(check_row("model_ii_flow", 2, worst, 0, "PAPER",
@@ -200,9 +199,8 @@ def run_verify(args, tol):
                          f"{sorted(VERIFY_SUITES)}")
     names = [args.model] if args.model else list(VERIFY_SUITES)
     report = Report(config_echo=_echo(args))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for rows in pool.map(lambda nm: VERIFY_SUITES[nm](tol), names):
-            report.extend(rows)
+    for name in names:
+        report.extend(VERIFY_SUITES[name](tol))
     return report
 
 
@@ -346,33 +344,34 @@ def run_sweep(args, tol):
     if len(args.n_list) < 3:
         raise UsageError("sweep needs at least 3 n-values for the fit")
     args.state = key[1]         # the config echo records the resolved state
-    pts = limits.sweep(_cell(key, args), args.n_list, args.jobs)
+    pts = limits.sweep(_cell(key, args), args.n_list)
     return Report(config_echo=_echo(args),
                   rows=SWEEP[key][1](key, args, tol, pts))
 
 
 # ---------------------------------------------------------------- spectrum
 
+# --model -> n -> the ascending levels; the builders are looked up per call
+SPECTRA = {
+    "dicke": lambda n: dicke.hss_eigenvalues(dicke.collective_ops(n)),
+    "witten": lambda n: limits.witten_limit(n).bulk_levels(),
+    "model_i": lambda n: operators.diagonal_eigenvalues(
+        models.build_model_i((1.0,) * n).h),
+    "model_ii": lambda n: operators.diagonal_eigenvalues(
+        models.build_model_ii((1.0,) * n).h),
+    "model_iii": lambda n: models.model_iii_symmetric_sector_spectrum(n),
+}
+
+
 def run_spectrum(args, tol):
     if args.levels is not None and args.levels < 1:
         raise UsageError(f"--levels must be positive, got {args.levels}")
+    if args.model not in SPECTRA:
+        raise UsageError(f"unknown spectrum model {args.model!r}; choose "
+                         f"from {sorted(SPECTRA)}")
     report = Report(config_echo=_echo(args))
     n = args.n
-    if args.model == "dicke":
-        vals = dicke.hss_eigenvalues(dicke.collective_ops(n))
-    elif args.model == "witten":
-        vals = limits.witten_limit(n).bulk_levels()
-    elif args.model == "model_i":
-        vals = operators.diagonal_eigenvalues(
-            models.build_model_i((1.0,) * n).h)
-    elif args.model == "model_ii":
-        vals = operators.diagonal_eigenvalues(
-            models.build_model_ii((1.0,) * n).h)
-    elif args.model == "model_iii":
-        vals = models.model_iii_symmetric_sector_spectrum(n)
-    else:
-        raise UsageError(f"unknown spectrum model {args.model!r}")
-    vals = np.asarray(vals)[:args.levels]
+    vals = np.asarray(SPECTRA[args.model](n))[:args.levels]
     width = max(4, len(str(len(vals) - 1)))   # rows sort as strings
     for i, v in enumerate(vals):
         report.add(check_row(f"spectrum_level_{i:0{width}d}", n, float(v),
@@ -392,10 +391,9 @@ def _table_inputs(args):
                                     dicke.build_g_alpha_dicke(ops)),
         drift=limits.bs_free_evolution(ops256, 1.0),
         meso=limits.sweep(_cell(("meso_variance", "ceiling"), args),
-                          (50, 100, 200), args.jobs),
+                          (50, 100, 200)),
         growth=limits.sweep(lambda n: limits.bs_eta_prime(
-            ops256 if n == 256 else dicke.collective_ops(n)), (16, 64, 256),
-            args.jobs))
+            ops256 if n == 256 else dicke.collective_ops(n)), (16, 64, 256)))
 
 
 def _expect(op, v):
@@ -531,8 +529,8 @@ def build_parser():
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--tol-file", help="JSON tolerance overrides")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel cell dispatch degree")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")

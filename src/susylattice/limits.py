@@ -9,7 +9,6 @@ cell swept over an n-list by `sweep` and handed to one of the fits.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,10 @@ class FitResult:
     residual: float
 
 
-def sweep(cell, n_list, jobs=1):
-    """Evaluate the one-n probe `cell` at every n of `n_list` on `jobs`
-    threads; returns ((n, complex value), ...) ascending in n."""
-    ns = sorted(n_list)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return tuple((n, complex(v)) for n, v in zip(ns, pool.map(cell, ns)))
+def sweep(cell, n_list):
+    """Evaluate the one-n probe `cell` at every n of `n_list`; returns
+    ((n, complex value), ...) ascending in n."""
+    return tuple((n, complex(cell(n))) for n in sorted(n_list))
 
 
 # bounds on the fitted rate p of a + b n^(-p)

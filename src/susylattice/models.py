@@ -6,7 +6,6 @@ the BCS comparison Hamiltonian.  H is always computed as {Q, Q^dag}; displayed
 expansions are treated as checks, not definitions.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +99,12 @@ def model_i_flow_closed(k, s, model):
     gives a stack."""
     g = model.g_alpha(0.0)
     a_k = sparse_annihilators(model.spec.modes)[k].toarray()
-    s = np.asarray(s)[..., None]
-    g_inv = hermitian_function(g, lambda v: 1.0 / v)
-    exp_m2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v))
-    shift = 0.5 * model.couplings[k] * g_inv
-    return (a_k - shift) @ exp_m2isg + shift
+    s = np.asarray(s)
+    # one eigh of G: row 0 is G^-1, the rows after it e^{-2isG} per s
+    f = hermitian_function(g, lambda v: np.vstack(
+        (1.0 / v, np.exp(-2j * s.reshape(-1, 1) * v))))
+    shift = 0.5 * model.couplings[k] * f[0]
+    return (a_k - shift) @ f[1:].reshape(s.shape + f.shape[1:]) + shift
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +146,6 @@ def model_ii_flow_closed(k, s, model):
     g = model.g_alpha(0.0).toarray()
     shifted = g - z[k] * (dn + dn.conj().T)
     s = np.asarray(s)[..., None]
-    exp_isg = hermitian_function(g, lambda v: np.exp(-1j * s * v))
-    exp_shift = hermitian_function(shifted, lambda v: np.exp(-1j * s * v))
-    a_up_s = up @ exp_shift @ exp_isg
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -156,9 +153,13 @@ def model_ii_flow_closed(k, s, model):
         safe = np.where(small, 1.0, x)
         return np.where(small, 1j * s, (1 - np.exp(-2j * s * safe)) / (2 * safe))
 
-    exp_2isg = hermitian_function(g, lambda v: np.exp(-2j * s * v))
+    # one eigh of G for e^{-isG}, e^{-2isG} and phi(G)
+    exp_isg, exp_2isg, phi_g = hermitian_function(g, lambda v: np.stack(
+        (np.exp(-1j * s * v), np.exp(-2j * s * v), phi(v))))
+    exp_shift = hermitian_function(shifted, lambda v: np.exp(-1j * s * v))
+    a_up_s = up @ exp_shift @ exp_isg
     n_up = up.conj().T @ up
-    a_dn_s = dn @ exp_2isg + z[k] * (n_up @ hermitian_function(g, phi))
+    a_dn_s = dn @ exp_2isg + z[k] * (n_up @ phi_g)
     return a_up_s, a_dn_s
 
 
@@ -213,6 +214,14 @@ class PairAlgebraOps:
     pair_projector: sparse.csr_matrix
 
 
+def _site_occupations(n):
+    """Occupation bits of every Fock basis index, shape (n, 3, 8^n): entry
+    [i, f] reads a^f_i, which is site-major mode 3i + f at bit
+    3n - 1 - (3i + f)."""
+    shifts = 3 * n - 1 - np.arange(3 * n).reshape(n, 3, 1)
+    return (np.arange(8 ** n) >> shifts) & 1
+
+
 def build_model_iii_fock(n):
     """Model III on the full Fock space: Q = M_N eta_N, H = {Q, Q^dag}.
 
@@ -222,18 +231,14 @@ def build_model_iii_fock(n):
     if n > 4:
         raise DimensionError("Model III supports at most 4 sites (3 flavors)")
     spec = LatticeSpec(n, 3)
-    # site-major modes: a^f_i is mode 3i + f, occupation bit modes-1-(3i+f)
-    ops = sparse_annihilators(spec.modes)
+    ops = sparse_annihilators(spec.modes)        # a^f_i is mode 3i + f
     b = tuple(read_only(ops[3 * i] @ ops[3 * i + 1]) for i in range(n))
     a3 = ops[2::3]
     m = read_only(sum(b) / np.sqrt(n))
     eta = read_only(sum(a3) / np.sqrt(n))
     # the projector prod_i [(1-n_i1)(1-n_i2) + n_i1 n_i2] is diagonal
-    idx = np.arange(spec.dim)
-    locked = np.ones(spec.dim, dtype=bool)
-    for i in range(n):
-        shift = spec.modes - 2 - 3 * i      # bit of a^2_i; a^1_i's is next
-        locked &= ((idx >> shift) & 1) == ((idx >> (shift + 1)) & 1)
+    occ = _site_occupations(n)
+    locked = (occ[:, 0] == occ[:, 1]).all(axis=0)
     pair = PairAlgebraOps(
         b_ops=b, a3_ops=a3, m_n=m, eta_n=eta,
         pair_projector=read_only(sparse.diags(locked.astype(complex))))
@@ -267,26 +272,20 @@ def model_iii_symmetric_sector_spectrum(n):
     """Eigenvalues of the Fock-space Model III H on the symmetric pair sector.
 
     The sector is spanned by the Dicke states in the pair variables tensored
-    with {a^3 vacuum, eta_N^dag (a^3 vacuum)}; H leaves it invariant.  Only
-    the 2(n+1)-dimensional sector matrix is dense.
+    with {a^3 vacuum, eta_N^dag (a^3 vacuum)}; H leaves it invariant.  The
+    k-pair Dicke state is the normalised indicator of the basis states with
+    every pair locked, k pairs filled and every a^3 empty.  Only the
+    2(n+1)-dimensional sector matrix is dense.
     """
     inst, pair = build_model_iii_fock(n)
-    b, eta = pair.b_ops, pair.eta_n
-    dim = inst.spec.dim
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    b_dag = [x.conj().T.tocsr() for x in b]
+    occ = _site_occupations(n)
+    sector = ((occ[:, 0] == occ[:, 1]) & (occ[:, 2] == 0)).all(axis=0)
+    pairs = occ[:, 0].sum(axis=0)
     basis = []
     for k in range(n + 1):
-        acc = np.zeros(dim, dtype=complex)
-        for subset in itertools.combinations(range(n), k):
-            v = vac
-            for i in subset:
-                v = b_dag[i] @ v
-            acc = acc + v
-        acc /= np.linalg.norm(acc)
-        basis.append(acc)
-        basis.append(eta.conj().T @ acc)
+        v = (sector & (pairs == k)).astype(complex)
+        v /= np.linalg.norm(v)
+        basis += [v, pair.eta_n.conj().T @ v]
     bmat = np.column_stack(basis)
     return np.sort(np.linalg.eigvalsh(bmat.conj().T @ (inst.h @ bmat)))
 

@@ -217,15 +217,17 @@ def unitary_flow(g, s, a):
     """Conjugate `a` by exp(isG): the one-parameter automorphism of G.
 
     G must be Hermitian; the conjugation preserves the spectrum of `a`.
-    A 1-D array of s gives one operator per s from one eigh of G.
+    A 1-D array of s gives one operator per s from one eigh of G, and a
+    stack `a` of shape (m, d, d) gives shape (m, len(s), d, d).
     """
     am = _as_array(a)
-    if np.shape(g) != am.shape:
+    if np.shape(g) != am.shape[-2:]:
         raise ValueError("generator and operator dimensions differ")
     s = np.asarray(s)[..., None]
     if not np.isfinite(s).all():
         raise ValueError("flow parameter must be finite")
     u = hermitian_function(g, lambda v: np.exp(1j * s * v))
+    am = am.reshape(am.shape[:-2] + (1,) * (u.ndim - 2) + am.shape[-2:])
     return u @ am @ _dagger(u)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -163,12 +164,14 @@ def test_car_defect_fails_the_car_row_but_not_the_pm_row(monkeypatch):
                     "m_g_square": True}
 
 
-@pytest.mark.parametrize("suite,most", (("baby", 1), ("model_i", 10),
-                                        ("model_ii", 15)))
+@pytest.mark.parametrize("suite,most", (("baby", 1), ("model_i", 5),
+                                        ("model_ii", 8)))
 def test_flow_suites_diagonalise_each_generator_once(suite, most,
                                                      monkeypatch):
-    """One eigh per generator over every flow parameter: the flow checks
-    call the matrix functions with the array of FLOW_POINTS."""
+    """One eigh per generator over every flow parameter and every mode: the
+    flow checks call the matrix functions with the array of FLOW_POINTS and
+    the stack of mode operators, and each closed form takes all its
+    functions of G from one call."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -266,17 +269,6 @@ def test_jobs_must_be_positive(argv, jobs, capsys):
     assert capsys.readouterr().out == ""
 
 
-def _spy_on_sweep(monkeypatch):
-    """Record the `jobs` of every limits.sweep call."""
-    jobs_seen, real = [], limits.sweep
-
-    def spy(cell, n_list, jobs=1):
-        jobs_seen.append(jobs)
-        return real(cell, n_list, jobs)
-    monkeypatch.setattr(limits, "sweep", spy)
-    return jobs_seen
-
-
 def _sweep_pairs():
     """Every cli.SWEEP key as (metric, state) params: the metric's default
     state is left out of the argv (id: the metric), the others are given
@@ -294,20 +286,21 @@ def _state_argv(state):
 
 
 @pytest.mark.parametrize("metric,state", _sweep_pairs())
-def test_sweep_metric_runs_on_jobs_threads(metric, state, monkeypatch,
-                                           capsys):
-    jobs_seen = _spy_on_sweep(monkeypatch)
-    code, out = run_cli(["--jobs", "3", "sweep", "--metric", metric,
-                         "--n-list", "16,32,64", *_state_argv(state)], capsys)
+def test_sweep_metric_runs_and_prints_rows(metric, state, capsys):
+    code, out = run_cli(["sweep", "--metric", metric, "--n-list", "16,32,64",
+                         *_state_argv(state)], capsys)
     assert code in (0, 1) and out
-    assert jobs_seen == [3]
 
 
-def test_tables_sweeps_run_on_jobs_threads(monkeypatch, capsys):
-    jobs_seen = _spy_on_sweep(monkeypatch)
-    code, _ = run_cli(["--jobs", "3", "tables"], capsys)
-    assert code == 0
-    assert jobs_seen == [3, 3]
+def test_cells_run_on_the_calling_thread():
+    """No thread pool: every module of the package is free of
+    concurrent.futures and threading, and `sweep` takes no `jobs`."""
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for word in ("concurrent.futures", "ThreadPoolExecutor", "threading"):
+            assert word not in text, (path.name, word)
+    assert list(inspect.signature(limits.sweep).parameters) == ["cell",
+                                                                "n_list"]
 
 
 def test_tables_build_the_n256_operators_once(monkeypatch, capsys):
@@ -428,8 +421,11 @@ def test_spectrum_dicke(capsys):
 
 
 def test_spectrum_unknown_model(capsys):
-    code, _ = run_cli(["spectrum", "--model", "qcd", "--n", "4"], capsys)
-    assert code == 2
+    assert cli.main(["spectrum", "--model", "qcd", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: unknown spectrum model 'qcd'; choose from ['dicke', "
+        "'model_i', 'model_ii', 'model_iii', 'witten']\n")
 
 
 def test_spectrum_witten_below_cutoff_is_usage_error(capsys):

@@ -217,6 +217,23 @@ def test_unitary_flow_stack_matches_scalar_calls(build, alpha):
             lambda s: operators.unitary_flow(g, s, a))
 
 
+@pytest.mark.parametrize("build,alpha", (
+    (lambda: models.build_model_i((1.0, 2.0, 2.0)), 0.0),
+    (lambda: models.build_model_ii((0.7, 1.3)), 0.4)),
+    ids=("model_i", "model_ii"))
+@pytest.mark.parametrize("s", (0.7, np.array(FLOW_POINTS)), ids=("s", "s1d"))
+def test_unitary_flow_operator_stack_is_per_operator(build, alpha, s):
+    """A (modes, d, d) stack of operators flows bit for bit like one call
+    per operator, with the operator axis first."""
+    inst = build()
+    g = inst.g_alpha(alpha)
+    ops = operators.sparse_annihilators(inst.spec.modes)
+    stack = operators.unitary_flow(g, s, np.stack([a.toarray() for a in ops]))
+    assert stack.shape == (len(ops), *np.shape(s), *g.shape)
+    for layer, a in zip(stack, ops):
+        assert np.array_equal(layer, operators.unitary_flow(g, s, a))
+
+
 @pytest.mark.parametrize("alpha", (0.0, 0.6, 1.9))
 def test_baby_flow_stack_matches_scalar_calls(alpha):
     _assert_stack_is_per_s(
