@@ -1,7 +1,6 @@
 """Large-N probes: Gaussian/Weyl limits, ODLRO, derivative identities, the
 truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
-import math
 import tracemalloc
 
 import mpmath
@@ -109,10 +108,11 @@ def _ceiling(ops):
     return dicke.ceiling_state_ladder(ops)[1]
 
 
-def test_sweep_returns_ascending_points():
+@pytest.mark.parametrize("power", (1, 3))
+def test_sweep_returns_ascending_points(power):
     n_list = [9, 2, 40, 5, 17, 3]
-    pts = limits.sweep(lambda n: n * n + 0.5j, n_list)
-    assert pts == tuple((n, complex(n * n, 0.5)) for n in sorted(n_list))
+    pts = limits.sweep(lambda n: n ** power + 0.5j, n_list)
+    assert pts == tuple((n, complex(n ** power, 0.5)) for n in sorted(n_list))
     assert all(type(v) is complex for _, v in pts)
 
 
@@ -238,21 +238,16 @@ def test_matrix_free_probes_match_dense_expm(n, label):
 # The Chebyshev rotation against expm_multiply.  Against the exact pure-S_z
 # rotation, expm_multiply's own error is 10-100x the Chebyshev sum's (3e-12
 # against 4e-14 at n = 20000, |c| = 5); 1e-12 relative leaves room for it
-# at the coefficients below.  expm_multiply itself divides 0 by 0 at the
-# smallest subnormal coefficient (n = 1, c_z = 5e-324); below rho = 1e-13,
-# where exp(i gen) v = v to well inside that tolerance, the oracle is v.
+# at the coefficients below.
 ROTATION_RTOL = 1e-12
 
 
-def _assert_rotation_matches_expm_multiply(ops, coeffs, denom, spin):
+def _eigh_rotation(ops, coeffs, denom, spin):
+    """exp(i gen) spin from the dense generator's eigendecomposition."""
     cx, cy, cz = coeffs
-    if math.hypot(*coeffs) * ops.n / denom < 1e-13:
-        want = spin
-    else:
-        gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) / denom
-        want = expm_multiply(1j * gen.tocsc(), spin)
-    got = limits._spin_phase_apply(ops, cx, cy, cz, denom, spin)
-    assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
+    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z).toarray() / denom
+    w, v = np.linalg.eigh(gen)
+    return v @ (np.exp(1j * w) * (v.conj().T @ spin))
 
 
 @pytest.mark.parametrize("n", (64, 2000, dicke.MAX_PARTICLES))
@@ -264,8 +259,11 @@ def test_chebyshev_rotation_matches_expm_multiply(n, label, coeffs):
     state = {"ground": dicke.ground_state, "ceiling": _ceiling,
              "bogoliubov(0)": lambda o: dicke.bogoliubov_state(o, 0.0)}[label]
     spin = state(ops).vector.reshape(-1, 2)[:, 1]
-    _assert_rotation_matches_expm_multiply(ops, coeffs, np.sqrt(2.0 * n),
-                                           spin)
+    cx, cy, cz = coeffs
+    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) / np.sqrt(2.0 * n)
+    want = expm_multiply(1j * gen.tocsc(), spin)
+    got = limits._spin_phase_apply(ops, cx, cy, cz, np.sqrt(2.0 * n), spin)
+    assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
 
 
 @settings(deadline=None, max_examples=30)
@@ -274,10 +272,16 @@ def test_chebyshev_rotation_matches_expm_multiply(n, label, coeffs):
 @example(n=1, seed=0, coeffs=(0.0, 0.0, 5e-324))
 @example(n=1, seed=0, coeffs=(1.0, 0.0, 5e-324))
 def test_chebyshev_rotation_random_generator(n, seed, coeffs):
+    """Against the dense eigendecomposition, which is good to 3e-14 here:
+    expm_multiply's own error reaches 8e-13 at n = 400, |c| = 5, too close
+    to ROTATION_RTOL for an oracle, and it divides 0 by 0 at the smallest
+    subnormal coefficient (n = 1, c_z = 5e-324)."""
+    ops = dicke.collective_ops(n)
     rng = np.random.default_rng(seed)
     spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    _assert_rotation_matches_expm_multiply(dicke.collective_ops(n), coeffs,
-                                           np.sqrt(n), spin)
+    got = limits._spin_phase_apply(ops, *coeffs, np.sqrt(n), spin)
+    want = _eigh_rotation(ops, coeffs, np.sqrt(n), spin)
+    assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
 
 
 def test_chebyshev_rotation_at_rho_zero_returns_its_argument():
@@ -303,9 +307,7 @@ def test_chebyshev_rotation_at_the_rho_bound(coeffs):
     spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     cx, cy, cz = (bound * c for c in coeffs)
     got = limits._spin_phase_apply(ops, cx, cy, cz, n, spin)
-    gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z).toarray() / n
-    w, v = np.linalg.eigh(gen)
-    want = v @ (np.exp(1j * w) * (v.conj().T @ spin))
+    want = _eigh_rotation(ops, (cx, cy, cz), n, spin)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(spin)
     if coeffs == (0.0, 0.0, 1.0):
         exact = np.exp(1j * cz * ops.s_z.diagonal().real / n) * spin
