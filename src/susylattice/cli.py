@@ -152,7 +152,7 @@ def _verify_dicke(tol):
                  for n, v in limits.sweep(
                      lambda n: dicke.ceiling_law_exact(n)[k], (4, 100, 1000))]
     ops = dicke.collective_ops(8)
-    _, psi2 = dicke.ceiling_state_ladder(ops)
+    psi2 = dicke.ceiling_state(ops)
     rows += [check_row(f"{label}_overlap_deficit", 8,
                        1.0 - abs(dicke.overlap(state, psi2)), 0, "PAPER",
                        tol["overlap"])
@@ -210,7 +210,7 @@ def run_verify(args, tol):
 _STATE_OF = {
     None: lambda ops: None,
     "ground": dicke.ground_state,
-    "ceiling": lambda ops: dicke.ceiling_state_ladder(ops)[1],
+    "ceiling": dicke.ceiling_state,
     "bogoliubov": lambda ops: dicke.bogoliubov_state(ops, 0.0),
 }
 
@@ -386,7 +386,7 @@ def _table_inputs(args):
     ops, ops256 = dicke.collective_ops(200), dicke.collective_ops(256)
     return SimpleNamespace(
         ops=ops, ops256=ops256, ground=dicke.ground_state(ops),
-        ceiling=dicke.ceiling_state_ladder(ops)[1],
+        ceiling=dicke.ceiling_state(ops),
         szp=-1j * operators.bracket(operators.lift(ops.s_z),
                                     dicke.build_g_alpha_dicke(ops)),
         drift=limits.bs_free_evolution(ops256, 1.0),

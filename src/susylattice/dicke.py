@@ -4,7 +4,9 @@ tensored with one Clifford mode.
 The product space has dimension 2(N+1) and is ordered spin-major: basis index
 2k + c where k counts raised spins (s_z = 2k - N) and c indexes the Clifford
 factor (c = 0 carries eta eta^dag = 1; c = 1 is annihilated by eta^dag and is
-the ground-state convention), the order of operators.lift.
+the ground-state convention), the order of operators.lift.  The multiplet
+operators are numpy diagonals that act on the rows k (entries 2k, 2k + 1) of
+a state's span: O(1) per application to a basis state.
 """
 
 import math
@@ -24,15 +26,11 @@ class VanishingNormError(ValueError):
 
 
 class DickeOperators:
-    """Ladder operators on the spin-N/2 multiplet.
-
-    s_plus, s_minus, s_z live on the (N+1)-dimensional multiplet and follow
-    the Pauli-sum normalization: [s_plus, s_minus] = s_z, [s_z, s_plus] =
-    2 s_plus, s_z eigenvalues -N, -N+2, ..., N; s_x and s_y are built from
-    them.  operators.lift and lift_apply carry them to the
-    2(N+1)-dimensional product space, where operators.ETA acts on the
-    Clifford factor.
-    """
+    """Ladder operators on the spin-N/2 multiplet as numpy arrays: amp[k],
+    the S_+ amplitude e_k -> e_{k+1} (and S_- back), and sz, the S_z
+    diagonal -N, -N+2, ..., N; [s_plus, s_minus] = s_z, [s_z, s_plus] =
+    2 s_plus.  Each read of s_plus, s_minus, s_z, s_x or s_y builds that
+    multiplet operator as CSR, for the callers that need a matrix."""
 
     def __init__(self, n):
         if n < 1:
@@ -42,13 +40,40 @@ class DickeOperators:
         self.n = n
         k = np.arange(n)
         # ||S_+ e_k||^2 = (k+1)(n-k), forced by the commutation relations
-        amp = np.sqrt((k + 1.0) * (n - k))
-        self.s_plus = sparse.diags(amp, -1, format="csr", dtype=complex)
-        self.s_minus = sparse.diags(amp, 1, format="csr", dtype=complex)
-        self.s_z = sparse.diags(np.arange(-n, n + 1, 2.0), 0, format="csr",
-                                dtype=complex)
-        self.s_x = (self.s_plus + self.s_minus).tocsr()
-        self.s_y = ((self.s_plus - self.s_minus) / 1j).tocsr()
+        self.amp = np.sqrt((k + 1.0) * (n - k))
+        self.sz = np.arange(-n, n + 1, 2.0)
+
+    def diagonals(self, name, lo=0, hi=None):
+        """{offset: diagonal} of the operator `name` on rows lo .. hi - 1
+        (default: all) in CSR column order; -1 takes row k to k + 1."""
+        amp = self.amp[lo:self.n if hi is None else hi - 1]
+        sz = self.sz[lo:hi]
+        return {"s_plus": {-1: amp}, "s_minus": {1: amp}, "s_z": {0: sz},
+                "s_x": {-1: amp, 1: amp},
+                "s_y": {-1: -1j * amp, 1: 1j * amp}}[name]
+
+    def matrix(self, name):
+        """The multiplet operator `name` as complex CSR."""
+        diags = self.diagonals(name)
+        return sparse.diags(list(diags.values()), list(diags), format="csr",
+                            dtype=complex)
+
+    s_plus = property(lambda self: self.matrix("s_plus"))
+    s_minus = property(lambda self: self.matrix("s_minus"))
+    s_z = property(lambda self: self.matrix("s_z"))
+    s_x = property(lambda self: self.matrix("s_x"))
+    s_y = property(lambda self: self.matrix("s_y"))
+
+    def lift_apply(self, name, rows, lo=0):
+        """Rows lo, lo + 1, ... of lift(a) @ v, a = `name`, from the same
+        `rows` of v.reshape(-1, 2), v zero elsewhere; summed from zero in
+        CSR column order, so bit for bit the CSR product."""
+        m = len(rows)
+        out = np.zeros(rows.shape, dtype=complex)
+        for k, d in self.diagonals(name, lo, lo + m).items():
+            out[max(-k, 0):m - max(k, 0)] += \
+                d[:, None] * rows[max(k, 0):m - max(-k, 0)]
+        return out
 
     @property
     def dim(self):
@@ -65,18 +90,28 @@ def collective_ops(n):
 
 @dataclass(frozen=True)
 class DickeState:
-    """Unit vector on the 2(N+1)-dimensional product space."""
+    """Unit vector on the product space, zero outside rows k in range(*span)."""
 
     vector: np.ndarray
     label: str
     n: int
     meta: dict = field(default_factory=dict)
+    span: tuple = field(init=False)
 
     def __post_init__(self):
-        norm = np.linalg.norm(self.vector)
+        held = np.flatnonzero(self.vector.reshape(-1, 2).any(axis=1))
+        span = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+        object.__setattr__(self, "span", span)
+        norm = np.linalg.norm(self.rows()[1])
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state {self.label!r} has norm {norm!r}")
         self.vector.flags.writeable = False
+
+    def rows(self, pad=0):
+        """(lo, rows lo, lo + 1, ... of the span widened by `pad` each
+        side); a reduction over them is the full one for a basis state."""
+        lo = max(self.span[0] - pad, 0)
+        return lo, self.vector.reshape(-1, 2)[lo:self.span[1] + pad]
 
 
 def _product_state(spin_vec, label, n, meta=None):
@@ -121,18 +156,19 @@ def ground_state(ops):
     return _basis_state(ops.n, 0, "ground")
 
 
-def ceiling_state_ladder(ops):
-    """(psi1, psi2): the ceiling eigenvector components, in closed form.
-
-    psi2 = normalized S_+^{N/2} |lowest> = e_{N/2}  (s_z = 0),
-    psi1 = normalized S_+ psi2         = e_{N/2+1} (s_z = 2),
-    because S_+ maps e_k to a positive multiple of e_{k+1}.
-    """
-    n = ops.n
-    if n % 2:
+def ceiling_state(ops):
+    """psi2 = normalized S_+^{N/2} |lowest> = e_{N/2} (s_z = 0), because
+    S_+ maps e_k to a positive multiple of e_{k+1}."""
+    if ops.n % 2:
         raise ValueError("ceiling ladder construction needs even n")
-    return (_basis_state(n, n // 2 + 1, "ceiling_psi1"),
-            _basis_state(n, n // 2, "ceiling"))
+    return _basis_state(ops.n, ops.n // 2, "ceiling")
+
+
+def ceiling_state_ladder(ops):
+    """(psi1, psi2): the ceiling eigenvector components, in closed form;
+    psi1 = normalized S_+ psi2 = e_{N/2+1} (s_z = 2)."""
+    return (_basis_state(ops.n, ops.n // 2 + 1, "ceiling_psi1"),
+            ceiling_state(ops))
 
 
 def ceiling_law_exact(n):

@@ -268,13 +268,6 @@ def lift(a, clifford=None):
     return sparse.kron(a, c, format="csr")
 
 
-def lift_apply(a, vec):
-    """lift(a) @ vec without building lift(a): `a` acts on both Clifford
-    components of the ladder-major `vec` at once, summing in the same
-    order, so the result is bit for bit that of lift(a) @ vec."""
-    return (a @ vec.reshape(-1, 2)).ravel()
-
-
 def gauge_charge(q, alpha):
     """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag, in
     the representation of Q (sparse Q gives a sparse G).  The one builder of

@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 
 from susylattice import dicke, models
-from susylattice.operators import ETA, lift, lift_apply
+from susylattice.operators import ETA, lift
 from expect import expectation, hss_unnormalized
 
 
@@ -80,16 +80,47 @@ def _probe_vectors(dim, rng):
     return out
 
 
+def _bits(a):
+    """The IEEE bit patterns of a complex array, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @pytest.mark.parametrize("n", (1, 7, 200, 5000))
 def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
-    """lift_apply(a, v) is lift(a) @ v to the last bit, so the probes that
-    apply an operator without building its lift keep every golden byte."""
+    """ops.lift_apply(name, rows, lo) is lift(a) @ v to the last bit, over
+    the whole vector and over a window of rows outside which v vanishes,
+    and so is S_+ applied after S_-: the probes that apply an operator
+    without building its lift keep every golden byte."""
     ops = dicke.collective_ops(n)
-    vectors = _probe_vectors(ops.dim, np.random.default_rng(n))
-    for name, a in _multiplet_operators(ops).items():
-        full = lift(a)
+    rng = np.random.default_rng(n)
+    vectors = _probe_vectors(ops.dim, rng)
+    lo, hi = sorted(rng.integers(0, n + 2, size=2))
+    window = np.zeros(ops.dim, dtype=complex)
+    window[2 * lo:2 * hi] = vectors[0][2 * lo:2 * hi]
+    for name in ("s_plus", "s_minus", "s_z", "s_x", "s_y"):
+        full = lift(getattr(ops, name))
         for v in vectors:
-            assert np.array_equal(lift_apply(a, v), full @ v), name
+            got = ops.lift_apply(name, v.reshape(-1, 2)).ravel()
+            assert np.array_equal(got, full @ v), name
+        got = ops.lift_apply(name, window.reshape(-1, 2)[lo:hi], lo)
+        assert np.array_equal(got.ravel(), (full @ window)[2 * lo:2 * hi]), \
+            name
+    sp, sm = lift(ops.s_plus), lift(ops.s_minus)
+    for v in vectors:
+        got = ops.lift_apply("s_plus", ops.lift_apply("s_minus",
+                                                      v.reshape(-1, 2)))
+        assert np.array_equal(got.ravel(), sp @ (sm @ v))
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 200))
+def test_multiplet_csr_is_the_ladder_expression(n):
+    """The CSR that ops.matrix builds from the diagonals holds, bit for bit
+    and signed zeros included, the entries of the ladder expressions
+    S_x = S_+ + S_- and S_y = (S_+ - S_-)/i."""
+    ops = dicke.collective_ops(n)
+    sp, sm = ops.s_plus, ops.s_minus
+    for got, want in ((ops.s_x, sp + sm), (ops.s_y, (sp - sm) / 1j)):
+        assert np.array_equal(_bits(got.toarray()), _bits(want.toarray()))
 
 
 @pytest.mark.parametrize("n", (1, 7))

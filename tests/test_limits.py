@@ -1,6 +1,7 @@
 """Large-N probes: Gaussian/Weyl limits, ODLRO, derivative identities, the
 truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -330,6 +331,135 @@ def test_rotation_above_rho_bound_raises_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 1e5
+
+
+def _full_length_rotation(ops, cx, cy, cz, denom, spin):
+    """The Chebyshev-Bessel sum over every row of the multiplet, the
+    diagonals of 2x read off the CSR generator: the light-cone kernel's
+    reference."""
+    rho = math.hypot(cx, cy, cz) * ops.n / denom
+    two_x = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) * (2.0 / (rho * denom))
+    lower, diag, upper = (two_x.diagonal(k) for k in (-1, 0, 1))
+
+    def times_two_x(u):
+        out = diag * u
+        out[1:] += lower * u[:-1]
+        out[:-1] += upper * u[1:]
+        return out
+
+    bessel = limits._bessel_j(rho)
+    coef = 2.0 * bessel * limits._I_POWERS[np.arange(bessel.size) % 4]
+    total = bessel[0] * spin
+    prev, cur = spin, 0.5 * times_two_x(spin)
+    for c in coef[1:]:
+        total += c * cur
+        prev, cur = cur, times_two_x(cur) - prev
+    return total
+
+
+@pytest.mark.parametrize("n", (64, 2000, dicke.MAX_PARTICLES))
+@pytest.mark.parametrize("label", ("ground", "ceiling", "top", "bogoliubov(0)"))
+@pytest.mark.parametrize("coeffs", ((0.8, -0.45, 0.0), (0.0, 0.0, 0.75),
+                                    (0.3, -0.5, 0.9)),
+                         ids=("xy", "pure_z", "xyz"))
+def test_light_cone_rotation_is_the_full_length_sum(n, label, coeffs):
+    """From a basis vector (either end of the multiplet, or the middle) or
+    BS(0), the light-cone recurrence equals the full-length one bit for
+    bit."""
+    ops = dicke.collective_ops(n)
+    if label == "bogoliubov(0)":
+        spin = dicke.coherent_spin_amplitudes(n, 0.0).astype(complex)
+    else:
+        spin = np.zeros(n + 1, dtype=complex)
+        spin[{"ground": 0, "ceiling": n // 2, "top": n}[label]] = 1.0
+    denom = np.sqrt(2.0 * n)
+    got = limits._spin_phase_apply(ops, *coeffs, denom, spin)
+    assert np.array_equal(got, _full_length_rotation(ops, *coeffs, denom,
+                                                     spin))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+       coeffs=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_light_cone_rotation_random_vectors(n, seed, coeffs, cut):
+    """Dense random vectors, zero outside a drawn run of rows (possibly the
+    whole multiplet, one row or none): the light-cone recurrence equals the
+    full-length one bit for bit."""
+    assume(math.hypot(*coeffs) * n / np.sqrt(n) >= 2.0 * limits.BESSEL_TAIL)
+    ops = dicke.collective_ops(n)
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(int(c * (n + 2)) for c in cut)
+    spin = np.zeros(n + 1, dtype=complex)
+    spin[lo:hi] = (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))[lo:hi]
+    got = limits._spin_phase_apply(ops, *coeffs, np.sqrt(n), spin)
+    assert np.array_equal(got, _full_length_rotation(ops, *coeffs, np.sqrt(n),
+                                                     spin))
+
+
+def _full_vector_reductions(ops, state):
+    """The span reductions as they read before spans: every operator
+    lifted to CSR and every vdot over the whole vector."""
+    v = state.vector
+    sx, sp, sm = lift(ops.s_x), lift(ops.s_plus), lift(ops.s_minus)
+    moments = (float(np.real(np.vdot(v, sx @ v))),
+               float(np.real(np.vdot(v, sx @ (sx @ v)))))
+    triple = tuple(float(np.real(np.vdot(v, lift(m) @ v))) / ops.n
+                   for m in (ops.s_x, ops.s_y, ops.s_z))
+    isometry = float(4.0 * np.real(np.vdot(v, sp @ (sm @ v))) / ops.n ** 2)
+    return moments, triple, isometry
+
+
+@pytest.mark.parametrize("n", (16000, dicke.MAX_PARTICLES))
+def test_span_reductions_equal_the_full_vector_on_basis_states(n):
+    """A basis state has one nonzero amplitude, so reading its span alone
+    gives exactly the full-vector values: at the ground state, the ceiling
+    pair and the top of the multiplet, where the window is clipped."""
+    ops = dicke.collective_ops(n)
+    states = (dicke.ground_state(ops), *dicke.ceiling_state_ladder(ops),
+              dicke._basis_state(n, n, "top"))
+    for state in states:
+        assert state.span[1] - state.span[0] == 1
+        got = (limits._sx_moments(ops, state),
+               limits.macroscopic_triple(ops, state),
+               limits.ceiling_isometry(ops, state))
+        assert got == _full_vector_reductions(ops, state), state.label
+
+
+def test_span_is_the_run_of_nonzero_rows():
+    ops = dicke.collective_ops(40)
+    assert dicke.ground_state(ops).span == (0, 1)
+    assert dicke.ceiling_state(ops).span == (20, 21)
+    assert dicke.bogoliubov_state(ops, 0.3).span == (0, 41)
+    lo, rows = dicke.ceiling_state(ops).rows(2)
+    assert lo == 18 and rows.shape == (5, 2)
+    lo, rows = dicke.ground_state(ops).rows(2)
+    assert lo == 0 and rows.shape == (3, 2)
+
+
+_SPARSE_CONSTRUCTORS = ("diags", "diags_array", "dia_matrix", "csr_matrix",
+                        "csr_array", "coo_matrix", "kron", "identity", "eye")
+
+
+def test_collective_cells_build_no_sparse_matrix(monkeypatch, capsys):
+    """With every scipy.sparse constructor raising, DickeOperators at
+    n = 16000 and the ceiling ODLRO and ground-state Gaussian sweeps still
+    run: their cells hold amplitude arrays and build no CSR."""
+    from susylattice import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a collective cell built a scipy.sparse matrix")
+
+    for name in _SPARSE_CONSTRUCTORS:
+        monkeypatch.setattr(sparse, name, refuse)
+    ops = dicke.DickeOperators(16000)
+    with pytest.raises(AssertionError):
+        ops.s_x
+    for argv in (["--state", "ceiling", "--metric", "odlro", "--n-list",
+                  "1024,4096,16000"],
+                 ["--metric", "gaussian", "--n-list", "1024,2048,4096"]):
+        assert cli.main(["sweep", *argv]) == 0
+        assert "fail" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rho", (1e-300, 1e-9, 0.5, 2.404825557695773, 30.0,
