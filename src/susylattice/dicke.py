@@ -46,7 +46,7 @@ class DickeOperators:
     def diagonals(self, name, lo=0, hi=None):
         """{offset: diagonal} of the operator `name` on rows lo .. hi - 1
         (default: all) in CSR column order; -1 takes row k to k + 1."""
-        amp = self.amp[lo:self.n if hi is None else hi - 1]
+        amp = self.amp[lo:self.n if hi is None else max(hi - 1, 0)]
         sz = self.sz[lo:hi]
         return {"s_plus": {-1: amp}, "s_minus": {1: amp}, "s_z": {0: sz},
                 "s_x": {-1: amp, 1: amp},

@@ -88,9 +88,10 @@ def _bits(a):
 @pytest.mark.parametrize("n", (1, 7, 200, 5000))
 def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
     """ops.lift_apply(name, rows, lo) is lift(a) @ v to the last bit, over
-    the whole vector and over a window of rows outside which v vanishes,
-    and so is S_+ applied after S_-: the probes that apply an operator
-    without building its lift keep every golden byte."""
+    the whole vector and over a window of rows outside which v vanishes
+    (an empty one included), and so is S_+ applied after S_-: the probes
+    that apply an operator without building its lift keep every golden
+    byte."""
     ops = dicke.collective_ops(n)
     rng = np.random.default_rng(n)
     vectors = _probe_vectors(ops.dim, rng)
@@ -105,6 +106,7 @@ def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
         got = ops.lift_apply(name, window.reshape(-1, 2)[lo:hi], lo)
         assert np.array_equal(got.ravel(), (full @ window)[2 * lo:2 * hi]), \
             name
+        assert ops.lift_apply(name, np.zeros((0, 2)), 0).shape == (0, 2)
     sp, sm = lift(ops.s_plus), lift(ops.s_minus)
     for v in vectors:
         got = ops.lift_apply("s_plus", ops.lift_apply("s_minus",
