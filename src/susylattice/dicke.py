@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .operators import (ETA, DimensionError, diagonal_eigenvalues,
+from .operators import (ETA, DimensionError, Sparse, diagonal_eigenvalues,
                         gauge_charge, lift)
 
 MAX_PARTICLES = 20000
@@ -30,7 +29,8 @@ class DickeOperators:
     the S_+ amplitude e_k -> e_{k+1} (and S_- back), and sz, the S_z
     diagonal -N, -N+2, ..., N; [s_plus, s_minus] = s_z, [s_z, s_plus] =
     2 s_plus.  Each read of s_plus, s_minus, s_z, s_x or s_y builds that
-    multiplet operator as CSR, for the callers that need a matrix."""
+    multiplet operator as a complex `Sparse`, for the callers that need a
+    matrix."""
 
     def __init__(self, n):
         if n < 1:
@@ -45,7 +45,7 @@ class DickeOperators:
 
     def diagonals(self, name, lo=0, hi=None):
         """{offset: diagonal} of the operator `name` on rows lo .. hi - 1
-        (default: all) in CSR column order; -1 takes row k to k + 1."""
+        (default: all) in column order; -1 takes row k to k + 1."""
         amp = self.amp[lo:self.n if hi is None else max(hi - 1, 0)]
         sz = self.sz[lo:hi]
         return {"s_plus": {-1: amp}, "s_minus": {1: amp}, "s_z": {0: sz},
@@ -53,10 +53,8 @@ class DickeOperators:
                 "s_y": {-1: -1j * amp, 1: 1j * amp}}[name]
 
     def matrix(self, name):
-        """The multiplet operator `name` as complex CSR."""
-        diags = self.diagonals(name)
-        return sparse.diags(list(diags.values()), list(diags), format="csr",
-                            dtype=complex)
+        """The multiplet operator `name` as a complex Sparse."""
+        return Sparse.from_diagonals(self.diagonals(name))
 
     s_plus = property(lambda self: self.matrix("s_plus"))
     s_minus = property(lambda self: self.matrix("s_minus"))
@@ -67,7 +65,7 @@ class DickeOperators:
     def lift_apply(self, name, rows, lo=0):
         """Rows lo, lo + 1, ... of lift(a) @ v, a = `name`, from the same
         `rows` of v.reshape(-1, 2), v zero elsewhere; summed from zero in
-        CSR column order, so bit for bit the CSR product."""
+        column order, so bit for bit the Sparse product."""
         m = len(rows)
         out = np.zeros(rows.shape, dtype=complex)
         for k, d in self.diagonals(name, lo, lo + m).items():
@@ -123,16 +121,16 @@ def _product_state(spin_vec, label, n, meta=None):
 
 def build_g_alpha_dicke(ops, alpha=0.0):
     """G_alpha of Q = S_- (x) eta / sqrt N, the Dicke image of Model III's
-    M_N eta_N; sparse.  The phase goes on before the 1/sqrt N: the other
+    M_N eta_N; Sparse.  The phase goes on before the 1/sqrt N: the other
     order moves the last bit of some entries that the goldens pin."""
     q = lift(ops.s_minus, ETA)
-    return (gauge_charge(q, alpha) / np.sqrt(ops.n)).tocsr()
+    return gauge_charge(q, alpha) / np.sqrt(ops.n)
 
 
 def build_hss_dicke(ops):
     """Normalized H_SS = G_alpha^2; gauge independent by construction."""
     g = build_g_alpha_dicke(ops, 0.0)
-    return (g @ g).tocsr()
+    return g @ g
 
 
 def hss_eigenvalues(ops):

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import dicke
-from .operators import (ETA, DimensionError, bracket, diagonal_eigenvalues,
-                        gauge_charge, hermitian_function, lift)
+from .operators import (ETA, DimensionError, Sparse, bracket,
+                        diagonal_eigenvalues, gauge_charge,
+                        hermitian_function, lift)
 
 # one-site Paulis in the (up, down) basis; ETA is sigma_+ there
 _PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -198,14 +198,16 @@ def _rotation_overlap(ops, state, rotations, denom):
     """<state| R_k ... R_1 |state> for the collective rotations
     R_j = exp{i(cx S_x + cy S_y + cz S_z)/denom}, (cx, cy, cz) the j-th
     entry of `rotations`.  They act trivially on the Clifford factor, so
-    each nonzero Clifford block of the spin-major vector turns alone."""
+    each nonzero Clifford block of the spin-major vector turns alone; the
+    overlap reads the state's span, which for a basis state is one row."""
+    lo, rows = state.rows()
     total = 0.0 + 0.0j
-    for block in state.vector.reshape(-1, 2).T:
-        if block.any():
+    for c, block in enumerate(state.vector.reshape(-1, 2).T):
+        if rows[:, c].any():
             u = block
             for cx, cy, cz in rotations:
                 u = _spin_phase_apply(ops, cx, cy, cz, denom, u)
-            total += np.vdot(block, u)
+            total += np.vdot(rows[:, c], u[lo:lo + len(rows)])
     return complex(total)
 
 
@@ -265,7 +267,7 @@ def odlro(ops, state):
 
 def _eta_lift(n_levels):
     """1 (x) eta on `n_levels` ladder levels tensor the Clifford mode."""
-    return lift(sparse.identity(n_levels, dtype=complex, format="csr"), ETA)
+    return lift(Sparse.from_diagonals({0: np.ones(n_levels)}), ETA)
 
 
 def _dense_collective(n):
@@ -351,21 +353,23 @@ def local_rotation_check(t=0.7):
 MIN_WITTEN_CUTOFF = 8
 
 # Caps `spectrum --model witten --n`; the `spectral` sweep reads only
-# witten_limit(64).  CSR is O(cutoff): --n 20000 took 1.0 s, 66 MB on 2 vCPU.
+# witten_limit(64).  Sparse is O(cutoff): --n 20000 took 1.0 s, 66 MB on
+# 2 vCPU.
 MAX_WITTEN_CUTOFF = 20000
 
 
 @dataclass(frozen=True)
 class WittenLimitModel:
     """Truncated supersymmetric oscillator H = N + eta eta^dag, N the number
-    operator; every operator is CSR, and H is diagonal in the product basis."""
+    operator; every operator is Sparse, and H is diagonal in the product
+    basis."""
 
     cutoff: int
     alpha: float
-    q: sparse.csr_matrix
-    p: sparse.csr_matrix
-    h: sparse.csr_matrix
-    g_alpha: sparse.csr_matrix
+    q: Sparse
+    p: Sparse
+    h: Sparse
+    g_alpha: Sparse
 
     def bulk_levels(self):
         """Eigenvalues below the truncation-edge exclusion (top 25%), read
@@ -381,8 +385,7 @@ def witten_limit(cutoff, alpha=0.0):
     if cutoff > MAX_WITTEN_CUTOFF:
         raise DimensionError(
             f"cutoff {cutoff} exceeds bound {MAX_WITTEN_CUTOFF}")
-    a = sparse.diags(np.sqrt(np.arange(1, cutoff, dtype=float)), 1,
-                     format="csr", dtype=complex)
+    a = Sparse.from_diagonals({1: np.sqrt(np.arange(1.0, cutoff))})
     a_f = lift(a)
     eta = _eta_lift(cutoff)
     q = (a_f + a_f.conj().T) / np.sqrt(2)
@@ -391,7 +394,7 @@ def witten_limit(cutoff, alpha=0.0):
     # (q^2+p^2-1)/2 + eta eta^dag in its number-operator form, exact at every
     # level (a^dag a would square sqrt(k)).  G^2 = H except at the top level,
     # where the truncated a a^dag gives G^2 a spurious zero mode.
-    number = sparse.diags(np.arange(cutoff, dtype=complex))
+    number = Sparse.from_diagonals({0: np.arange(cutoff)})
     h = eta @ eta.conj().T + lift(number)
     return WittenLimitModel(cutoff, alpha, q, p, h, g)
 

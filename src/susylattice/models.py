@@ -9,33 +9,32 @@ expansions are treated as checks, not definitions.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .operators import (
     NILPOTENCY_TOL,
     DimensionError,
     LatticeSpec,
+    Sparse,
     bracket,
     gauge_charge,
     hermitian_function,
     hermitian_norm,
     lift,
     nilpotency_residual,
-    read_only,
     sparse_annihilators,
 )
 
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A named model with its lattice, couplings and built operators (CSR,
-    read-only data)."""
+    """A named model with its lattice, couplings and built operators
+    (`Sparse`, read-only data)."""
 
     kind: str
     spec: LatticeSpec
     couplings: tuple
-    q: sparse.csr_matrix
-    h: sparse.csr_matrix
+    q: Sparse
+    h: Sparse
 
     def g_alpha(self, alpha=0.0):
         return gauge_charge(self.q, alpha)
@@ -49,8 +48,8 @@ def _check_couplings(z):
 
 
 def _instance(kind, spec, z, q):
-    q = read_only(q)
-    h = read_only(q @ q.conj().T + q.conj().T @ q)
+    qd = q.conj().T
+    h = q @ qd + qd @ q
     return ModelInstance(kind=kind, spec=spec, couplings=z, q=q, h=h)
 
 
@@ -122,13 +121,9 @@ def build_model_ii(z):
     if n > 6:
         raise DimensionError("Model II supports at most 6 sites")
     spec = LatticeSpec(n, 2)
-    ops = sparse_annihilators(spec.modes)
-    q = None
-    for i, zi in enumerate(z):
-        up = ops[spec.mode_index(i, 0)]
-        dn = ops[spec.mode_index(i, 1)]
-        term = zi * (up.conj().T @ up @ dn)
-        q = term if q is None else q + term
+    ops = sparse_annihilators(spec.modes)     # up: mode 2i, down: 2i + 1
+    q = sum(zi * (up.conj().T @ up @ dn)
+            for zi, up, dn in zip(z, ops[0::2], ops[1::2]))
     return _instance("ModelII", spec, z, q)
 
 
@@ -177,14 +172,8 @@ def hopping_supercharge(n, z=None, periodic=True):
     z = _check_couplings(z)
     spec = LatticeSpec(n, 1)
     ops = sparse_annihilators(spec.modes)
-    q = None
-    for i, zi in enumerate(z):
-        j = (i + 1) % n
-        if j == 0 and not periodic:
-            continue
-        term = zi * (ops[i].conj().T @ ops[i] @ ops[j])
-        q = term if q is None else q + term
-    return read_only(q)
+    return sum(zi * (ops[i].conj().T @ ops[i] @ ops[(i + 1) % n])
+               for i, zi in enumerate(z) if periodic or i + 1 < n)
 
 
 def nilpotency_check(q):
@@ -209,9 +198,9 @@ class PairAlgebraOps:
 
     b_ops: tuple
     a3_ops: tuple
-    m_n: sparse.csr_matrix
-    eta_n: sparse.csr_matrix
-    pair_projector: sparse.csr_matrix
+    m_n: Sparse
+    eta_n: Sparse
+    pair_projector: Sparse
 
 
 def _site_occupations(n):
@@ -226,22 +215,22 @@ def build_model_iii_fock(n):
     """Model III on the full Fock space: Q = M_N eta_N, H = {Q, Q^dag}.
 
     Returns the ModelInstance together with the pair-algebra operators, all
-    CSR with read-only data.
+    Sparse.
     """
     if n > 4:
         raise DimensionError("Model III supports at most 4 sites (3 flavors)")
     spec = LatticeSpec(n, 3)
     ops = sparse_annihilators(spec.modes)        # a^f_i is mode 3i + f
-    b = tuple(read_only(ops[3 * i] @ ops[3 * i + 1]) for i in range(n))
+    b = tuple(ops[3 * i] @ ops[3 * i + 1] for i in range(n))
     a3 = ops[2::3]
-    m = read_only(sum(b) / np.sqrt(n))
-    eta = read_only(sum(a3) / np.sqrt(n))
+    m = sum(b) / np.sqrt(n)
+    eta = sum(a3) / np.sqrt(n)
     # the projector prod_i [(1-n_i1)(1-n_i2) + n_i1 n_i2] is diagonal
     occ = _site_occupations(n)
     locked = (occ[:, 0] == occ[:, 1]).all(axis=0)
     pair = PairAlgebraOps(
         b_ops=b, a3_ops=a3, m_n=m, eta_n=eta,
-        pair_projector=read_only(sparse.diags(locked.astype(complex))))
+        pair_projector=Sparse.from_diagonals({0: locked}))
     return _instance("ModelIII", spec, (1.0,) * n, m @ eta), pair
 
 
@@ -264,8 +253,9 @@ def hss_pair_expansion(pair):
     num_pairs = sum(bi.conj().T @ bi for bi in pair.b_ops)
     m, eta = pair.m_n, pair.eta_n
     return (m.conj().T @ m
-            + eta @ eta.conj().T @ (sparse.identity(m.shape[0])
-                                    - (2.0 / n) * num_pairs))
+            + eta @ eta.conj().T @ (
+                Sparse.from_diagonals({0: np.ones(m.shape[0])})
+                - (2.0 / n) * num_pairs))
 
 
 def model_iii_symmetric_sector_spectrum(n):
@@ -281,13 +271,15 @@ def model_iii_symmetric_sector_spectrum(n):
     occ = _site_occupations(n)
     sector = ((occ[:, 0] == occ[:, 1]) & (occ[:, 2] == 0)).all(axis=0)
     pairs = occ[:, 0].sum(axis=0)
-    basis = []
+    eta_d, basis = pair.eta_n.conj().T, []
     for k in range(n + 1):
         v = (sector & (pairs == k)).astype(complex)
         v /= np.linalg.norm(v)
-        basis += [v, pair.eta_n.conj().T @ v]
+        basis += [v, eta_d @ v]
     bmat = np.column_stack(basis)
-    return np.sort(np.linalg.eigvalsh(bmat.conj().T @ (inst.h @ bmat)))
+    nz = np.nonzero(bmat)       # H B over the few nonzeros of B
+    hb = (inst.h @ Sparse(*nz, bmat[nz], bmat.shape)).toarray()
+    return np.sort(np.linalg.eigvalsh(bmat.conj().T @ hb))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +296,8 @@ class BcsModel:
 
     n: int
     representation: str
-    h_bcs: sparse.csr_matrix
-    h_ss: sparse.csr_matrix
+    h_bcs: Sparse
+    h_ss: Sparse
     diff_norm: float
 
 
@@ -329,5 +321,5 @@ def build_bcs(n, representation="dicke"):
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return BcsModel(n=n, representation=representation,
-                    h_bcs=read_only(h_bcs), h_ss=read_only(h_ss),
+                    h_bcs=h_bcs, h_ss=h_ss,
                     diff_norm=hermitian_norm(h_bcs + h_ss))

@@ -1,6 +1,6 @@
 """Operator toolkit and the model-independent super-structure.
 
-Operators are scipy CSR matrices wherever they are built: fermion mode
+Operators are `Sparse` matrices wherever they are built: fermion mode
 operators by the Jordan-Wigner construction, (anti)commutators and the gauge
 family.  The decomposition of a nilpotent supercharge Q into (P0, eta, F,
 G_alpha, paired spectrum) solves the exact invariant blocks of Q; only the
@@ -9,9 +9,9 @@ Hermitian matrix functions take a dense copy of their argument.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Number
 
 import numpy as np
-from scipy import sparse
 
 # Sparse Jordan-Wigner operators on at most 2^14 Fock states; the dense
 # kernels stop far below that, at the per-model site caps.
@@ -35,17 +35,149 @@ class NilpotencyError(ValueError):
     """Supercharge candidate is not nilpotent."""
 
 
+class Sparse:
+    """Sparse matrix on numpy arrays: entries sorted by (row, col), repeated
+    entries summed, exact zeros dropped; rows, cols and data are read-only.
+    Repeated entries and product terms add from zero in the order given,
+    products over ascending inner index: the order of scipy's CSR kernels,
+    whose values these agree with to the last bit."""
+
+    __array_ufunc__ = None      # ndarray and numpy-scalar operands defer
+
+    def __init__(self, rows, cols, data, shape):
+        self.shape = (int(shape[0]), int(shape[1]))
+        keys = (np.asarray(rows, dtype=np.int64) * self.shape[1]
+                + np.asarray(cols, dtype=np.int64)).ravel()
+        data = np.asarray(data).ravel()
+        if (keys[1:] <= keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")     # merges sorted runs
+            keys = keys[order]
+            first = np.ones(keys.size, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            group = np.empty_like(order)
+            group[order] = np.cumsum(first) - 1
+            keys = keys[first]      # bincount adds in the order given
+            sums = np.bincount(group, data.real, keys.size).astype(data.dtype)
+            if np.iscomplexobj(data):
+                sums.imag = np.bincount(group, data.imag, keys.size)
+            data = sums
+        keep = data.astype(bool)
+        self.data, keys = data[keep], keys[keep]
+        self.nnz = keys.size
+        self.rows, self.cols = np.divmod(keys, self.shape[1])
+        for a in (self.rows, self.cols, self.data):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_diagonals(cls, diagonals):
+        """Complex square matrix with diagonal d at offset k for each {k: d};
+        entry t of d sits at (t - min(k, 0), t + max(k, 0))."""
+        n = max(len(d) + abs(k) for k, d in diagonals.items())
+        at = [(np.arange(len(d)), k) for k, d in diagonals.items()]
+        return cls(np.concatenate([t - min(k, 0) for t, k in at]),
+                   np.concatenate([t + max(k, 0) for t, k in at]),
+                   np.concatenate(list(diagonals.values())).astype(complex),
+                   (n, n))
+
+    def _with(self, data):
+        return Sparse(self.rows, self.cols, data, self.shape)
+
+    @property
+    def T(self):
+        return Sparse(self.cols, self.rows, self.data, self.shape[::-1])
+
+    def conj(self):
+        return self._with(self.data.conj())
+
+    def diagonal(self):
+        out = np.zeros(min(self.shape), dtype=self.data.dtype)
+        on = self.rows == self.cols
+        out[self.rows[on]] = self.data[on]
+        return out
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.rows, self.cols] = self.data
+        return out
+
+    def max(self):
+        """Largest entry, the implicit zeros included."""
+        full = self.nnz == self.shape[0] * self.shape[1]
+        return self.data.max(initial=-np.inf if full else 0)
+
+    def __abs__(self):
+        return self._with(np.abs(self.data))
+
+    def __neg__(self):
+        return self._with(-self.data)
+
+    def __mul__(self, c):
+        return self._with(self.data * c) if isinstance(c, Number) \
+            else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self * (1 / c)
+
+    def __add__(self, other):
+        if isinstance(other, Number) and other == 0:    # sum() starts at 0
+            return self
+        if getattr(other, "shape", None) != self.shape:
+            raise ValueError(f"cannot add {self.shape} and {other!r}")
+        return Sparse(*(np.concatenate((getattr(self, a), getattr(other, a)))
+                        for a in ("rows", "cols", "data")), self.shape)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __matmul__(self, other):
+        inner = np.shape(other)[0]
+        if inner != self.shape[1]:
+            raise ValueError(f"matmul: {self.shape} @ {np.shape(other)}")
+        if isinstance(other, Sparse):
+            per_row = np.bincount(other.rows, minlength=inner)
+            reach = per_row[self.cols]      # other's entries per own entry
+            mine = np.repeat(np.arange(self.nnz), reach)
+            theirs = np.arange(mine.size) + np.repeat(
+                np.cumsum(per_row)[self.cols] - np.cumsum(reach), reach)
+            return Sparse(self.rows[mine], other.cols[theirs],
+                          0 + _product(self.data[mine], other.data[theirs]),
+                          (self.shape[0], other.shape[1]))
+        x = np.asarray(other)
+        terms = _product(self.data.reshape((-1,) + (1,) * (x.ndim - 1)),
+                         x[self.cols])
+        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
+        np.add.at(out, self.rows, terms)
+        return out
+
+
+def _product(a, b):
+    """a * b, a complex pair multiplied as (ar br - ai bi) + i(ar bi + ai br)
+    with every operation rounded: numpy's vector loops may fuse these into
+    multiply-adds, which moves the last bit (|z|^2 gets an imaginary part)."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)
+            and a.imag.any() and b.imag.any()):
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _as_sparse(m):
+    """m itself when Sparse, else the Sparse of the nonzeros of array m."""
+    if isinstance(m, Sparse):
+        return m
+    m = np.asarray(m)
+    nz = np.nonzero(m != 0)
+    return Sparse(*nz, m[nz], m.shape)
+
+
 def _as_array(x):
-    return x.toarray() if sparse.issparse(x) else np.asarray(x)
-
-
-def read_only(m):
-    """m as canonical CSR whose data array is read-only, so that writing a
-    stored entry raises ValueError."""
-    m = sparse.csr_matrix(m)
-    m.sum_duplicates()
-    m.data.flags.writeable = False
-    return m
+    return x.toarray() if isinstance(x, Sparse) else np.asarray(x)
 
 
 @dataclass(frozen=True)
@@ -80,7 +212,7 @@ class LatticeSpec:
 
 
 def bit_operator(nbits, mask, string=0):
-    """Sparse one-site [[0,1],[0,0]] on the 2^nbits bit-string basis, read
+    """One-site [[0,1],[0,0]] on the 2^nbits bit-string basis, read
     off the bits of the basis index: it clears the `mask` bit, times the
     sign string (-1)^popcount(index & string), e.g. the Jordan-Wigner
     string."""
@@ -89,9 +221,9 @@ def bit_operator(nbits, mask, string=0):
     for shift in (16, 8, 4, 2, 1):      # xor-fold to the popcount parity
         par = par ^ (par >> shift)
     sign = 1.0 - 2.0 * (par & 1)
-    cols = idx[(idx & mask) != 0]
-    return sparse.csr_matrix((sign[cols].astype(complex), (cols ^ mask, cols)),
-                             shape=(idx.size, idx.size))
+    cols = idx[(idx & mask) != 0]      # rows cols ^ mask ascend with cols
+    return Sparse(cols ^ mask, cols, sign[cols].astype(complex),
+                  (idx.size, idx.size))
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +238,14 @@ def sparse_annihilators(modes):
         raise DimensionError(
             f"{modes} modes exceed the bound of {MAX_MODES}")
     top = 2 ** modes
-    return tuple(read_only(bit_operator(modes, 1 << (modes - 1 - k),
-                                        string=top - (2 << (modes - 1 - k))))
+    return tuple(bit_operator(modes, 1 << (modes - 1 - k),
+                              string=top - (2 << (modes - 1 - k)))
                  for k in range(modes))
 
 
 def _components(pattern):
     """Component label of every state under the symmetrised pattern of
-    sparse `pattern`, numbered by the rank of each component's smallest
+    Sparse `pattern`, numbered by the rank of each component's smallest
     state: the labels of scipy.sparse.csgraph.connected_components.
 
     Min-label propagation with pointer jumping.  Each round, every edge
@@ -122,9 +254,7 @@ def _components(pattern):
     at a root.  Rounds repeat until no edge joins two labels.  A label is
     always a state of the same component and never grows, so each
     component ends labelled by its smallest state."""
-    coo = sparse.coo_matrix(pattern)
-    stored = coo.data != 0
-    rows, cols = coo.row[stored], coo.col[stored]
+    rows, cols = pattern.rows, pattern.cols
     labels = np.arange(pattern.shape[0])
     while True:
         at_row, at_col = labels[rows], labels[cols]
@@ -139,7 +269,7 @@ def _components(pattern):
 
 
 def _blocks(pattern, *mats):
-    """Stack sparse `mats` over the connected components of the symmetrised
+    """Stack Sparse `mats` over the connected components of the symmetrised
     pattern of `pattern`, which must cover every pattern in `mats`.  Yields,
     per block size, the (k, size) basis states of the k blocks of that size
     and one (k, size, size) stack per matrix."""
@@ -149,27 +279,26 @@ def _blocks(pattern, *mats):
     order = np.argsort(labels, kind="stable")
     pos = np.empty_like(order)      # position of each state in its block
     pos[order] = np.arange(order.size) - start[labels[order]]
-    coos = [m.tocoo() for m in mats]
     for size in np.unique(sizes):
         members = sizes == size
         slot = np.cumsum(members) - 1
         stacks = []
-        for coo in coos:
-            comp = labels[coo.row]
+        for m in mats:
+            comp = labels[m.rows]
             hit = members[comp]
-            stack = np.zeros((members.sum(), size, size), dtype=coo.dtype)
-            stack[slot[comp[hit]], pos[coo.row[hit]], pos[coo.col[hit]]] = \
-                coo.data[hit]
+            stack = np.zeros((members.sum(), size, size), dtype=m.data.dtype)
+            stack[slot[comp[hit]], pos[m.rows[hit]], pos[m.cols[hit]]] = \
+                m.data[hit]
             stacks.append(stack)
         yield order[start[members][:, None] + np.arange(size)], stacks
 
 
 def _unblock(dim, parts):
-    """Read-only CSR in the original basis from (states, stack) pairs."""
+    """Sparse in the original basis from (states, stack) pairs."""
     rows = np.concatenate([np.repeat(s, s.shape[1]) for s, _ in parts])
     cols = np.concatenate([np.tile(s, s.shape[1]).ravel() for s, _ in parts])
     data = np.concatenate([stack.ravel() for _, stack in parts])
-    return read_only(sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)))
+    return Sparse(rows, cols, data, (dim, dim))
 
 
 def _dagger(stack):
@@ -177,10 +306,10 @@ def _dagger(stack):
 
 
 def hermitian_norm(m):
-    """Exact spectral norm max|lambda| of a sparse Hermitian matrix: the
-    connected components of its sparsity pattern are decoupled blocks, and
-    equal-size blocks share one stacked eigvalsh call."""
-    m = sparse.csr_matrix(m)
+    """Exact spectral norm max|lambda| of a Hermitian matrix, Sparse or
+    dense: the connected components of its sparsity pattern are decoupled
+    blocks, and equal-size blocks share one stacked eigvalsh call."""
+    m = _as_sparse(m)
     _require_hermitian(m, "hermitian_norm argument")
     return max(float(np.abs(np.linalg.eigvalsh(stack)).max())
                for _, (stack,) in _blocks(m, m))
@@ -188,7 +317,7 @@ def hermitian_norm(m):
 
 def bracket(a, b, kind="commutator"):
     """AB -+ BA for kind in {"commutator", "anticommutator"}; dense or
-    sparse operands, and two sparse operands give a sparse result."""
+    Sparse operands, and two Sparse operands give a Sparse result."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if kind == "commutator":
@@ -232,11 +361,11 @@ def unitary_flow(g, s, a):
 
 
 def diagonal_eigenvalues(h):
-    """Ascending eigenvalues of a sparse Hermitian H that is diagonal in the
+    """Ascending eigenvalues of a Sparse Hermitian H that is diagonal in the
     basis it is stored in; raises ValueError when an off-diagonal entry
     exceeds 1e-12."""
-    off = h - sparse.diags(h.diagonal())
-    if off.nnz and abs(off).max() > 1e-12:
+    off = h.data[h.rows != h.cols]
+    if off.size and np.abs(off).max() > 1e-12:
         raise ValueError("H is not diagonal in its basis")
     return np.sort(h.diagonal().real)
 
@@ -261,25 +390,28 @@ ETA.flags.writeable = False
 
 
 def lift(a, clifford=None):
-    """a (x) c as CSR on the product of a ladder space with one Clifford
+    """a (x) c as Sparse on the product of a ladder space with one Clifford
     mode, c the 2x2 identity unless given (e.g. ETA).  The product basis is
     ladder-major with the Clifford factor last: index 2k + c."""
     c = np.eye(2, dtype=complex) if clifford is None else clifford
-    return sparse.kron(a, c, format="csr")
+    ci, cj = np.nonzero(c)
+    return Sparse(2 * a.rows[:, None] + ci, 2 * a.cols[:, None] + cj,
+                  a.data[:, None] * c[ci, cj],
+                  (2 * a.shape[0], 2 * a.shape[1]))
 
 
 def gauge_charge(q, alpha):
     """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag, in
-    the representation of Q (sparse Q gives a sparse G).  The one builder of
+    the representation of Q (Sparse Q gives a Sparse G).  The one builder of
     G_alpha: the Fock models pass their Q, and the Dicke layer, the local
     site operator and the Witten limit pass Q = A (x) eta."""
-    qm = q if sparse.issparse(q) else np.asarray(q)
+    qm = q if isinstance(q, Sparse) else np.asarray(q)
     return np.exp(1j * alpha) * qm + np.exp(-1j * alpha) * qm.conj().T
 
 
 def nilpotency_residual(q):
     """||Q^2||_F / ||Q||_F^2 over stored entries; zero Q is nilpotent."""
-    q = sparse.csr_matrix(q)
+    q = _as_sparse(q)
     nq = np.linalg.norm(q.data)
     if nq == 0.0:
         return 0.0
@@ -292,14 +424,14 @@ class SuperDecomposition:
 
     Attributes
     ----------
-    q, h : csr_matrix
+    q, h : Sparse
         The supercharge and H = Q Q^dag + Q^dag Q.
     p0 : ndarray
         Orthogonal projector onto ker H, scattered block by block.  Dense
         only because the benchmark reads it with np.asarray and np.trace.
-    eta : csr_matrix
+    eta : Sparse
         Q / sqrt(H) on the range of 1 - P0; the collective Clifford mode.
-    f : csr_matrix
+    f : Sparse
         [eta, eta^dag]; generates the gauge rotation of G.
     paired_spectrum : tuple
         (E, multiplicity) for the strictly positive eigenvalues of H.
@@ -307,11 +439,11 @@ class SuperDecomposition:
     The matrices are read-only.
     """
 
-    q: sparse.csr_matrix
-    h: sparse.csr_matrix
+    q: Sparse
+    h: Sparse
     p0: np.ndarray
-    eta: sparse.csr_matrix
-    f: sparse.csr_matrix
+    eta: Sparse
+    f: Sparse
     paired_spectrum: tuple
 
     def g_alpha(self, alpha):
@@ -326,7 +458,7 @@ def super_decompose(q, check=True):
     relative to the global ||H||.  Raises NilpotencyError when ||Q^2|| >
     1e-12 ||Q||^2, ValueError when an invariant fails (`check=True`).
     """
-    q = read_only(sparse.csr_matrix(q, copy=True))
+    q = _as_sparse(q)
     res = nilpotency_residual(q)
     if res > NILPOTENCY_TOL:
         raise NilpotencyError(f"Q^2 residual {res:.3e} exceeds 1e-12")
@@ -349,7 +481,7 @@ def super_decompose(q, check=True):
     p0.flags.writeable = False
     levels = np.concatenate([vals[vals >= cut] for *_, vals, _ in blocks])
     dec = SuperDecomposition(
-        q=q, h=read_only(q @ q.conj().T + q.conj().T @ q), p0=p0,
+        q=q, h=q @ q.conj().T + q.conj().T @ q, p0=p0,
         eta=_unblock(dim, etas), f=_unblock(dim, fs),
         paired_spectrum=tuple(cluster_eigenvalues(levels)))
     if check:
@@ -360,8 +492,7 @@ def super_decompose(q, check=True):
 def car_residual(dec):
     """max |eta eta^dag + eta^dag eta - (1 - P0)| on the connected
     components of the joint pattern of eta and the nonzeros of P0."""
-    nz = np.nonzero(dec.p0)
-    p0 = sparse.csr_matrix((dec.p0[nz], nz), shape=dec.p0.shape)
+    p0 = _as_sparse(dec.p0)
     worst = 0.0
     for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(p0), dec.eta, p0):
         resid = eta @ _dagger(eta) + _dagger(eta) @ eta + p0b

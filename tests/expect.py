@@ -2,6 +2,7 @@
 that only the tests read."""
 
 import numpy as np
+from scipy import sparse
 
 from susylattice import dicke
 
@@ -15,7 +16,12 @@ def expectation(state, op_full):
 def hss_unnormalized(ops):
     """N * H_SS: the block convention in which the ceiling eigenvalue is
     N(N+2)/4."""
-    return (ops.n * dicke.build_hss_dicke(ops)).tocsr()
+    return ops.n * dicke.build_hss_dicke(ops)
+
+
+def csr(m):
+    """An operators.Sparse as scipy CSR, for the scipy oracles."""
+    return sparse.csr_matrix((m.data, (m.rows, m.cols)), shape=m.shape)
 
 
 def witten_ground_vector(model):

@@ -11,9 +11,8 @@ Clifford mode is bit 0; a clear site bit is spin up, a set one spin down.
 """
 
 import numpy as np
-from scipy import sparse
 
-from susylattice.operators import DimensionError, bit_operator
+from susylattice.operators import DimensionError, Sparse, bit_operator
 
 MAX_SITES = 12
 
@@ -24,7 +23,7 @@ def z_operator(nbits, mask, string=0):
     idx = np.arange(2 ** nbits)
     flips = np.array([bin(i & string).count("1") for i in range(idx.size)])
     flips += (idx & mask) != 0
-    return sparse.diags(1.0 - 2.0 * (flips % 2), format="csr", dtype=complex)
+    return Sparse.from_diagonals({0: 1.0 - 2.0 * (flips % 2)})
 
 
 class TensorSpinRep:
@@ -37,7 +36,7 @@ class TensorSpinRep:
         self.n = n
         masks = [1 << (n - j) for j in range(n)]
         self.sp = [bit_operator(n + 1, m) for m in masks]
-        self.sm = [s.T.tocsr() for s in self.sp]
+        self.sm = [s.T for s in self.sp]
         self.sz = [z_operator(n + 1, m) for m in masks]
         self.sx = [p + m for p, m in zip(self.sp, self.sm)]
         self.sy = [-1j * p + 1j * m for p, m in zip(self.sp, self.sm)]
@@ -53,7 +52,7 @@ class TensorSpinRep:
     def g_alpha(self, alpha=0.0):
         g = (np.exp(1j * alpha) * (self.eta @ self.s_minus)
              + np.exp(-1j * alpha) * (self.eta.conj().T @ self.s_plus))
-        return (g / np.sqrt(self.n)).tocsr()
+        return g / np.sqrt(self.n)
 
     def bogoliubov_vector(self, alpha=0.0):
         """Product state with all spins at (e^{i alpha}, e^{-i alpha})/sqrt 2."""

@@ -8,10 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from scipy import sparse
-
 from susylattice import dicke, models
-from susylattice.operators import ETA, lift
+from susylattice.operators import ETA, Sparse, lift
 from expect import expectation, hss_unnormalized
 
 
@@ -46,7 +44,7 @@ def test_n2_ladder_amplitude():
 
 
 def _eta_full(ops):
-    return lift(sparse.identity(ops.n + 1, format="csr"), ETA)
+    return lift(Sparse.from_diagonals({0: np.ones(ops.n + 1)}), ETA)
 
 
 def test_lifted_operators_commute_with_eta():
@@ -131,7 +129,7 @@ def test_lift_is_the_kronecker_product(n):
     ETA on the Clifford factor."""
     for name, a in _multiplet_operators(dicke.collective_ops(n)).items():
         for c, got in ((np.eye(2), lift(a)), (ETA, lift(a, ETA))):
-            assert got.format == "csr"
+            assert isinstance(got, Sparse)
             assert np.array_equal(got.toarray(), np.kron(a.toarray(), c)), \
                 name
 
@@ -139,29 +137,31 @@ def test_lift_is_the_kronecker_product(n):
 SRC = Path(dicke.__file__).resolve().parent
 
 
-def _sparse_kron_sites():
-    """(module, top-level definition) of every sparse.kron in the package,
-    and of every kron imported from scipy.sparse by name."""
+def _product_space_sites():
+    """(module, top-level definition) of every call, in the collective layer
+    (dicke, limits), of the Sparse (rows, cols, data) constructor or of a
+    Kronecker product other than numpy's dense np.kron."""
     sites = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stem in ("dicke", "limits"):
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
         for top in tree.body:
             for node in ast.walk(top):
+                built = (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id in ("Sparse", "kron"))
                 attr = (isinstance(node, ast.Attribute) and node.attr == "kron"
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "sparse")
-                named = (isinstance(node, ast.ImportFrom)
-                         and (node.module or "").startswith("scipy")
-                         and any(a.name == "kron" for a in node.names))
-                if attr or named:
-                    sites.add((path.stem, getattr(top, "name", None)))
+                        and not (isinstance(node.value, ast.Name)
+                                 and node.value.id == "np"))
+                if built or attr:
+                    sites.add((stem, getattr(top, "name", None)))
     return sites
 
 
 def test_one_clifford_lift():
-    """The product-space order lives in operators.lift alone, and the Dicke
-    layer keeps no lifted copies of its operators."""
-    assert _sparse_kron_sites() == {("operators", "lift")}
+    """The product-space order lives in operators.lift alone: the collective
+    layer builds no product-space matrix of its own, and the Dicke layer
+    keeps no lifted copies of its operators."""
+    assert _product_space_sites() == set()
     text = (SRC / "dicke.py").read_text(encoding="utf-8")
     for word in ("_full", "_lifted", "cached_property"):
         assert word not in text, word

@@ -1,8 +1,13 @@
 """Large-N probes: Gaussian/Weyl limits, ODLRO, derivative identities, the
 truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,7 +19,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from susylattice import dicke, limits, operators
 from susylattice.operators import DimensionError, lift
-from expect import expectation, witten_ground_vector
+from expect import csr, expectation, witten_ground_vector
 from tensorrep import MAX_SITES, TensorSpinRep
 
 
@@ -262,7 +267,7 @@ def test_chebyshev_rotation_matches_expm_multiply(n, label, coeffs):
     spin = state(ops).vector.reshape(-1, 2)[:, 1]
     cx, cy, cz = coeffs
     gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) / np.sqrt(2.0 * n)
-    want = expm_multiply(1j * gen.tocsc(), spin)
+    want = expm_multiply(csr(1j * gen), spin)
     got = limits._spin_phase_apply(ops, cx, cy, cz, np.sqrt(2.0 * n), spin)
     assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
 
@@ -333,13 +338,22 @@ def test_rotation_above_rho_bound_raises_before_building():
     assert peak < 1e5
 
 
+def _diagonal(m, k):
+    """Diagonal k of the square Sparse m (k = -1 the first subdiagonal),
+    with the zeros it does not store."""
+    out = np.zeros(m.shape[0] - abs(k), dtype=m.data.dtype)
+    on = m.cols - m.rows == k
+    out[m.rows[on] + min(k, 0)] = m.data[on]
+    return out
+
+
 def _full_length_rotation(ops, cx, cy, cz, denom, spin):
     """The Chebyshev-Bessel sum over every row of the multiplet, the
     diagonals of 2x read off the CSR generator: the light-cone kernel's
     reference."""
     rho = math.hypot(cx, cy, cz) * ops.n / denom
     two_x = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) * (2.0 / (rho * denom))
-    lower, diag, upper = (two_x.diagonal(k) for k in (-1, 0, 1))
+    lower, diag, upper = (_diagonal(two_x, k) for k in (-1, 0, 1))
 
     def times_two_x(u):
         out = diag * u
@@ -397,6 +411,44 @@ def test_light_cone_rotation_random_vectors(n, seed, coeffs, cut):
                                                      spin))
 
 
+def _full_block_overlap(ops, state, rotations, denom):
+    """_rotation_overlap as it read before spans: each nonzero Clifford
+    block turned, then its vdot over all N + 1 rows."""
+    total = 0.0 + 0.0j
+    for block in state.vector.reshape(-1, 2).T:
+        if block.any():
+            u = block
+            for cx, cy, cz in rotations:
+                u = limits._spin_phase_apply(ops, cx, cy, cz, denom, u)
+            total += np.vdot(block, u)
+    return complex(total)
+
+
+# one rotation (gaussian, bs_gaussian) and the two-factor Weyl product
+_ROTATIONS = (((0.7, -0.3, 0.0),), ((0.0, 1.0, 0.0),), ((0.0, 0.0, 0.5),),
+              ((0.0, -0.3, 0.0), (0.7, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("n,label", (
+    *((n, "ground") for n in (10001, 16000, 20000)),
+    (10001, "middle"), (16000, "ceiling"), (20000, "ceiling"),
+    *((n, "bogoliubov(0)") for n in (16, 64, 256))))
+def test_rotation_overlap_over_the_span_is_the_full_block_vdot(n, label):
+    """The overlap over the state's span equals the full-block vdot exactly:
+    at basis states (the ground state, the ceiling, the middle of an odd
+    multiplet) at the sizes where the full-block vdot stalled, and at BS(0)
+    at the sizes the goldens pin, where its span is every row."""
+    ops = dicke.collective_ops(n)
+    state = {"ground": dicke.ground_state, "ceiling": dicke.ceiling_state,
+             "middle": lambda o: dicke._basis_state(n, n // 2, "middle"),
+             "bogoliubov(0)": lambda o: dicke.bogoliubov_state(o, 0.0)}[
+                 label](ops)
+    for rotations in _ROTATIONS:
+        for denom in (np.sqrt(2.0 * n), np.sqrt(n)):
+            assert limits._rotation_overlap(ops, state, rotations, denom) \
+                == _full_block_overlap(ops, state, rotations, denom)
+
+
 def _full_vector_reductions(ops, state):
     """The span reductions as they read before spans: every operator
     lifted to CSR and every vdot over the whole vector."""
@@ -437,29 +489,49 @@ def test_span_is_the_run_of_nonzero_rows():
     assert lo == 0 and rows.shape == (3, 2)
 
 
-_SPARSE_CONSTRUCTORS = ("diags", "diags_array", "dia_matrix", "csr_matrix",
-                        "csr_array", "coo_matrix", "kron", "identity", "eye")
+# Runs, in one fresh interpreter, verify, tables, `spectrum` of every
+# cli.SPECTRA model and every cli.SWEEP pair (on a non-geometric n-grid,
+# which takes the interpolating fit); prints [step, exit code, the scipy
+# modules loaded after it] per step.
+_SCIPY_GUARD = """
+import contextlib, io, json, sys
+from susylattice import cli
+SIZES = {"dicke": "40", "witten": "16", "model_i": "3", "model_ii": "3",
+         "model_iii": "2"}
+runs = [["verify"], ["tables"]]
+runs += [["spectrum", "--model", model, "--n", SIZES[model]]
+         for model in cli.SPECTRA]
+runs += [["sweep", "--metric", metric, "--n-list", "40,100,360",
+          *(["--state", state] if state else [])]
+         for metric, state in cli.SWEEP]
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = [["import susylattice.cli", 0]]
+for argv in runs:
+    seen[-1].append(scipy())
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([" ".join(argv), cli.main(["--jobs", "1", *argv])])
+seen[-1].append(scipy())
+print(json.dumps(seen))
+"""
 
 
-def test_collective_cells_build_no_sparse_matrix(monkeypatch, capsys):
-    """With every scipy.sparse constructor raising, DickeOperators at
-    n = 16000 and the ceiling ODLRO and ground-state Gaussian sweeps still
-    run: their cells hold amplitude arrays and build no CSR."""
+def test_commands_never_import_scipy():
+    """The runtime is numpy alone: no scipy module is loaded by `import
+    susylattice.cli`, nor after verify, tables, spectrum of every model or
+    any accepted SWEEP pair, and each of them exits 0.  scipy.sparse alone
+    cost about 0.2 s of set-up and 20 MB of resident memory."""
     from susylattice import cli
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a collective cell built a scipy.sparse matrix")
-
-    for name in _SPARSE_CONSTRUCTORS:
-        monkeypatch.setattr(sparse, name, refuse)
-    ops = dicke.DickeOperators(16000)
-    with pytest.raises(AssertionError):
-        ops.s_x
-    for argv in (["--state", "ceiling", "--metric", "odlro", "--n-list",
-                  "1024,4096,16000"],
-                 ["--metric", "gaussian", "--n-list", "1024,2048,4096"]):
-        assert cli.main(["sweep", *argv]) == 0
-        assert "fail" not in capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 1 + 2 + len(cli.SPECTRA) + len(cli.SWEEP)
+    assert [(step, code, loaded) for step, code, loaded in seen
+            if code != 0 or loaded] == []
 
 
 @pytest.mark.parametrize("rho", (1e-300, 1e-9, 0.5, 2.404825557695773, 30.0,
@@ -585,7 +657,7 @@ def test_local_super_derivative_matches_tensor_oracle(n):
             oracle = -1j * (sigma @ g - g @ sigma)
             local = limits.local_super_derivative(n, axis, alpha)
             assert local.shape == (4, 4)
-            diff = _embed_site1_clifford(local, n) - oracle
+            diff = _embed_site1_clifford(local, n) - csr(oracle)
             assert abs(diff).max() < 1e-12, (axis, alpha)
     # BS(0) restricted to (site 1, Clifford) is (1, 1)/sqrt 2 x (0, 1)
     bs1 = np.kron(np.ones(2) / np.sqrt(2.0), (0.0, 1.0))
@@ -671,10 +743,10 @@ def test_witten_cutoff_above_bound_raises_before_building():
 
 
 def test_witten_limit_at_bound_is_sparse_and_small():
-    """At MAX_WITTEN_CUTOFF every operator field is CSR and the build peaks
-    under 64 MB; one dense (2 cutoff)^2 complex array would be 25.6 GB.  The
-    kept levels are the oscillator tower {0, 1, 1, 2, 2, ...} exactly, with
-    no truncation artefact from the top level."""
+    """At MAX_WITTEN_CUTOFF every operator field is Sparse and the build
+    peaks under 64 MB; one dense (2 cutoff)^2 complex array would be
+    25.6 GB.  The kept levels are the oscillator tower {0, 1, 1, 2, 2, ...}
+    exactly, with no truncation artefact from the top level."""
     tracemalloc.start()
     try:
         model = limits.witten_limit(limits.MAX_WITTEN_CUTOFF, 0.7)
@@ -684,8 +756,7 @@ def test_witten_limit_at_bound_is_sparse_and_small():
         tracemalloc.stop()
     assert peak < 64e6
     for name in ("q", "p", "h", "g_alpha"):
-        assert sparse.issparse(getattr(model, name))
-        assert getattr(model, name).format == "csr"
+        assert isinstance(getattr(model, name), operators.Sparse)
     assert levels.size == 3 * limits.MAX_WITTEN_CUTOFF // 2
     assert np.array_equal(levels, np.ceil(np.arange(levels.size) / 2.0))
 
@@ -714,7 +785,7 @@ def test_hss_levels_match_witten_exactly_below_gap():
 def test_bs_free_evolution_matches_expm_multiply(n, t):
     """The elementwise e^{-itH} against expm_multiply of the sparse H."""
     ops = dicke.collective_ops(n)
-    h = -(ops.s_plus @ ops.s_minus).tocsc() / n
+    h = csr(-(ops.s_plus @ ops.s_minus) / n)
     v0 = dicke.coherent_spin_amplitudes(n, 0.0)
     vt = expm_multiply(-1j * t * h, v0)
 
@@ -758,7 +829,7 @@ def test_gs_phase_slope_exact():
 def test_gs_phase_slope_matches_expm_multiply(n):
     """The elementwise e^{-itH_SS} against expm_multiply of the sparse H."""
     ops = dicke.collective_ops(n)
-    h = dicke.build_hss_dicke(ops).tocsc()
+    h = csr(dicke.build_hss_dicke(ops))
     w = lift(ops.s_plus) @ dicke.ground_state(ops).vector / np.sqrt(n)
     want = np.mean([np.angle(np.vdot(w, expm_multiply(-1j * t * h, w))) / t
                     for t in (0.5, 1.0, 2.0)])

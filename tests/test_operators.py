@@ -12,30 +12,35 @@ from scipy.sparse.csgraph import connected_components
 
 from susylattice import models, operators as op
 from densedecomp import dense_decompose
+from expect import csr
 from tensorrep import TensorSpinRep, z_operator
+
+
+def _diags(diagonals):
+    return op.Sparse.from_diagonals(diagonals)
 
 
 def test_built_operators_are_read_only():
     inst = models.build_model_ii((1.0, 2.0))
     dec = op.super_decompose(inst.q)
-    for m in (inst.q, inst.h):
-        rows, cols = m.nonzero()        # a stored entry: no pattern change
-        with pytest.raises(ValueError):
-            m[rows[0], cols[0]] = 1.0
-    rows, cols = dec.eta.nonzero()
-    with pytest.raises(ValueError):
-        dec.eta[rows[0], cols[0]] = 1.0
+    for m in (inst.q, inst.h, dec.eta):
+        assert isinstance(m, op.Sparse)
+        for stored in (m.data, m.rows, m.cols):     # no pattern change
+            with pytest.raises(ValueError):
+                stored[0] = stored[0]
     with pytest.raises(ValueError):
         dec.p0[0, 0] = 1.0
 
 
 def test_super_decompose_leaves_its_argument_writable():
+    """Neither super_decompose nor the Sparse it decomposes freezes the
+    caller's arrays."""
     q = op.sparse_annihilators(1)[0].toarray()
     op.super_decompose(q)
     q[0, 0] = 0.0
-    qs = op.sparse_annihilators(1)[0].copy()
-    op.super_decompose(qs)
-    qs.data[0] = 1.0
+    rows, cols, data = np.array([0]), np.array([1]), np.array([1.0 + 0j])
+    op.super_decompose(op.Sparse(rows, cols, data, (2, 2)))
+    rows[0], cols[0], data[0] = 1, 0, 2.0
 
 
 def test_bracket_sparse_stays_sparse_and_matches_dense():
@@ -43,7 +48,7 @@ def test_bracket_sparse_stays_sparse_and_matches_dense():
     ad = a.conj().T
     for kind in ("commutator", "anticommutator"):
         got = op.bracket(ad, b, kind)
-        assert sparse.issparse(got)
+        assert isinstance(got, op.Sparse)
         assert np.array_equal(got.toarray(),
                               op.bracket(ad.toarray(), b.toarray(), kind))
     with pytest.raises(ValueError):
@@ -54,7 +59,7 @@ def test_bracket_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         op.bracket(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
-        op.bracket(sparse.eye(2), sparse.eye(3))
+        op.bracket(_diags({0: np.ones(2)}), _diags({0: np.ones(3)}))
 
 
 @settings(deadline=None, max_examples=8)
@@ -128,7 +133,7 @@ def test_gauge_charge_phases():
     spec = op.LatticeSpec(1, 1)
     a = op.sparse_annihilators(spec.modes)[0]
     g = op.gauge_charge(a, 0.3)
-    assert sparse.issparse(g)
+    assert isinstance(g, op.Sparse)
     ref = np.exp(0.3j) * a + np.exp(-0.3j) * a.conj().T
     assert np.abs((g - ref).toarray()).max() < 1e-14
     assert np.abs(op.gauge_charge(a.toarray(), 0.3)
@@ -136,10 +141,10 @@ def test_gauge_charge_phases():
 
 
 def test_diagonal_eigenvalues_reads_and_guards_the_diagonal():
-    h = sparse.diags([3.0, 1.0, 2.0]).tocsr().astype(complex)
+    h = _diags({0: [3.0, 1.0, 2.0]})
     assert list(op.diagonal_eigenvalues(h)) == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError, match="not diagonal"):
-        op.diagonal_eigenvalues(h + 1e-9 * sparse.eye(3, k=1))
+        op.diagonal_eigenvalues(h + 1e-9 * _diags({1: np.ones(2)}))
 
 
 def test_nilpotency_residual_zero_matrix():
@@ -203,8 +208,8 @@ def _assert_matches_dense(dec):
 ))
 def test_blocked_decomposition_matches_dense_reference(name, build):
     dec = op.super_decompose(build().q, check=True)
-    assert isinstance(dec.eta, sparse.csr_matrix)
-    assert isinstance(dec.f, sparse.csr_matrix)
+    assert isinstance(dec.eta, op.Sparse)
+    assert isinstance(dec.f, op.Sparse)
     assert isinstance(dec.p0, np.ndarray)
     _assert_matches_dense(dec)
 
@@ -229,7 +234,9 @@ def _fock_patterns(build):
     mats = [inst.q, inst.h]
     if inst.spec.dim <= 256:
         dec = op.super_decompose(inst.q, check=False)
-        mats.append(abs(dec.eta) + abs(sparse.csr_matrix(dec.p0)))
+        nz = np.nonzero(dec.p0)
+        mats.append(abs(dec.eta)
+                    + abs(op.Sparse(*nz, dec.p0[nz], dec.p0.shape)))
     return mats
 
 
@@ -248,7 +255,7 @@ def test_components_match_csgraph_on_fock_models(build):
     """The numpy labelling equals csgraph's labels array: the same
     partition, and the blocks stack in the same order."""
     for m in _fock_patterns(build):
-        want = connected_components(m != 0, directed=False)[1]
+        want = connected_components(csr(m) != 0, directed=False)[1]
         assert np.array_equal(op._components(m), want)
 
 
@@ -256,13 +263,15 @@ def test_components_match_csgraph_on_fock_models(build):
 @given(seed=st.integers(0, 10 ** 6), dim=st.integers(1, 300),
        density=st.floats(0.0, 0.02))
 def test_components_match_csgraph_on_random_patterns(seed, dim, density):
-    """Directed random patterns with stored zeros: csgraph symmetrises the
-    pattern and drops the zeros, and so must the numpy labelling."""
-    m = sparse.random(dim, dim, density=density, format="csr",
+    """Directed random patterns given with zeros among their values:
+    csgraph symmetrises the pattern and drops the zeros, and so must the
+    Sparse built from them and its numpy labelling."""
+    m = sparse.random(dim, dim, density=density, format="coo",
                       random_state=seed)
     m.data[::3] = 0.0
     want = connected_components(m != 0, directed=False)[1]
-    assert np.array_equal(op._components(m), want)
+    got = op._components(op.Sparse(m.row, m.col, m.data, m.shape))
+    assert np.array_equal(got, want)
 
 
 def test_verify_decomposition_catches_mutations():
@@ -270,9 +279,10 @@ def test_verify_decomposition_catches_mutations():
     multiplicity breaks the pairing, and a 1e-6 diagonal shift of Q breaks
     the +-sqrt(E) symmetry of G_0."""
     dec = op.super_decompose(models.build_model_ii((0.7, 1.3)).q)
-    eta = dec.eta.copy()
-    eta.data[np.argmax(np.abs(eta.data))] *= 1 + 1e-6
-    bad = dataclasses.replace(dec, eta=eta)
+    data = dec.eta.data.copy()
+    data[np.argmax(np.abs(data))] *= 1 + 1e-6
+    bad = dataclasses.replace(dec, eta=op.Sparse(dec.eta.rows, dec.eta.cols,
+                                                 data, dec.eta.shape))
     assert op.car_residual(bad) > 1e-7
     with pytest.raises(ValueError, match="CAR"):
         op.verify_decomposition(bad)
@@ -283,7 +293,7 @@ def test_verify_decomposition_catches_mutations():
     with pytest.raises(ValueError, match="odd multiplicity"):
         op.verify_decomposition(unpaired)
     shifted = dataclasses.replace(
-        dec, q=dec.q + 1e-6 * sparse.identity(dec.q.shape[0], format="csr"))
+        dec, q=dec.q + 1e-6 * _diags({0: np.ones(dec.q.shape[0])}))
     with pytest.raises(ValueError, match="do not match"):
         op.verify_decomposition(shifted)
 
@@ -295,7 +305,7 @@ def gauge_rotate(dec, alpha):
     exp(i t F) multiplies the odd part of G by exp(2 i t).
     """
     u = op.hermitian_function(dec.f, lambda v: np.exp(1j * alpha / 2 * v))
-    return u @ dec.g_alpha(0.0) @ u.conj().T
+    return u @ dec.g_alpha(0.0).toarray() @ u.conj().T
 
 
 def test_gauge_rotate_reproduces_g_alpha():
@@ -338,7 +348,7 @@ def test_sparse_annihilators_match_kronecker_chain(modes):
     assert len(ops) == modes
     for k, a in enumerate(ops):
         ref = kron_chain([_Z] * k + [_LOWER] + [np.eye(2)] * (modes - k - 1))
-        assert a.dtype == complex
+        assert a.data.dtype == complex
         assert np.array_equal(a.toarray(), ref)
 
 
@@ -396,20 +406,122 @@ def test_hermitian_norm_mixed_block_sizes(seed):
     rng = np.random.default_rng(seed)
     dense = _shuffled_block_hermitian(rng, (1, 3, 2, 3, 5, 1, 2, 4, 7))
     ref = np.linalg.norm(dense, 2)
-    assert op.hermitian_norm(sparse.csr_matrix(dense)) == \
+    assert op.hermitian_norm(dense) == \
         pytest.approx(ref, abs=1e-12)
 
 
 def test_hermitian_norm_takes_largest_modulus():
     """The norm is max|lambda|, here carried by a negative eigenvalue, and
     empty rows (zero 1x1 blocks) are harmless."""
-    m = sparse.csr_matrix(np.diag([0.0, -3.0, 2.0, 0.0]))
+    m = _diags({0: [0.0, -3.0, 2.0, 0.0]})
     assert op.hermitian_norm(m) == 3.0
-    assert op.hermitian_norm(sparse.csr_matrix((5, 5), dtype=complex)) == 0.0
+    assert op.hermitian_norm(np.zeros((5, 5), dtype=complex)) == 0.0
 
 
 def test_hermitian_norm_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        op.hermitian_norm(sparse.csr_matrix(_LOWER))
+        op.hermitian_norm(_LOWER)
     with pytest.raises(ValueError):
-        op.hermitian_norm(sparse.csr_matrix(1j * np.eye(2)))
+        op.hermitian_norm(1j * np.eye(2))
+
+
+# ----------------------------------------------- the Sparse core against scipy
+
+def _entries(rng, shape, density):
+    """(rows, cols, data): random positions, repeats among them, and complex
+    values with exact zeros and purely imaginary ones among them."""
+    count = int(rng.integers(0, int(density * shape[0] * shape[1]) + 3))
+    rows, cols = rng.integers(0, shape[0], count), rng.integers(0, shape[1],
+                                                                 count)
+    data = rng.normal(size=count) + 1j * rng.normal(size=count)
+    data[rng.random(count) < 0.15] = 0.0
+    data.real[rng.random(count) < 0.15] = 0.0
+    return rows, cols, data
+
+
+def _pair(rng, shape, density):
+    """A Sparse and the scipy CSR of the same entries, with the number of
+    entries summed into each position."""
+    rows, cols, data = _entries(rng, shape, density)
+    terms = np.zeros(shape, dtype=int)
+    np.add.at(terms, (rows, cols), 1)
+    return (op.Sparse(rows, cols, data, shape),
+            sparse.csr_matrix((data, (rows, cols)), shape=shape), terms)
+
+
+def _assert_agrees(got, want, terms=None):
+    """`got` stores scipy's pattern once scipy drops its zeros, read-only;
+    its values are == where an entry is one term (`terms`, per position,
+    default one everywhere) and within 4 ulp elsewhere."""
+    want = sparse.csr_matrix(want)
+    want.sum_duplicates()
+    want.eliminate_zeros()
+    want = want.tocoo()
+    assert isinstance(got, op.Sparse) and got.shape == want.shape
+    assert np.array_equal(got.rows, want.row)
+    assert np.array_equal(got.cols, want.col)
+    assert got.nnz == want.nnz and got.data.size == want.nnz
+    one = np.ones(got.nnz, bool) if terms is None \
+        else terms[got.rows, got.cols] <= 1
+    assert np.array_equal(got.data[one], want.data[one])
+    assert (np.abs(got.data - want.data)
+            <= 4 * np.spacing(np.abs(want.data))).all()
+    for stored in (got.data, got.rows, got.cols):
+        if stored.size:
+            with pytest.raises(ValueError):
+                stored[0] = stored[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 64),
+       k=st.integers(1, 64), n=st.integers(1, 64),
+       density=st.floats(0.0, 0.3))
+def test_sparse_core_matches_scipy(seed, m, k, n, density):
+    """Every operation of operators.Sparse, lift and both constructors
+    against scipy.sparse on random complex matrices."""
+    rng = np.random.default_rng(seed)
+    a, a_ref, a_terms = _pair(rng, (m, k), density)
+    b, b_ref, _ = _pair(rng, (k, n), density)
+    c, c_ref, _ = _pair(rng, (m, k), density)
+    _assert_agrees(a, a_ref, a_terms)
+    a_ref = sparse.csr_matrix(a.toarray())      # a's values, exactly
+    b_ref, c_ref = (sparse.csr_matrix(x.toarray()) for x in (b, c))
+    assert np.array_equal(a.toarray(), a_ref.toarray())
+    products = (abs(a_ref) > 0).astype(int) @ (abs(b_ref) > 0).astype(int)
+    _assert_agrees(a @ b, a_ref @ b_ref, products.toarray())
+    _assert_agrees(a + c, a_ref + c_ref)
+    _assert_agrees(a - c, a_ref - c_ref)
+    z = complex(*rng.normal(size=2))
+    for got, want in ((-a, -a_ref), (a * z, a_ref * z), (z * a, z * a_ref),
+                      (2.5 * a, 2.5 * a_ref), (a / z, a_ref / z),
+                      (a.conj(), a_ref.conj()), (a.T, a_ref.T),
+                      (abs(a), abs(a_ref))):
+        _assert_agrees(got, want)
+    assert abs(a).max() == abs(a_ref).max()
+    assert np.array_equal(a.diagonal(), a_ref.diagonal())
+    row_terms = np.diff(a_ref.indptr)[:, None]
+    for x in (rng.normal(size=k) + 1j * rng.normal(size=k),
+              rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3))):
+        got, want = a @ x, a_ref @ x
+        one = np.broadcast_to(row_terms.reshape((-1,) + (1,) * (x.ndim - 1))
+                              <= 1, got.shape)
+        assert np.array_equal(got[one], want[one])
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+    cliff = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cliff[rng.random((2, 2)) < 0.3] = 0.0
+    _assert_agrees(op.lift(a), sparse.kron(a_ref, np.eye(2), format="csr"))
+    _assert_agrees(op.lift(a, cliff), sparse.kron(a_ref, cliff, format="csr"))
+    offsets = sorted(set(rng.integers(-(m - 1), m, size=3).tolist()))
+    diagonals = [rng.normal(size=m - abs(o)) + 1j * rng.normal(size=m - abs(o))
+                 for o in offsets]
+    if m - abs(offsets[0]) > 0:
+        diagonals[0][0] = 0.0               # a stored zero scipy keeps
+    _assert_agrees(op.Sparse.from_diagonals(dict(zip(offsets, diagonals))),
+                   sparse.diags(diagonals, offsets, shape=(m, m),
+                                dtype=complex))
+    for bad in (lambda: a @ op.Sparse([], [], [], (k + 1, n)),
+                lambda: a @ np.ones(k + 1),
+                lambda: a + op.Sparse([], [], [], (m, k + 1)),
+                lambda: a - op.Sparse([], [], [], (m + 1, k))):
+        with pytest.raises(ValueError):
+            bad()
