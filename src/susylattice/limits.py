@@ -353,7 +353,7 @@ def local_rotation_check(t=0.7):
 MIN_WITTEN_CUTOFF = 8
 
 # Caps `spectrum --model witten --n`; the `spectral` sweep reads only
-# witten_limit(64).  Sparse is O(cutoff): --n 20000 took 1.0 s, 66 MB on
+# witten_limit(64).  Sparse is O(cutoff): --n 20000 took 0.65 s, 48 MB on
 # 2 vCPU.
 MAX_WITTEN_CUTOFF = 20000
 

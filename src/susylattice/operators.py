@@ -221,7 +221,7 @@ def bit_operator(nbits, mask, string=0):
     for shift in (16, 8, 4, 2, 1):      # xor-fold to the popcount parity
         par = par ^ (par >> shift)
     sign = 1.0 - 2.0 * (par & 1)
-    cols = idx[(idx & mask) != 0]      # rows cols ^ mask ascend with cols
+    cols = idx[(idx & mask) != 0]      # so rows = cols ^ mask ascend too
     return Sparse(cols ^ mask, cols, sign[cols].astype(complex),
                   (idx.size, idx.size))
 

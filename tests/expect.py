@@ -5,6 +5,7 @@ import numpy as np
 from scipy import sparse
 
 from susylattice import dicke
+from susylattice.operators import Sparse
 
 
 def expectation(state, op_full):
@@ -17,6 +18,12 @@ def hss_unnormalized(ops):
     """N * H_SS: the block convention in which the ceiling eigenvalue is
     N(N+2)/4."""
     return ops.n * dicke.build_hss_dicke(ops)
+
+
+def read_only_sparse(m):
+    """m is an operators.Sparse whose rows, cols and data are read-only."""
+    return isinstance(m, Sparse) and not any(
+        a.flags.writeable for a in (m.rows, m.cols, m.data))
 
 
 def csr(m):

@@ -6,6 +6,7 @@ import pytest
 
 from susylattice import models, operators
 from susylattice.reporting import DEFAULT_TOLERANCES
+from expect import read_only_sparse
 
 FLOW_POINTS = (0.1, 0.7, np.pi / 2, 2.0)
 
@@ -371,16 +372,11 @@ BUILT = (
 )
 
 
-def _read_only_sparse(m):
-    return isinstance(m, operators.Sparse) and not any(
-        a.flags.writeable for a in (m.data, m.rows, m.cols))
-
-
 @pytest.mark.parametrize("name,build", BUILT)
 def test_builders_return_read_only_csr(name, build):
     inst = build()
     for m in (inst.q, inst.h):
-        assert _read_only_sparse(m)
+        assert read_only_sparse(m)
     q = inst.q.toarray()
     assert np.abs(inst.h.toarray()
                   - (q @ q.conj().T + q.conj().T @ q)).max() < 1e-14
@@ -392,7 +388,7 @@ def test_pair_hopping_and_bcs_operators_are_read_only_csr():
     for m in (*pair.b_ops, *pair.a3_ops, pair.m_n, pair.eta_n,
               pair.pair_projector, models.hopping_supercharge(3),
               *(b.h_bcs for b in bcs), *(b.h_ss for b in bcs)):
-        assert _read_only_sparse(m)
+        assert read_only_sparse(m)
 
 
 # --------------------------------------------------------------------- bcs
