@@ -661,3 +661,45 @@ def test_bad_input_exits_2_cleanly(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------------------ import graph
+
+# Runs, in one fresh interpreter, verify, tables, `spectrum` of every
+# cli.SPECTRA model and every cli.SWEEP pair (on a non-geometric n-grid,
+# which takes the interpolating fit); prints [step, exit code, the scipy
+# modules loaded after it] per step.
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+from susylattice import cli
+SIZES = {"dicke": "40", "witten": "16", "model_i": "3", "model_ii": "3",
+         "model_iii": "2"}
+runs = [["verify"], ["tables"]]
+runs += [["spectrum", "--model", model, "--n", SIZES[model]]
+         for model in cli.SPECTRA]
+runs += [["sweep", "--metric", metric, "--n-list", "40,100,360",
+          *(["--state", state] if state else [])]
+         for metric, state in cli.SWEEP]
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = [["import susylattice.cli", 0]]
+for argv in runs:
+    seen[-1].append(scipy())
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([" ".join(argv), cli.main(["--jobs", "1", *argv])])
+seen[-1].append(scipy())
+print(json.dumps(seen))
+"""
+
+
+def test_runtime_never_loads_scipy_optimize_or_special():
+    """The runtime is numpy alone: no scipy module at all, scipy.optimize
+    and scipy.special among them, is loaded by `import susylattice.cli`, nor
+    after verify, tables, spectrum of every model or any accepted SWEEP
+    pair, and each of them exits 0.  scipy.sparse alone cost about 0.2 s of
+    set-up and 20 MB of resident memory."""
+    proc = _python("-c", _IMPORT_GUARD, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 1 + 2 + len(cli.SPECTRA) + len(cli.SWEEP)
+    assert [(step, code, loaded) for step, code, loaded in seen
+            if code != 0 or loaded] == []

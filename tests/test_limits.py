@@ -1,13 +1,8 @@
 """Large-N probes: Gaussian/Weyl limits, ODLRO, derivative identities, the
 truncated-oscillator limit model, BCS free evolution and extrapolation."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -490,49 +485,24 @@ def test_span_is_the_run_of_nonzero_rows():
     assert lo == 0 and rows.shape == (3, 2)
 
 
-# Runs, in one fresh interpreter, verify, tables, `spectrum` of every
-# cli.SPECTRA model and every cli.SWEEP pair (on a non-geometric n-grid,
-# which takes the interpolating fit); prints [step, exit code, the scipy
-# modules loaded after it] per step.
-_SCIPY_GUARD = """
-import contextlib, io, json, sys
-from susylattice import cli
-SIZES = {"dicke": "40", "witten": "16", "model_i": "3", "model_ii": "3",
-         "model_iii": "2"}
-runs = [["verify"], ["tables"]]
-runs += [["spectrum", "--model", model, "--n", SIZES[model]]
-         for model in cli.SPECTRA]
-runs += [["sweep", "--metric", metric, "--n-list", "40,100,360",
-          *(["--state", state] if state else [])]
-         for metric, state in cli.SWEEP]
-scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-seen = [["import susylattice.cli", 0]]
-for argv in runs:
-    seen[-1].append(scipy())
-    with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([" ".join(argv), cli.main(["--jobs", "1", *argv])])
-seen[-1].append(scipy())
-print(json.dumps(seen))
-"""
-
-
-def test_commands_never_import_scipy():
-    """The runtime is numpy alone: no scipy module is loaded by `import
-    susylattice.cli`, nor after verify, tables, spectrum of every model or
-    any accepted SWEEP pair, and each of them exits 0.  scipy.sparse alone
-    cost about 0.2 s of set-up and 20 MB of resident memory."""
+def test_collective_cells_build_no_sparse_matrix(monkeypatch, capsys):
+    """With the Sparse constructor raising, DickeOperators at n = 16000 and
+    the ceiling ODLRO and ground-state Gaussian sweeps still run: their
+    cells hold amplitude arrays and build no sparse matrix."""
     from susylattice import cli
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert len(seen) == 1 + 2 + len(cli.SPECTRA) + len(cli.SWEEP)
-    assert [(step, code, loaded) for step, code, loaded in seen
-            if code != 0 or loaded] == []
+    def refuse(*args, **kwargs):
+        raise AssertionError("a collective cell built a sparse matrix")
+
+    monkeypatch.setattr(operators.Sparse, "__init__", refuse)
+    ops = dicke.DickeOperators(16000)
+    with pytest.raises(AssertionError):
+        ops.s_x
+    for argv in (["--state", "ceiling", "--metric", "odlro", "--n-list",
+                  "1024,4096,16000"],
+                 ["--metric", "gaussian", "--n-list", "1024,2048,4096"]):
+        assert cli.main(["sweep", *argv]) == 0
+        assert "fail" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rho", (1e-300, 1e-9, 0.5, 2.404825557695773, 30.0,
