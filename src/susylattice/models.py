@@ -118,8 +118,8 @@ def build_model_ii(z):
     """
     z = _check_couplings(z)
     n = len(z)
-    if n > 6:
-        raise DimensionError("Model II supports at most 6 sites")
+    if n > 7:
+        raise DimensionError("Model II supports at most 7 sites")
     spec = LatticeSpec(n, 2)
     ops = sparse_annihilators(spec.modes)     # up: mode 2i, down: 2i + 1
     q = sum(zi * (up.conj().T @ up @ dn)

@@ -13,8 +13,8 @@ from numbers import Number
 
 import numpy as np
 
-# Sparse Jordan-Wigner operators on at most 2^14 Fock states; the dense
-# kernels stop far below that, at the per-model site caps.
+# Sparse Jordan-Wigner operators on at most 2^14 Fock states, Model II's
+# 7-site cap; the other models stop below it, at their own site caps.
 MAX_MODES = 14
 
 # Eigenvalues of H below KERNEL_CUT * ||H|| count as exact zeros.
@@ -100,6 +100,13 @@ class Sparse:
         out[self.rows, self.cols] = self.data
         return out
 
+    def __array__(self, dtype=None, copy=None):
+        """np.asarray(m): a fresh dense copy, never a view."""
+        if copy is False:
+            raise ValueError("a Sparse has no dense array to view")
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
     def max(self):
         """Largest entry, the implicit zeros included."""
         full = self.nnz == self.shape[0] * self.shape[1]
@@ -174,10 +181,6 @@ def _as_sparse(m):
     m = np.asarray(m)
     nz = np.nonzero(m != 0)
     return Sparse(*nz, m[nz], m.shape)
-
-
-def _as_array(x):
-    return x.toarray() if isinstance(x, Sparse) else np.asarray(x)
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,8 @@ def _components(pattern):
         at_row, at_col = labels[rows], labels[cols]
         split = at_row != at_col
         if not split.any():
-            return np.unique(labels, return_inverse=True)[1]
+            # every label is now a root; rank the roots in order
+            return (np.cumsum(labels == np.arange(labels.size)) - 1)[labels]
         np.minimum.at(labels, np.maximum(at_row, at_col)[split],
                       np.minimum(at_row, at_col)[split])
         jumped = labels[labels]
@@ -279,7 +283,7 @@ def _blocks(pattern, *mats):
     order = np.argsort(labels, kind="stable")
     pos = np.empty_like(order)      # position of each state in its block
     pos[order] = np.arange(order.size) - start[labels[order]]
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):
         members = sizes == size
         slot = np.cumsum(members) - 1
         stacks = []
@@ -336,7 +340,7 @@ def _require_hermitian(m, what):
 def hermitian_function(g, fn):
     """Apply a scalar function to a Hermitian matrix via eigendecomposition;
     fn may return one row per flow parameter, which gives a stack."""
-    gm = _as_array(g)
+    gm = np.asarray(g)
     _require_hermitian(gm, "matrix-function argument")
     vals, vecs = np.linalg.eigh(gm)
     return (vecs * fn(vals)[..., None, :]) @ vecs.conj().T
@@ -349,7 +353,7 @@ def unitary_flow(g, s, a):
     A 1-D array of s gives one operator per s from one eigh of G, and a
     stack `a` of shape (m, d, d) gives shape (m, len(s), d, d).
     """
-    am = _as_array(a)
+    am = np.asarray(a)
     if np.shape(g) != am.shape[-2:]:
         raise ValueError("generator and operator dimensions differ")
     s = np.asarray(s)[..., None]
@@ -426,9 +430,9 @@ class SuperDecomposition:
     ----------
     q, h : Sparse
         The supercharge and H = Q Q^dag + Q^dag Q.
-    p0 : ndarray
-        Orthogonal projector onto ker H, scattered block by block.  Dense
-        only because the benchmark reads it with np.asarray and np.trace.
+    p0 : Sparse
+        Orthogonal projector onto ker H: the nonzero entries of its blocks.
+        np.asarray(p0) gives it dense, as for any Sparse.
     eta : Sparse
         Q / sqrt(H) on the range of 1 - P0; the collective Clifford mode.
     f : Sparse
@@ -441,7 +445,7 @@ class SuperDecomposition:
 
     q: Sparse
     h: Sparse
-    p0: np.ndarray
+    p0: Sparse
     eta: Sparse
     f: Sparse
     paired_spectrum: tuple
@@ -475,13 +479,9 @@ def super_decompose(q, check=True):
         etas.append((st, eta))
         fs.append((st, eta @ _dagger(eta) - _dagger(eta) @ eta))
     dim = q.shape[0]
-    p0 = np.zeros((dim, dim), dtype=complex)
-    for st, block in p0s:
-        p0[st[:, :, None], st[:, None, :]] = block
-    p0.flags.writeable = False
     levels = np.concatenate([vals[vals >= cut] for *_, vals, _ in blocks])
     dec = SuperDecomposition(
-        q=q, h=q @ q.conj().T + q.conj().T @ q, p0=p0,
+        q=q, h=q @ q.conj().T + q.conj().T @ q, p0=_unblock(dim, p0s),
         eta=_unblock(dim, etas), f=_unblock(dim, fs),
         paired_spectrum=tuple(cluster_eigenvalues(levels)))
     if check:
@@ -491,10 +491,10 @@ def super_decompose(q, check=True):
 
 def car_residual(dec):
     """max |eta eta^dag + eta^dag eta - (1 - P0)| on the connected
-    components of the joint pattern of eta and the nonzeros of P0."""
-    p0 = _as_sparse(dec.p0)
+    components of the joint pattern of eta and P0."""
     worst = 0.0
-    for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(p0), dec.eta, p0):
+    for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(dec.p0), dec.eta,
+                                 dec.p0):
         resid = eta @ _dagger(eta) + _dagger(eta) @ eta + p0b
         worst = max(worst, float(np.abs(resid - np.eye(eta.shape[1])).max()))
     return worst

@@ -474,7 +474,8 @@ def test_spectrum_rows_ascend_past_9999_levels(capsys):
     assert values == sorted(values)
 
 
-@pytest.mark.parametrize("model,n", (("model_i", 10), ("model_ii", 6)))
+@pytest.mark.parametrize("model,n", (("model_i", 10), ("model_ii", 6),
+                                     ("model_ii", 7)))
 def test_spectrum_fock_models_at_their_caps(model, n, capsys):
     """Unit couplings: Model I has H = N * 1; Model II has the subset-sum
     levels k = 0..N with multiplicity C(N, k) * 2^N (the free down spins)."""
@@ -488,6 +489,31 @@ def test_spectrum_fock_models_at_their_caps(model, n, capsys):
         want = [float(k) for k in range(n + 1)
                 for _ in range(math.comb(n, k) * 2 ** n)]
     assert got == want
+
+
+def test_spectrum_model_ii_above_cap_exits_2(capsys):
+    code = cli.main(["spectrum", "--model", "model_ii", "--n", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "at most 7 sites" in err
+
+
+def test_model_ii_decomposition_below_its_cap_stays_small():
+    """Model II n = 6 decomposes and checks in well under 100 MB peak RSS
+    (about 44 MB on 2 vCPU): no dense 2^12 x 2^12 matrix is formed.  The
+    peak is VmHWM, the high-water mark of the interpreter's own address
+    space: a forked child's ru_maxrss also counts the parent it was
+    forked from, the whole test process."""
+    proc = _python("-c", """
+from susylattice import models, operators
+operators.super_decompose(models.build_model_ii(
+    (0.55, 0.8, 1.0, 1.15, 1.3, 1.45)).q, check=True)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100 * 1024      # kB
 
 
 @pytest.mark.parametrize("levels", ("0", "-1"))
@@ -612,7 +638,7 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     (a dense eigvalsh) to 2; no value moved.
 
     All fifteen kept their bytes when the operators moved from scipy CSR to
-    operators.Sparse."""
+    operators.Sparse, and when P0 followed them."""
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0
@@ -667,9 +693,9 @@ def test_bad_input_exits_2_cleanly(argv):
 
 # Runs, in one fresh interpreter, verify, tables, `spectrum` of every
 # cli.SPECTRA model and every cli.SWEEP pair (on a non-geometric n-grid,
-# which takes the interpolating fit); prints [step, exit code, the scipy
-# modules loaded after it] per step.
-_IMPORT_GUARD = """
+# which takes the interpolating fit); prints [step, exit code, the modules
+# of package WATCH loaded after it] per step.
+_GUARD = """
 import contextlib, io, json, sys
 from susylattice import cli
 SIZES = {"dicke": "40", "witten": "16", "model_i": "3", "model_ii": "3",
@@ -680,15 +706,18 @@ runs += [["spectrum", "--model", model, "--n", SIZES[model]]
 runs += [["sweep", "--metric", metric, "--n-list", "40,100,360",
           *(["--state", state] if state else [])]
          for metric, state in cli.SWEEP]
-scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+watched = lambda: sorted(m for m in sys.modules
+                         if m == WATCH or m.startswith(WATCH + "."))
 seen = [["import susylattice.cli", 0]]
 for argv in runs:
-    seen[-1].append(scipy())
+    seen[-1].append(watched())
     with contextlib.redirect_stdout(io.StringIO()):
         seen.append([" ".join(argv), cli.main(["--jobs", "1", *argv])])
-seen[-1].append(scipy())
+seen[-1].append(watched())
 print(json.dumps(seen))
 """
+_IMPORT_GUARD = 'WATCH = "scipy"' + _GUARD
+_NUMPY_MA_GUARD = 'WATCH = "numpy.ma"' + _GUARD
 
 
 def test_runtime_never_loads_scipy_optimize_or_special():
@@ -698,6 +727,17 @@ def test_runtime_never_loads_scipy_optimize_or_special():
     pair, and each of them exits 0.  scipy.sparse alone cost about 0.2 s of
     set-up and 20 MB of resident memory."""
     proc = _python("-c", _IMPORT_GUARD, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 1 + 2 + len(cli.SPECTRA) + len(cli.SWEEP)
+    assert [(step, code, loaded) for step, code, loaded in seen
+            if code != 0 or loaded] == []
+
+
+def test_commands_never_load_numpy_ma():
+    """No command loads numpy.ma: np.unique does, through np.ma.is_masked,
+    and the import alone took 11-16 ms of a Fock pass."""
+    proc = _python("-c", _NUMPY_MA_GUARD, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert len(seen) == 1 + 2 + len(cli.SPECTRA) + len(cli.SWEEP)

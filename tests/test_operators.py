@@ -23,13 +23,11 @@ def _diags(diagonals):
 def test_built_operators_are_read_only():
     inst = models.build_model_ii((1.0, 2.0))
     dec = op.super_decompose(inst.q)
-    for m in (inst.q, inst.h, dec.eta):
+    for m in (inst.q, inst.h, dec.eta, dec.p0):
         assert isinstance(m, op.Sparse)
         for stored in (m.data, m.rows, m.cols):     # no pattern change
             with pytest.raises(ValueError):
                 stored[0] = stored[0]
-    with pytest.raises(ValueError):
-        dec.p0[0, 0] = 1.0
 
 
 def test_super_decompose_leaves_its_argument_writable():
@@ -158,7 +156,7 @@ def test_super_decompose_baby():
     dec = op.super_decompose(a)
     # H = {a, a^dag} = 1, no kernel
     assert np.allclose(dec.h.toarray(), np.eye(2))
-    assert np.abs(dec.p0).max() < 1e-12
+    assert abs(dec.p0).max() < 1e-12
     clusters = op.cluster_eigenvalues(
         np.linalg.eigvalsh(dec.g_alpha(0.0).toarray()))
     assert [(round(v, 10), m) for v, m in clusters] == [(-1.0, 1), (1.0, 1)]
@@ -188,7 +186,7 @@ def test_decomposition_invariants_random_model_i_charge(seed):
 
 def _assert_matches_dense(dec):
     p0, eta, f, paired = dense_decompose(dec.q)
-    assert np.abs(dec.p0 - p0).max() < 1e-10
+    assert np.abs(dec.p0.toarray() - p0).max() < 1e-10
     assert np.abs(dec.eta.toarray() - eta).max() < 1e-10
     assert np.abs(dec.f.toarray() - f).max() < 1e-10
     assert [m for _, m in dec.paired_spectrum] == [m for _, m in paired]
@@ -210,21 +208,51 @@ def test_blocked_decomposition_matches_dense_reference(name, build):
     dec = op.super_decompose(build().q, check=True)
     assert read_only_sparse(dec.eta)
     assert read_only_sparse(dec.f)
-    assert isinstance(dec.p0, np.ndarray)
+    assert read_only_sparse(dec.p0)
     _assert_matches_dense(dec)
 
 
-def test_model_ii_six_sites_blocked_decomposition():
-    """Kernel dimension 2^6 and every subset sum of z_i^2 as a 2^6-fold
-    level: the exact Model II spectrum at the model's site cap."""
-    z = (0.55, 0.8, 1.0, 1.15, 1.3, 1.45)
+def _assert_model_ii_exact_spectrum(z):
+    """Kernel dimension 2^n and every subset sum of z_i^2 as a 2^n-fold
+    level: the exact Model II spectrum on n = len(z) sites."""
+    n = len(z)
     dec = op.super_decompose(models.build_model_ii(z).q, check=True)
-    assert round(np.trace(dec.p0).real, 9) == 2 ** 6
-    sums = sorted(sum(z[i] ** 2 for i in range(6) if mask >> i & 1)
-                  for mask in range(1, 2 ** 6))
-    assert [m for _, m in dec.paired_spectrum] == [2 ** 6] * len(sums)
+    assert round(dec.p0.diagonal().sum().real, 9) == 2 ** n
+    sums = sorted(sum(z[i] ** 2 for i in range(n) if mask >> i & 1)
+                  for mask in range(1, 2 ** n))
+    assert [m for _, m in dec.paired_spectrum] == [2 ** n] * len(sums)
     assert np.allclose([e for e, _ in dec.paired_spectrum], sums,
                        rtol=1e-12, atol=0)
+
+
+def test_model_ii_six_sites_blocked_decomposition():
+    _assert_model_ii_exact_spectrum((0.55, 0.8, 1.0, 1.15, 1.3, 1.45))
+
+
+def test_model_ii_seven_sites_blocked_decomposition():
+    """The site cap: 2^14 states, MAX_MODES."""
+    _assert_model_ii_exact_spectrum((0.55, 0.8, 1.0, 1.15, 1.3, 1.45, 1.6))
+
+
+def test_model_ii_dimension_bound():
+    with pytest.raises(op.DimensionError):
+        models.build_model_ii((1.0,) * 8)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_p0_reads_dense_through_asarray(n):
+    """np.asarray and np.trace, as a caller holding a dense P0 reads it:
+    a fresh dense copy equal to toarray() and to the dense reference."""
+    dec = op.super_decompose(models.build_model_ii(
+        (0.55, 0.8, 1.0, 1.15, 1.3)[:n]).q)
+    dense = np.asarray(dec.p0)
+    assert isinstance(dense, np.ndarray) and dense.flags.writeable
+    assert np.array_equal(dense, dec.p0.toarray())
+    assert np.abs(dense - dense_decompose(dec.q)[0]).max() < 1e-10
+    assert round(np.trace(dense).real, 9) == 2 ** n
+    assert np.array_equal(np.asarray(dec.p0, dtype=complex), dense)
+    with pytest.raises(ValueError):
+        np.asarray(dec.p0, copy=False)
 
 
 def _fock_patterns(build):
@@ -234,9 +262,7 @@ def _fock_patterns(build):
     mats = [inst.q, inst.h]
     if inst.spec.dim <= 256:
         dec = op.super_decompose(inst.q, check=False)
-        nz = np.nonzero(dec.p0)
-        mats.append(abs(dec.eta)
-                    + abs(op.Sparse(*nz, dec.p0[nz], dec.p0.shape)))
+        mats.append(abs(dec.eta) + abs(dec.p0))
     return mats
 
 
