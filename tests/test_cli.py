@@ -500,7 +500,7 @@ def test_spectrum_model_ii_above_cap_exits_2(capsys):
 
 def test_model_ii_decomposition_below_its_cap_stays_small():
     """Model II n = 6 decomposes and checks in well under 100 MB peak RSS
-    (about 44 MB on 2 vCPU): no dense 2^12 x 2^12 matrix is formed.  The
+    (about 42 MB on 2 vCPU): no dense 2^12 x 2^12 matrix is formed.  The
     peak is VmHWM, the high-water mark of the interpreter's own address
     space: a forked child's ru_maxrss also counts the parent it was
     forked from, the whole test process."""
