@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (ETA, DimensionError, Sparse, diagonal_eigenvalues,
-                        gauge_charge, lift)
+from .operators import DimensionError
 
 MAX_PARTICLES = 20000
 
@@ -27,10 +26,9 @@ class VanishingNormError(ValueError):
 class DickeOperators:
     """Ladder operators on the spin-N/2 multiplet as numpy arrays: amp[k],
     the S_+ amplitude e_k -> e_{k+1} (and S_- back), and sz, the S_z
-    diagonal -N, -N+2, ..., N; [s_plus, s_minus] = s_z, [s_z, s_plus] =
-    2 s_plus.  Each read of s_plus, s_minus, s_z, s_x or s_y builds that
-    multiplet operator as a complex `Sparse`, for the callers that need a
-    matrix."""
+    diagonal -N, -N+2, ..., N; [S_+, S_-] = S_z, [S_z, S_+] = 2 S_+.  No
+    matrix is built: `diagonals` reads S_+, S_-, S_x, S_y or S_z off the
+    two arrays, and `lift_apply` applies one to a product-space vector."""
 
     def __init__(self, n):
         if n < 1:
@@ -51,16 +49,6 @@ class DickeOperators:
         return {"s_plus": {-1: amp}, "s_minus": {1: amp}, "s_z": {0: sz},
                 "s_x": {-1: amp, 1: amp},
                 "s_y": {-1: -1j * amp, 1: 1j * amp}}[name]
-
-    def matrix(self, name):
-        """The multiplet operator `name` as a complex Sparse."""
-        return Sparse.from_diagonals(self.diagonals(name))
-
-    s_plus = property(lambda self: self.matrix("s_plus"))
-    s_minus = property(lambda self: self.matrix("s_minus"))
-    s_z = property(lambda self: self.matrix("s_z"))
-    s_x = property(lambda self: self.matrix("s_x"))
-    s_y = property(lambda self: self.matrix("s_y"))
 
     def lift_apply(self, name, rows, lo=0):
         """Rows lo, lo + 1, ... of lift(a) @ v, a = `name`, from the same
@@ -119,27 +107,35 @@ def _product_state(spin_vec, label, n, meta=None):
     return DickeState(vector=vec, label=label, n=n, meta=meta or {})
 
 
-def build_g_alpha_dicke(ops, alpha=0.0):
-    """G_alpha of Q = S_- (x) eta / sqrt N, the Dicke image of Model III's
-    M_N eta_N; Sparse.  The phase goes on before the 1/sqrt N: the other
-    order moves the last bit of some entries that the goldens pin."""
-    q = lift(ops.s_minus, ETA)
-    return gauge_charge(q, alpha) / np.sqrt(ops.n)
+def g_alpha_offdiagonals(ops, alpha=0.0):
+    """(upper, lower): the only entries, (2k, 2k + 3) and (2k + 3, 2k), of
+    G_alpha for Q = S_- (x) eta / sqrt N, the Dicke image of Model III's
+    M_N eta_N.  As operators.gauge_charge forms them: the phase, the 0.0 +
+    of the Sparse sum, then the 1/sqrt N (the goldens pin that order)."""
+    q, scale = ops.amp.astype(complex), 1 / np.sqrt(ops.n)
+    return ((0.0 + q * np.exp(1j * alpha)) * scale,
+            (0.0 + q.conj() * np.exp(-1j * alpha)) * scale)
 
 
-def build_hss_dicke(ops):
-    """Normalized H_SS = G_alpha^2; gauge independent by construction."""
-    g = build_g_alpha_dicke(ops, 0.0)
-    return g @ g
+def hss_diagonal(ops):
+    """The normalized H_SS = G_0^2 as its complex diagonal, exact: row 2k of
+    G_0 holds only (2k, 2k + 3) and row 2k + 3 only (2k + 3, 2k), so each
+    entry is one product, (k+1)(N-k)/N at rows 2k and 2k + 3, else 0."""
+    (upper, lower), h = g_alpha_offdiagonals(ops), np.zeros(ops.dim, complex)
+    h[:-2:2], h[3::2] = upper * lower, lower * upper
+    return h
 
 
 def hss_eigenvalues(ops):
-    """All eigenvalues of the normalized H_SS, ascending.
+    """All eigenvalues of the normalized H_SS, ascending: its diagonal."""
+    return np.sort(hss_diagonal(ops).real)
 
-    H_SS is diagonal in the product basis (it commutes with s_z and the
-    Clifford grading); the off-diagonal part is checked to vanish.
-    """
-    return diagonal_eigenvalues(build_hss_dicke(ops))
+
+def pairing_diagonal(ops):
+    """H'_BCS = -S_+ S_- / N on the multiplet as its complex diagonal,
+    -k(N-k+1)/N at row k, formed as the Sparse -(S_+ @ S_-) / N is."""
+    amp = ops.amp.astype(complex)
+    return np.concatenate(([0j], -(amp * amp) * (1 / ops.n)))
 
 
 def _basis_state(n, k, label):

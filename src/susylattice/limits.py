@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dicke
-from .operators import (ETA, DimensionError, Sparse, bracket,
-                        diagonal_eigenvalues, gauge_charge,
+from .operators import (ETA, DimensionError, Sparse, apply_diagonals,
+                        bracket, diagonal_eigenvalues, gauge_charge,
                         hermitian_function, lift)
 
 # one-site Paulis in the (up, down) basis; ETA is sigma_+ there
@@ -229,14 +229,18 @@ def weyl_relation_probe(ops, state, alpha, beta, reverse=False):
     Gaussian modulus; the limiting value is what the sweep extrapolates.
     With reverse=True the operator order is exchanged, which flips the
     residual phase (the Weyl antisymmetry); the literal alpha <-> beta swap
-    leaves the -alpha beta/2 limit unchanged.
+    leaves the -alpha beta/2 limit unchanged.  Raises ValueError when the
+    Gaussian modulus underflows to 0 (alpha^2 + beta^2 above about 2980).
     """
+    modulus = gaussian_target(alpha, beta)
+    if modulus == 0.0:
+        raise ValueError("Gaussian modulus exp(-(alpha^2 + beta^2)/4) "
+                         f"underflows to 0 at alpha={alpha:g}, beta={beta:g}")
     factors = [(0.0, -beta, 0.0), (alpha, 0.0, 0.0)]
     if reverse:
         factors.reverse()
     prod = _rotation_overlap(ops, state, factors, np.sqrt(2.0 * ops.n))
-    phase = float(np.angle(prod / gaussian_target(alpha, beta)))
-    return prod, phase
+    return prod, float(np.angle(prod / modulus))
 
 
 def bs_gaussian_probe(ops, r, axis):
@@ -265,11 +269,6 @@ def odlro(ops, state):
     return abs((sx2 - n) / (n * (n - 1)) - (sx1 / n) ** 2)
 
 
-def _eta_lift(n_levels):
-    """1 (x) eta on `n_levels` ladder levels tensor the Clifford mode."""
-    return lift(Sparse.from_diagonals({0: np.ones(n_levels)}), ETA)
-
-
 def _dense_collective(n):
     """The Dicke operators at N = n and, dense from their amplitudes, the
     lifted S_+, S_-, S_z and eta that the identity residuals read."""
@@ -289,15 +288,12 @@ def eom_identity_residuals(n=6):
     matrices force (see the decisions ledger).
     """
     ops, sp, sm, sz, eta = _dense_collective(n)
-    h = dicke.build_hss_dicke(ops).toarray()
-    eecd = eta @ eta.conj().T
-    out = {}
-    out["sz_dot"] = np.linalg.norm(-1j * bracket(sz, h), 2)
-    rhs_sp = -1j * (sp @ sz) / n - (2j / n) * (sp @ eecd)
-    out["sp_dot"] = np.linalg.norm(-1j * bracket(sp, h) - rhs_sp, 2)
+    h = np.diag(dicke.hss_diagonal(ops))
+    rhs_sp = -1j * (sp @ sz) / n - (2j / n) * (sp @ (eta @ eta.conj().T))
     rhs_eta = 1j * (eta / n) @ bracket(sm, sp)
-    out["eta_dot"] = np.linalg.norm(-1j * bracket(eta, h) - rhs_eta, 2)
-    return out
+    return {"sz_dot": np.linalg.norm(-1j * bracket(sz, h), 2),
+            "sp_dot": np.linalg.norm(-1j * bracket(sp, h) - rhs_sp, 2),
+            "eta_dot": np.linalg.norm(-1j * bracket(eta, h) - rhs_eta, 2)}
 
 
 def super_identity_residuals(n=6, alpha=0.0):
@@ -308,21 +304,19 @@ def super_identity_residuals(n=6, alpha=0.0):
     matrices force; exact at every n.
     """
     ops, sp, sm, sz, eta = _dense_collective(n)
-    g = dicke.build_g_alpha_dicke(ops, alpha).toarray()
-    etad = eta.conj().T
-    f = bracket(eta, etad)
-    rt = np.sqrt(n)
-    out = {}
-    rhs_eta = -1j * np.exp(-1j * alpha) * (sp @ f) / rt
-    out["eta_prime"] = np.linalg.norm(-1j * bracket(eta, g) - rhs_eta, 2)
+    g = np.zeros((ops.dim, ops.dim), dtype=complex)
+    r = 2 * np.arange(n)
+    g[r, r + 3], g[r + 3, r] = dicke.g_alpha_offdiagonals(ops, alpha)
+    etad, rt = eta.conj().T, np.sqrt(n)
+    rhs_eta = -1j * np.exp(-1j * alpha) * (sp @ bracket(eta, etad)) / rt
     rhs_sz = 2j * (np.exp(1j * alpha) * eta @ sm
                    - np.exp(-1j * alpha) * etad @ sp) / rt
-    out["sz_prime"] = np.linalg.norm(-1j * bracket(sz, g) - rhs_sz, 2)
     # [S_+, eta^dag S_+] = 0, so only the eta S_- term survives:
     # S_+' = -i e^{i alpha} eta S_z / sqrt N
     rhs_sp = -1j * np.exp(1j * alpha) * (eta @ sz) / rt
-    out["sp_prime"] = np.linalg.norm(-1j * bracket(sp, g) - rhs_sp, 2)
-    return out
+    return {"eta_prime": np.linalg.norm(-1j * bracket(eta, g) - rhs_eta, 2),
+            "sz_prime": np.linalg.norm(-1j * bracket(sz, g) - rhs_sz, 2),
+            "sp_prime": np.linalg.norm(-1j * bracket(sp, g) - rhs_sp, 2)}
 
 
 def local_super_derivative(n, axis, alpha=0.0):
@@ -387,7 +381,7 @@ def witten_limit(cutoff, alpha=0.0):
             f"cutoff {cutoff} exceeds bound {MAX_WITTEN_CUTOFF}")
     a = Sparse.from_diagonals({1: np.sqrt(np.arange(1.0, cutoff))})
     a_f = lift(a)
-    eta = _eta_lift(cutoff)
+    eta = lift(Sparse.from_diagonals({0: np.ones(cutoff)}), ETA)
     q = (a_f + a_f.conj().T) / np.sqrt(2)
     p = (a_f - a_f.conj().T) / (1j * np.sqrt(2))
     g = gauge_charge(lift(a, ETA), alpha)
@@ -422,39 +416,44 @@ def bs_free_evolution(ops, t):
     <x(t)^2> - <x(0)^2>.  p is an exact constant of motion; q drifts as
     <p^2> t^2 up to O(1/sqrt N).
     """
-    n = ops.n
-    h = -(ops.s_plus @ ops.s_minus) / n
-    diagonal_eigenvalues(h)             # raises unless H is diagonal
-    v0 = dicke.coherent_spin_amplitudes(n, 0.0)
-    vt = np.exp(-1j * t * h.diagonal()) * v0
-    sy, sz = ops.s_y, ops.s_z
-    q2 = lambda v: float(np.real(np.vdot(v, sy @ (sy @ v)))) / n
-    p2 = lambda v: float(np.real(np.vdot(v, sz @ (sz @ v)))) / n
-    return q2(vt) - q2(v0), p2(vt) - p2(v0)
+    v0 = dicke.coherent_spin_amplitudes(ops.n, 0.0)
+    vt = np.exp(-1j * t * dicke.pairing_diagonal(ops)) * v0
+    moment = lambda m, v: float(np.real(np.vdot(v, ops.lift_apply(
+        m, ops.lift_apply(m, v[:, None])).ravel()))) / ops.n
+    return tuple(moment(m, vt) - moment(m, v0) for m in ("s_y", "s_z"))
 
 
 def gs_phase_slope(ops):
     """Phase advance rate of <GS| A^dag(t) A |GS> for A = S_+/sqrt N under
     the normalized H_SS; exactly -1 (A|GS> is an H_SS eigenvector of
     eigenvalue 1)."""
-    n = ops.n
-    h = dicke.build_hss_dicke(ops)
-    diagonal_eigenvalues(h)             # raises unless H is diagonal
+    h = dicke.hss_diagonal(ops)
     g = dicke.ground_state(ops).vector
-    w = ops.lift_apply("s_plus", g.reshape(-1, 2)).ravel() / np.sqrt(n)
-    slopes = []
-    for t in (0.5, 1.0, 2.0):
-        z = np.vdot(w, np.exp(-1j * t * h.diagonal()) * w)
-        slopes.append(np.angle(z) / t)
-    return float(np.mean(slopes))
+    w = ops.lift_apply("s_plus", g.reshape(-1, 2)).ravel() / np.sqrt(ops.n)
+    return float(np.mean([np.angle(np.vdot(w, np.exp(-1j * t * h) * w)) / t
+                          for t in (0.5, 1.0, 2.0)]))
+
+
+def sz_prime_apply(ops, v, alpha=0.0):
+    """S_z' v, S_z' = -i[S_z (x) 1, G_alpha], on the pattern of G_alpha:
+    entry -i(0.0 + S_z,row G - G S_z,col), as the Sparse bracket sums it."""
+    (upper, lower), sz = dicke.g_alpha_offdiagonals(ops, alpha), ops.sz
+    diagonals = {k: np.zeros(2 * ops.n - 1, dtype=complex) for k in (3, -3)}
+    diagonals[3][::2] = (0.0 + sz[:-1] * upper - upper * sz[1:]) * -1j
+    diagonals[-3][::2] = (0.0 + sz[1:] * lower - lower * sz[:-1]) * -1j
+    return apply_diagonals(diagonals, v)
 
 
 def bs_eta_prime(ops, alpha=0.0):
-    """|<BS| eta' |BS>|, eta' = -i[eta, G_alpha]; exactly sqrt(N)/2."""
-    etap = -1j * bracket(_eta_lift(ops.n + 1),
-                         dicke.build_g_alpha_dicke(ops, alpha))
+    """|<BS| eta' |BS>|, eta' = -i[1 (x) eta, G_alpha]; exactly sqrt(N)/2.
+    eta's entries (2k, 2k + 1) are 1, so with G_alpha's lower entries L_k,
+    (eta G)(2k + 2, 2k) = L_k = (G eta)(2k + 3, 2k + 1): eta' is the one
+    diagonal at offset -2 of the Sparse bracket's -i L_k and -i(0 - L_k)."""
+    lower = dicke.g_alpha_offdiagonals(ops, alpha)[1]
+    diag = np.empty(2 * ops.n, dtype=complex)
+    diag[0::2], diag[1::2] = lower * -1j, (0.0 - lower) * -1j
     v = dicke.bogoliubov_state(ops, alpha).vector
-    return abs(np.vdot(v, etap @ v))
+    return abs(np.vdot(v, apply_diagonals({-2: diag}, v)))
 
 
 def power_growth_fit(pts):
@@ -499,11 +498,9 @@ def variance_divergence(points):
 
 
 def collective_m_norm(n):
-    """Spectral norm of M_N = S_-/sqrt N on the Dicke multiplet.
+    """Spectral norm of M_N = S_-/sqrt N: the largest ladder amplitude.
 
     Exact value sqrt((floor(N/2)+1)(N - floor(N/2)))/sqrt(N); approaches
     sqrt(N)/2 from above with ratio sqrt(1 + 2/N).
     """
-    k = np.arange(n)
-    amp = np.sqrt((k + 1.0) * (n - k))
-    return float(amp.max() / np.sqrt(n))
+    return float(dicke.collective_ops(n).amp.max() / np.sqrt(n))

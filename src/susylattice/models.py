@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dicke
 from .operators import (
     NILPOTENCY_TOL,
     DimensionError,
@@ -19,7 +20,6 @@ from .operators import (
     gauge_charge,
     hermitian_function,
     hermitian_norm,
-    lift,
     nilpotency_residual,
     sparse_annihilators,
 )
@@ -313,11 +313,10 @@ def build_bcs(n, representation="dicke"):
         h_bcs = -(m.conj().T @ m)
         h_ss = inst.h
     elif representation == "dicke":
-        from . import dicke
-
         ops = dicke.collective_ops(n)
-        h_ss = dicke.build_hss_dicke(ops)
-        h_bcs = -lift(ops.s_plus @ ops.s_minus) / n
+        h_ss = Sparse.from_diagonals({0: dicke.hss_diagonal(ops)})
+        h_bcs = Sparse.from_diagonals(
+            {0: np.repeat(dicke.pairing_diagonal(ops), 2)})
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return BcsModel(n=n, representation=representation,

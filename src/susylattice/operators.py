@@ -141,11 +141,12 @@ class Sparse:
         return self + -other
 
     def __matmul__(self, other):
-        inner = np.shape(other)[0]
-        if inner != self.shape[1]:
+        inner = other.shape[:1] if isinstance(other, Sparse) \
+            else np.shape(other)
+        if inner != self.shape[1:]:
             raise ValueError(f"matmul: {self.shape} @ {np.shape(other)}")
         if isinstance(other, Sparse):
-            per_row = np.bincount(other.rows, minlength=inner)
+            per_row = np.bincount(other.rows, minlength=self.shape[1])
             reach = per_row[self.cols]      # other's entries per own entry
             mine = np.repeat(np.arange(self.nnz), reach)
             theirs = np.arange(mine.size) + np.repeat(
@@ -153,10 +154,8 @@ class Sparse:
             return Sparse(self.rows[mine], other.cols[theirs],
                           0 + _product(self.data[mine], other.data[theirs]),
                           (self.shape[0], other.shape[1]))
-        x = np.asarray(other)
-        terms = _product(self.data.reshape((-1,) + (1,) * (x.ndim - 1)),
-                         x[self.cols])
-        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
+        terms = _product(self.data, np.asarray(other)[self.cols])
+        out = np.zeros(self.shape[0], dtype=terms.dtype)
         np.add.at(out, self.rows, terms)
         return out
 
@@ -171,6 +170,17 @@ def _product(a, b):
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def apply_diagonals(diagonals, v):
+    """Sparse.from_diagonals(diagonals) @ v for a vector v, bit for bit and
+    with no matrix: each row's terms, in column order, added into zeros, each
+    a _product.  Stored zeros are harmless: a sum from +0 never reads -0."""
+    out = np.zeros(len(v), dtype=complex)
+    for k, d in sorted(diagonals.items()):
+        lo, hi = max(k, 0), len(v) - max(-k, 0)     # the columns k reads
+        out[lo - k:hi - k] += _product(d, v[lo:hi])
     return out
 
 
@@ -406,9 +416,9 @@ def lift(a, clifford=None):
 
 def gauge_charge(q, alpha):
     """The Hermitian family G_alpha = e^{i alpha} Q + e^{-i alpha} Q^dag, in
-    the representation of Q (Sparse Q gives a Sparse G).  The one builder of
-    G_alpha: the Fock models pass their Q, and the Dicke layer, the local
-    site operator and the Witten limit pass Q = A (x) eta."""
+    the representation of Q (Sparse Q gives a Sparse G): the Fock models
+    pass their Q, the local site operator and the Witten limit Q = A (x) eta.
+    dicke.g_alpha_offdiagonals repeats its operations on the ladder arrays."""
     qm = q if isinstance(q, Sparse) else np.asarray(q)
     return np.exp(1j * alpha) * qm + np.exp(-1j * alpha) * qm.conj().T
 

@@ -3,8 +3,8 @@
 CSV is the primary artifact; the schema is fixed to
 metric,n,value_re,value_im,target_re,target_im,provenance,pass
 with a mandatory header, UTF-8 and LF endings.  JSON mirrors it one object
-per row plus a metadata block.  Row order is (metric, n), so parallel cell
-dispatch never changes output bytes.
+per row plus a metadata block.  Row order is (metric, n), so the order in
+which the cells ran never changes the output bytes.
 """
 
 import csv

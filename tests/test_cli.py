@@ -388,6 +388,20 @@ def test_sweep_spectral_below_three_particles_is_usage_error(capsys):
         limits.spectral_level(dicke.collective_ops(2))
 
 
+def test_weyl_phase_with_an_underflowed_gaussian_is_usage_error(capsys):
+    """Past alpha^2 + beta^2 of about 2980 the Gaussian modulus that the
+    Weyl phase divides by underflows to 0: exit 2 naming it, not a
+    ZeroDivisionError traceback."""
+    code = exit_code(["sweep", "--metric", "weyl_phase", "--n-list", "1,2,3",
+                      "--alpha", "40", "--beta", "40"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Gaussian modulus" in captured.err
+    ops = dicke.collective_ops(3)
+    with pytest.raises(ValueError, match="underflows"):
+        limits.weyl_relation_probe(ops, dicke.ground_state(ops), 40.0, 40.0)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -679,6 +693,8 @@ _ANGLE_SWEEP = ["sweep", "--metric", "gaussian", "--n-list", "16,32,64"]
     [*_ANGLE_SWEEP, "--alpha", "1e308"],
     ["sweep", "--metric", "bs_gaussian_y", "--n-list", "16,32,64",
      "--r", "1e4"],
+    ["sweep", "--metric", "weyl_phase", "--n-list", "1,2,3", "--alpha", "40",
+     "--beta", "40"],
 ), ids=" ".join)
 def test_bad_input_exits_2_cleanly(argv):
     """Every documented usage error, the non-finite angles and the angles

@@ -10,12 +10,13 @@ import pytest
 
 from susylattice import dicke, models
 from susylattice.operators import ETA, Sparse, lift
-from expect import expectation, hss_unnormalized, read_only_sparse
+from expect import (SparseDicke, build_g_alpha_dicke, build_hss_dicke,
+                    expectation, hss_unnormalized, read_only_sparse)
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 40))
 def test_commutation_relations(n):
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     sp, sm, sz = (m.toarray() for m in (ops.s_plus, ops.s_minus, ops.s_z))
     assert np.abs(sp @ sm - sm @ sp - sz).max() < 1e-10
     assert np.abs(sz @ sp - sp @ sz - 2 * sp).max() < 1e-10
@@ -24,21 +25,21 @@ def test_commutation_relations(n):
 
 @pytest.mark.parametrize("n", (1, 2, 7))
 def test_casimir(n):
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     s2 = (ops.s_x @ ops.s_x + ops.s_y @ ops.s_y
           + ops.s_z @ ops.s_z).toarray()
     assert np.abs(s2 - n * (n + 2) * np.eye(n + 1)).max() < 1e-10
 
 
 def test_n1_pauli():
-    ops = dicke.collective_ops(1)
+    ops = SparseDicke(1)
     assert np.allclose(ops.s_plus.toarray(), [[0, 0], [1, 0]])
     assert np.allclose(ops.s_z.toarray(), np.diag([-1.0, 1.0]))
 
 
 def test_n2_ladder_amplitude():
     # forced by the doubled-spacing commutators at s = 1
-    ops = dicke.collective_ops(2)
+    ops = SparseDicke(2)
     lowest = np.array([1.0, 0.0, 0.0])
     assert np.linalg.norm(ops.s_plus @ lowest) == pytest.approx(np.sqrt(2))
 
@@ -48,7 +49,7 @@ def _eta_full(ops):
 
 
 def test_lifted_operators_commute_with_eta():
-    ops = dicke.collective_ops(3)
+    ops = SparseDicke(3)
     eta = _eta_full(ops)
     for m in (lift(ops.s_plus), lift(ops.s_z), lift(ops.s_x)):
         comm = (m @ eta - eta @ m)
@@ -90,7 +91,7 @@ def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
     (an empty one included), and so is S_+ applied after S_-: the probes
     that apply an operator without building its lift keep every golden
     byte."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     rng = np.random.default_rng(n)
     vectors = _probe_vectors(ops.dim, rng)
     lo, hi = sorted(rng.integers(0, n + 2, size=2))
@@ -114,10 +115,10 @@ def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", (1, 2, 7, 200))
 def test_multiplet_csr_is_the_ladder_expression(n):
-    """The CSR that ops.matrix builds from the diagonals holds, bit for bit
-    and signed zeros included, the entries of the ladder expressions
-    S_x = S_+ + S_- and S_y = (S_+ - S_-)/i."""
-    ops = dicke.collective_ops(n)
+    """The Sparse that SparseDicke.matrix builds from the diagonals holds,
+    bit for bit and signed zeros included, the entries of the ladder
+    expressions S_x = S_+ + S_- and S_y = (S_+ - S_-)/i."""
+    ops = SparseDicke(n)
     sp, sm = ops.s_plus, ops.s_minus
     for got, want in ((ops.s_x, sp + sm), (ops.s_y, (sp - sm) / 1j)):
         assert np.array_equal(_bits(got.toarray()), _bits(want.toarray()))
@@ -127,7 +128,7 @@ def test_multiplet_csr_is_the_ladder_expression(n):
 def test_lift_is_the_kronecker_product(n):
     """lift(a, c) is a (x) c, ladder-major: the identity by default, or
     ETA on the Clifford factor."""
-    for name, a in _multiplet_operators(dicke.collective_ops(n)).items():
+    for name, a in _multiplet_operators(SparseDicke(n)).items():
         for c, got in ((np.eye(2), lift(a)), (ETA, lift(a, ETA))):
             assert read_only_sparse(got)
             assert np.array_equal(got.toarray(), np.kron(a.toarray(), c)), \
@@ -160,11 +161,18 @@ def _product_space_sites():
 def test_one_clifford_lift():
     """The product-space order lives in operators.lift alone: the collective
     layer builds no product-space matrix of its own, and the Dicke layer
-    keeps no lifted copies of its operators."""
+    keeps no lifted copies of its operators.  dicke.py takes nothing from
+    .operators but DimensionError, so it cannot build a Sparse."""
     assert _product_space_sites() == set()
     text = (SRC / "dicke.py").read_text(encoding="utf-8")
     for word in ("_full", "_lifted", "cached_property"):
         assert word not in text, word
+    imported = {(getattr(node, "module", None), alias.name)
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert {m for m in imported if "operators" in repr(m)} == {
+        ("operators", "DimensionError")}
 
 
 def test_bounds_and_errors():
@@ -176,16 +184,16 @@ def test_bounds_and_errors():
 
 def test_hss_gauge_independence_and_psd():
     ops = dicke.collective_ops(5)
-    h = dicke.build_hss_dicke(ops).toarray()
+    h = build_hss_dicke(ops).toarray()
     for alpha in (0.0, 1.1):
-        g = dicke.build_g_alpha_dicke(ops, alpha).toarray()
+        g = build_g_alpha_dicke(ops, alpha).toarray()
         assert np.abs(g @ g - h).max() < 1e-10
     assert np.linalg.eigvalsh(h).min() > -1e-10
 
 
 def test_g_alpha_spectrum_pm_symmetric():
     ops = dicke.collective_ops(4)
-    g = dicke.build_g_alpha_dicke(ops, 0.3).toarray()
+    g = build_g_alpha_dicke(ops, 0.3).toarray()
     vals = np.sort(np.linalg.eigvalsh(g))
     assert np.abs(vals + vals[::-1]).max() < 1e-10
 
@@ -207,9 +215,9 @@ def test_hss_low_spectrum_structure():
 
 
 def test_ground_state_properties():
-    ops = dicke.collective_ops(6)
+    ops = SparseDicke(6)
     gs = dicke.ground_state(ops)
-    h = dicke.build_hss_dicke(ops)
+    h = build_hss_dicke(ops)
     assert np.linalg.norm(h @ gs.vector) < 1e-12
     assert expectation(gs, lift(ops.s_z)).real == pytest.approx(-6.0)
     assert abs(expectation(gs, lift(ops.s_x))) < 1e-14
@@ -220,7 +228,7 @@ def test_ground_state_properties():
 
 @pytest.mark.parametrize("n", (2, 4, 100))
 def test_ceiling_ladder_eigenrelations(n):
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     psi1, psi2 = dicke.ceiling_state_ladder(ops)
     sz = ops.s_z
     spin2 = psi2.vector.reshape(n + 1, 2)[:, 1]
@@ -239,7 +247,7 @@ def test_ceiling_ladder_eigenrelations(n):
 def test_ceiling_closed_form_matches_ladder(n):
     """The literal ladder: S_+ applied N/2 times to the lowest state (and
     once more for psi1), normalized after every step."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     v = np.zeros(n + 1, dtype=complex)
     v[0] = 1.0
     ladder = []
@@ -345,7 +353,7 @@ def test_coherent_spin_amplitudes_match_exact_binomials(n):
 @pytest.mark.parametrize("n", (1, 3, 12))
 def test_bogoliubov_state_local_expectations(n):
     alpha = 0.4
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     bs = dicke.bogoliubov_state(ops, alpha)
     assert expectation(bs, lift(ops.s_x)).real / n == pytest.approx(
         np.cos(2 * alpha), abs=1e-12)
@@ -367,7 +375,7 @@ def test_bogoliubov_normalized_at_large_n(n):
     n."""
     amp = dicke.coherent_spin_amplitudes(n, 0.3)
     assert abs(np.linalg.norm(amp) - 1.0) <= 1e-14
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     bs = dicke.bogoliubov_state(ops, 0.3)
     assert expectation(bs, lift(ops.s_x)).real / n == pytest.approx(
         np.cos(0.6), abs=1e-12)
@@ -410,7 +418,7 @@ def test_coherent_superposition_vanishing_norm():
 def test_coherent_incoherent_local_agreement():
     """g = 1: local expectations match the incoherent angular average."""
     n = 16
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     coh = dicke.coherent_superposition(ops, lambda a: 1.0)
     val = expectation(coh, lift(ops.s_x)).real / n
     nodes = -np.pi + 2 * np.pi * (np.arange(512) + 0.5) / 512

@@ -12,10 +12,10 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from susylattice import dicke, limits, operators
+from susylattice import dicke, limits, models, operators
 from susylattice.operators import DimensionError, lift
-from expect import (csr, expectation, read_only_sparse,
-                    witten_ground_vector)
+from expect import (SparseDicke, build_g_alpha_dicke, build_hss_dicke, csr,
+                    expectation, read_only_sparse, witten_ground_vector)
 from tensorrep import MAX_SITES, TensorSpinRep
 
 
@@ -216,7 +216,7 @@ def _dense_rotation(ops, cx, cy, cz, denom):
 def test_matrix_free_probes_match_dense_expm(n, label):
     """States without a product closed form: the matrix-free probes against
     a dense expm of the same generator."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     if label == "ceiling":
         state = dicke.ceiling_state_ladder(ops)[1]
     else:
@@ -257,7 +257,7 @@ def _eigh_rotation(ops, coeffs, denom, spin):
 @pytest.mark.parametrize("coeffs", ((0.8, -0.45, 0.0), (0.0, 0.0, 0.75)),
                          ids=("xy", "pure_z"))
 def test_chebyshev_rotation_matches_expm_multiply(n, label, coeffs):
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     state = {"ground": dicke.ground_state, "ceiling": _ceiling,
              "bogoliubov(0)": lambda o: dicke.bogoliubov_state(o, 0.0)}[label]
     spin = state(ops).vector.reshape(-1, 2)[:, 1]
@@ -278,7 +278,7 @@ def test_chebyshev_rotation_random_generator(n, seed, coeffs):
     expm_multiply's own error reaches 8e-13 at n = 400, |c| = 5, too close
     to ROTATION_RTOL for an oracle, and it divides 0 by 0 at the smallest
     subnormal coefficient (n = 1, c_z = 5e-324)."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     rng = np.random.default_rng(seed)
     spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     got = limits._spin_phase_apply(ops, *coeffs, np.sqrt(n), spin)
@@ -304,7 +304,7 @@ def test_chebyshev_rotation_at_the_rho_bound(coeffs):
     matches the exponential of the dense generator's eigendecomposition; a
     pure-S_z generator is diagonal, so its exponential is exact."""
     n, bound = 64, limits.MAX_ROTATION_RHO
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     rng = np.random.default_rng(7)
     spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     cx, cy, cz = (bound * c for c in coeffs)
@@ -376,7 +376,7 @@ def test_light_cone_rotation_is_the_full_length_sum(n, label, coeffs):
     """From a basis vector (either end of the multiplet, or the middle) or
     BS(0), the light-cone recurrence equals the full-length one bit for
     bit."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     if label == "bogoliubov(0)":
         spin = dicke.coherent_spin_amplitudes(n, 0.0).astype(complex)
     else:
@@ -397,7 +397,7 @@ def test_light_cone_rotation_random_vectors(n, seed, coeffs, cut):
     whole multiplet, one row or none): the light-cone recurrence equals the
     full-length one bit for bit."""
     assume(math.hypot(*coeffs) * n / np.sqrt(n) >= 2.0 * limits.BESSEL_TAIL)
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     rng = np.random.default_rng(seed)
     lo, hi = sorted(int(c * (n + 2)) for c in cut)
     spin = np.zeros(n + 1, dtype=complex)
@@ -463,7 +463,7 @@ def test_span_reductions_equal_the_full_vector_on_basis_states(n):
     """A basis state has one nonzero amplitude, so reading its span alone
     gives exactly the full-vector values: at the ground state, the ceiling
     pair and the top of the multiplet, where the window is clipped."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     states = (dicke.ground_state(ops), *dicke.ceiling_state_ladder(ops),
               dicke._basis_state(n, n, "top"))
     for state in states:
@@ -486,23 +486,35 @@ def test_span_is_the_run_of_nonzero_rows():
 
 
 def test_collective_cells_build_no_sparse_matrix(monkeypatch, capsys):
-    """With the Sparse constructor raising, DickeOperators at n = 16000 and
-    the ceiling ODLRO and ground-state Gaussian sweeps still run: their
-    cells hold amplitude arrays and build no sparse matrix."""
+    """With the Sparse constructor raising, `tables`, `spectrum --model
+    dicke` at the particle cap and every cli.SWEEP pair still run and pass:
+    their cells read amplitude arrays and build no sparse matrix, and
+    DickeOperators has no matrix-valued attribute left.  One call is
+    exempt: the `spectral` target row reads the Witten limit model
+    witten_limit(64), which is Sparse by design, so that model is built
+    before the constructor refuses and handed back by a stub."""
     from susylattice import cli
+
+    monkeypatch.setattr(limits, "witten_limit",
+                        {64: limits.witten_limit(64)}.__getitem__)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a collective cell built a sparse matrix")
 
     monkeypatch.setattr(operators.Sparse, "__init__", refuse)
-    ops = dicke.DickeOperators(16000)
-    with pytest.raises(AssertionError):
-        ops.s_x
-    for argv in (["--state", "ceiling", "--metric", "odlro", "--n-list",
-                  "1024,4096,16000"],
-                 ["--metric", "gaussian", "--n-list", "1024,2048,4096"]):
-        assert cli.main(["sweep", *argv]) == 0
-        assert "fail" not in capsys.readouterr().out
+    for name in ("matrix", "s_plus", "s_minus", "s_x", "s_y", "s_z"):
+        assert not hasattr(dicke.DickeOperators(16000), name), name
+    runs = [["tables"],
+            ["spectrum", "--model", "dicke", "--n",
+             str(dicke.MAX_PARTICLES)],
+            ["sweep", "--state", "ceiling", "--metric", "odlro", "--n-list",
+             "1024,4096,16000"]]
+    for metric, state in cli.SWEEP:
+        runs.append(["sweep", "--metric", metric, "--n-list", "64,256,1024",
+                     *(["--state", state] if state else [])])
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+        assert "fail" not in capsys.readouterr().out, argv
 
 
 @pytest.mark.parametrize("rho", (1e-300, 1e-9, 0.5, 2.404825557695773, 30.0,
@@ -572,7 +584,7 @@ def test_odlro_identity_against_fock():
     """The collective shortcut equals the literal two-site expectation."""
     n = 4
     rep = TensorSpinRep(n)
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     bs = dicke.bogoliubov_state(ops, 0.25)
     collective = (expectation(
         bs, lift(ops.s_x @ ops.s_x)).real - n) / (n * (n - 1))
@@ -755,7 +767,7 @@ def test_hss_levels_match_witten_exactly_below_gap():
 @pytest.mark.parametrize("t", (0.3, 1.0, 2.0))
 def test_bs_free_evolution_matches_expm_multiply(n, t):
     """The elementwise e^{-itH} against expm_multiply of the sparse H."""
-    ops = dicke.collective_ops(n)
+    ops = SparseDicke(n)
     h = csr(-(ops.s_plus @ ops.s_minus) / n)
     v0 = dicke.coherent_spin_amplitudes(n, 0.0)
     vt = expm_multiply(-1j * t * h, v0)
@@ -782,10 +794,106 @@ def test_bs_free_evolution_growth():
 
 
 def test_bcs_sz_commutes_with_generator():
-    ops = dicke.collective_ops(32)
+    ops = SparseDicke(32)
     h = (ops.s_plus @ ops.s_minus) / 32
     comm = h @ ops.s_z - ops.s_z @ h
     assert abs(comm).max() < 1e-12
+
+
+# ----------------------------------- array forms against the Sparse oracle
+
+def _hss_form(ops, alpha):
+    return dicke.hss_diagonal(ops), build_hss_dicke(ops).diagonal()
+
+
+def _free_evolution_form(ops, alpha):
+    """bs_free_evolution at two times, and the Sparse build it replaced."""
+    n, want = ops.n, []
+    for t in (0.3, 1.0):
+        h = -(ops.s_plus @ ops.s_minus) / n
+        v0 = dicke.coherent_spin_amplitudes(n, 0.0)
+        vt = np.exp(-1j * t * h.diagonal()) * v0
+        sy, sz = ops.s_y, ops.s_z
+        q2 = lambda v: float(np.real(np.vdot(v, sy @ (sy @ v)))) / n
+        p2 = lambda v: float(np.real(np.vdot(v, sz @ (sz @ v)))) / n
+        want += [q2(vt) - q2(v0), p2(vt) - p2(v0)]
+    got = [d for t in (0.3, 1.0) for d in limits.bs_free_evolution(ops, t)]
+    return np.array(got), np.array(want)
+
+
+def _phase_slope_form(ops, alpha):
+    h = build_hss_dicke(ops).diagonal()
+    g = dicke.ground_state(ops).vector
+    w = ops.lift_apply("s_plus", g.reshape(-1, 2)).ravel() / np.sqrt(ops.n)
+    want = float(np.mean([np.angle(np.vdot(w, np.exp(-1j * t * h) * w)) / t
+                          for t in (0.5, 1.0, 2.0)]))
+    return limits.gs_phase_slope(ops), want
+
+
+def _eta_prime_form(ops, alpha):
+    """|<BS(alpha)| eta' |BS(alpha)>|."""
+    eta = lift(operators.Sparse.from_diagonals({0: np.ones(ops.n + 1)}),
+               operators.ETA)
+    etap = -1j * operators.bracket(eta, build_g_alpha_dicke(ops, alpha))
+    v = dicke.bogoliubov_state(ops, alpha).vector
+    want = np.vdot(v, etap @ v)
+    return limits.bs_eta_prime(ops, alpha), abs(want)
+
+
+def _sz_prime_form(ops, alpha):
+    """S_z' on the ground, ceiling (even N), BS(0.4) and a random state."""
+    szp = -1j * operators.bracket(lift(ops.s_z),
+                                  build_g_alpha_dicke(ops, alpha))
+    rng = np.random.default_rng(ops.n)
+    states = [dicke.ground_state(ops).vector,
+              dicke.bogoliubov_state(ops, 0.4).vector,
+              rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)]
+    if ops.n % 2 == 0:
+        states.append(dicke.ceiling_state(ops).vector)
+    return (np.array([limits.sz_prime_apply(ops, v, alpha) for v in states]),
+            np.array([szp @ v for v in states]))
+
+
+def _bcs_form(ops, alpha):
+    """The Sparse fields of build_bcs(n, "dicke"), read as bytes."""
+    bcs = models.build_bcs(ops.n, "dicke")
+    want = (-lift(ops.s_plus @ ops.s_minus) / ops.n, build_hss_dicke(ops))
+    return ([bcs.diff_norm] + [getattr(m, a) for m in (bcs.h_bcs, bcs.h_ss)
+                                for a in ("rows", "cols", "data")],
+            [operators.hermitian_norm(want[0] + want[1])]
+            + [getattr(m, a) for m in want for a in ("rows", "cols", "data")])
+
+
+# form -> (new, oracle) at (ops, alpha); the gauged ones run at every alpha
+_ARRAY_FORMS = {"hss_diagonal": _hss_form, "bs_free_evolution":
+                _free_evolution_form, "gs_phase_slope": _phase_slope_form,
+                "eta_prime": _eta_prime_form, "sz_prime": _sz_prime_form,
+                "build_bcs_dicke": _bcs_form}
+_GAUGED = ("eta_prime", "sz_prime")
+
+
+def _same_bits(got, want):
+    got, want = (np.ascontiguousarray(np.atleast_1d(x)) for x in (got, want))
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 8, 200, 256, 1000))
+@pytest.mark.parametrize("form", sorted(_ARRAY_FORMS))
+def test_array_forms_are_the_sparse_build_bit_for_bit(form, n):
+    """Each array form of the collective layer holds the IEEE bits, signed
+    zeros included, of the Sparse build in tests/expect.py that it
+    replaced: the phase, the 0.0 + of the Sparse sum and the 1/sqrt N in
+    the order of gauge_charge, and every apply summed into zeros in
+    column order."""
+    ops = SparseDicke(n)
+    for alpha in (0.0, 0.9, 1.0, -2.0) if form in _GAUGED else (0.0,):
+        got, want = _ARRAY_FORMS[form](ops, alpha)
+        if not isinstance(got, list):
+            got, want = [got], [want]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w), (alpha, g, w)
 
 
 # ------------------------------------------------ three-scale table pieces
@@ -799,25 +907,12 @@ def test_gs_phase_slope_exact():
 @pytest.mark.parametrize("n", (2, 64, 256))
 def test_gs_phase_slope_matches_expm_multiply(n):
     """The elementwise e^{-itH_SS} against expm_multiply of the sparse H."""
-    ops = dicke.collective_ops(n)
-    h = csr(dicke.build_hss_dicke(ops))
+    ops = SparseDicke(n)
+    h = csr(build_hss_dicke(ops))
     w = lift(ops.s_plus) @ dicke.ground_state(ops).vector / np.sqrt(n)
     want = np.mean([np.angle(np.vdot(w, expm_multiply(-1j * t * h, w))) / t
                     for t in (0.5, 1.0, 2.0)])
     assert limits.gs_phase_slope(ops) == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("evolve", (
-    lambda: limits.gs_phase_slope(dicke.collective_ops(4)),
-    lambda: limits.bs_free_evolution(dicke.collective_ops(4), 1.0)))
-def test_time_evolutions_refuse_a_non_diagonal_h(monkeypatch, evolve):
-    """Both evolutions apply e^{-itH} elementwise only after checking that
-    H is diagonal."""
-    def off_diagonal(h):
-        raise ValueError("H is not diagonal in its basis")
-    monkeypatch.setattr(limits, "diagonal_eigenvalues", off_diagonal)
-    with pytest.raises(ValueError, match="not diagonal"):
-        evolve()
 
 
 def test_bs_super_growth_sqrt_n():
