@@ -809,13 +809,13 @@ def _hss_form(ops, alpha):
 def _free_evolution_form(ops, alpha):
     """bs_free_evolution at two times, and the Sparse build it replaced."""
     n, want = ops.n, []
+    h = -(ops.s_plus @ ops.s_minus) / n
+    v0 = dicke.coherent_spin_amplitudes(n, 0.0)
+    sy, sz = ops.s_y, ops.s_z
+    q2 = lambda v: float(np.real(np.vdot(v, sy @ (sy @ v)))) / n
+    p2 = lambda v: float(np.real(np.vdot(v, sz @ (sz @ v)))) / n
     for t in (0.3, 1.0):
-        h = -(ops.s_plus @ ops.s_minus) / n
-        v0 = dicke.coherent_spin_amplitudes(n, 0.0)
         vt = np.exp(-1j * t * h.diagonal()) * v0
-        sy, sz = ops.s_y, ops.s_z
-        q2 = lambda v: float(np.real(np.vdot(v, sy @ (sy @ v)))) / n
-        p2 = lambda v: float(np.real(np.vdot(v, sz @ (sz @ v)))) / n
         want += [q2(vt) - q2(v0), p2(vt) - p2(v0)]
     got = [d for t in (0.3, 1.0) for d in limits.bs_free_evolution(ops, t)]
     return np.array(got), np.array(want)

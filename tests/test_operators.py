@@ -542,9 +542,15 @@ def test_sparse_core_matches_scipy(seed, m, k, n, density):
     _assert_agrees(op.Sparse.from_diagonals(dict(zip(offsets, diagonals))),
                    sparse.diags(diagonals, offsets, shape=(m, m),
                                 dtype=complex))
+    # apply_diagonals is the from_diagonals product bit for bit, the stored
+    # zero included
+    y = rng.normal(size=m) + 1j * rng.normal(size=m)
+    got = op.apply_diagonals(dict(zip(offsets, diagonals)), y)
+    want = op.Sparse.from_diagonals(dict(zip(offsets, diagonals))) @ y
+    assert got.tobytes() == want.tobytes()
     for bad in (lambda: a @ op.Sparse([], [], [], (k + 1, n)),
                 lambda: a @ np.ones(k + 1),
-                lambda: a @ np.ones((k, 3)),     # a block: column by column
+                lambda: a @ np.ones((k, 3)),     # 2-D: go column by column
                 lambda: a @ np.ones(()),
                 lambda: a + op.Sparse([], [], [], (m, k + 1)),
                 lambda: a - op.Sparse([], [], [], (m + 1, k))):
