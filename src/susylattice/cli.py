@@ -8,6 +8,8 @@ identical configs produce byte-identical CSV bodies (rows are sorted by
 """
 
 import argparse
+import functools
+import math
 import sys
 from types import SimpleNamespace
 
@@ -289,7 +291,8 @@ SWEEP = {
         lambda o, s, a: limits.bs_gaussian_probe(o, a.r, "z"), _bs_gaussian),
     ("weyl_phase", "ground"): (
         lambda o, s, a: limits.weyl_relation_probe(o, s, a.alpha, a.beta)[1],
-        _limit(lambda a: -a.alpha * a.beta / 2.0, "slope", "DERIVED")),
+        _limit(lambda a: math.remainder(-a.alpha * a.beta / 2.0, 2 * math.pi),
+               "slope", "DERIVED")),
     ("odlro", "ground"): (lambda o, s, a: limits.odlro(o, s),
                           _limit(lambda a: 0.0, "machine", "PAPER")),
     ("odlro", "ceiling"): (lambda o, s, a: limits.odlro(o, s),
@@ -492,8 +495,7 @@ class UsageError(Exception):
 
 def _echo(args):
     return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in sorted(vars(args).items())
-            if k != "func" and v is not None}
+            for k, v in sorted(vars(args).items()) if v is not None}
 
 
 def _n_list(text):
@@ -519,7 +521,9 @@ def _finite_float(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """Built once per process; `main` looks run_<command> up per call."""
     parser = argparse.ArgumentParser(
         prog="susylab",
         description="Exact laboratory for supersymmetric fermion lattices.")
@@ -532,7 +536,6 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--model", help="restrict to one suite")
-    p_verify.set_defaults(func=run_verify)
 
     p_sweep = sub.add_parser("sweep", help="n-sweep a limit probe")
     p_sweep.add_argument("--metric", required=True)
@@ -541,16 +544,13 @@ def build_parser():
     p_sweep.add_argument("--beta", type=_finite_float, default=1.0)
     p_sweep.add_argument("--r", type=_finite_float, default=1.0)
     p_sweep.add_argument("--state", choices=sorted(filter(None, _STATE_OF)))
-    p_sweep.set_defaults(func=run_sweep)
 
     p_spec = sub.add_parser("spectrum", help="emit model spectra")
     p_spec.add_argument("--model", required=True)
     p_spec.add_argument("--n", type=int, required=True)
     p_spec.add_argument("--levels", type=int)
-    p_spec.set_defaults(func=run_spectrum)
 
-    p_tab = sub.add_parser("tables", help="three-scale table surrogates")
-    p_tab.set_defaults(func=run_tables)
+    sub.add_parser("tables", help="three-scale table surrogates")
     return parser
 
 
@@ -561,7 +561,7 @@ def main(argv=None):
         parser.error(f"--jobs must be positive, got {args.jobs}")
     try:
         tol = load_tolerances(args.tol_file)
-        report = args.func(args, tol)
+        report = globals()[f"run_{args.command}"](args, tol)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,9 @@ class DickeOperators:
     """Ladder operators on the spin-N/2 multiplet as numpy arrays: amp[k],
     the S_+ amplitude e_k -> e_{k+1} (and S_- back), and sz, the S_z
     diagonal -N, -N+2, ..., N; [S_+, S_-] = S_z, [S_z, S_+] = 2 S_+.  No
-    matrix is built: `diagonals` reads S_+, S_-, S_x, S_y or S_z off the
-    two arrays, and `lift_apply` applies one to a product-space vector."""
+    matrix is built and no array held: `window` computes both on the rows
+    that `diagonals` (S_+, S_-, S_x, S_y or S_z), `lift_apply` or the
+    rotation kernel reads, and `amp` and `sz` compute every entry."""
 
     def __init__(self, n):
         if n < 1:
@@ -36,16 +37,21 @@ class DickeOperators:
         if n > MAX_PARTICLES:
             raise DimensionError(f"n={n} exceeds bound {MAX_PARTICLES}")
         self.n = n
-        k = np.arange(n)
+
+    def window(self, lo=0, hi=None):
+        """(amp[lo:hi - 1], sz[lo:hi]) on rows lo .. hi - 1 (default: all),
+        clipped to the multiplet and computed there alone."""
+        k = np.arange(lo, self.n + 1 if hi is None else min(hi, self.n + 1))
         # ||S_+ e_k||^2 = (k+1)(n-k), forced by the commutation relations
-        self.amp = np.sqrt((k + 1.0) * (n - k))
-        self.sz = np.arange(-n, n + 1, 2.0)
+        return np.sqrt((k[:-1] + 1.0) * (self.n - k[:-1])), 2.0 * k - self.n
+
+    amp = property(lambda self: self.window()[0])
+    sz = property(lambda self: self.window()[1])
 
     def diagonals(self, name, lo=0, hi=None):
         """{offset: diagonal} of the operator `name` on rows lo .. hi - 1
         (default: all) in column order; -1 takes row k to k + 1."""
-        amp = self.amp[lo:self.n if hi is None else max(hi - 1, 0)]
-        sz = self.sz[lo:hi]
+        amp, sz = self.window(lo, hi)
         return {"s_plus": {-1: amp}, "s_minus": {1: amp}, "s_z": {0: sz},
                 "s_x": {-1: amp, 1: amp},
                 "s_y": {-1: -1j * amp, 1: 1j * amp}}[name]
@@ -76,18 +82,20 @@ def collective_ops(n):
 
 @dataclass(frozen=True)
 class DickeState:
-    """Unit vector on the product space, zero outside rows k in range(*span)."""
+    """Unit vector on the product space, zero outside rows k in range(*span);
+    the span is scanned unless the builder passes it."""
 
     vector: np.ndarray
     label: str
     n: int
     meta: dict = field(default_factory=dict)
-    span: tuple = field(init=False)
+    span: tuple = None
 
     def __post_init__(self):
-        held = np.flatnonzero(self.vector.reshape(-1, 2).any(axis=1))
-        span = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
-        object.__setattr__(self, "span", span)
+        if self.span is None:
+            held = np.flatnonzero(self.vector.reshape(-1, 2).any(axis=1))
+            object.__setattr__(self, "span", (int(held[0]), int(held[-1]) + 1)
+                               if held.size else (0, 0))
         norm = np.linalg.norm(self.rows()[1])
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state {self.label!r} has norm {norm!r}")
@@ -140,9 +148,9 @@ def pairing_diagonal(ops):
 
 def _basis_state(n, k, label):
     """Spin basis vector e_k (s_z = 2k - N), Clifford factor eta^dag-killed."""
-    spin = np.zeros(n + 1, dtype=complex)
-    spin[k] = 1.0
-    return _product_state(spin, label, n)
+    vec = np.zeros(2 * (n + 1), dtype=complex)
+    vec[2 * k + 1] = 1.0
+    return DickeState(vector=vec, label=label, n=n, span=(k, k + 1))
 
 
 def ground_state(ops):

@@ -112,9 +112,12 @@ def extrapolate(points):
 BESSEL_TAIL = 1e-16
 
 # Largest rotation angle rho = |c| N/denom: about rho + 11 rho^(1/3) orders,
-# each over the light cone.  At rho = 2000, N = 20000 one rotation took
-# 0.37 s from a dense vector and 0.05-0.07 s from a basis vector on 2 vCPU.
+# each over its light cone.  At rho = 2000, N = 20000 one rotation took
+# 0.34 s from a dense vector and 0.04-0.05 s from a basis vector on 2 vCPU.
 MAX_ROTATION_RHO = 2000
+
+# Chebyshev orders between two widenings of the rotation's light cone
+CONE_STEP = 16
 
 # i^k, exactly
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -128,86 +131,104 @@ def _bessel_j(rho):
     J_top = 1, J_{top+1} = 0, normalised by J_0 + 2 sum_k J_2k = 1
     (Abramowitz & Stegun 9.1.27, 9.1.46).  top lies 15 rho^(1/3) + 40
     orders past the turning point k = rho, where J_top(rho) < 1e-24 for
-    every rho; the recurrence is rescaled before it can overflow.  Below
-    rho = 2 BESSEL_TAIL, J_0 = 1 to rounding and J_1 = rho/2 is already
-    under the tail (and 2k/rho could overflow).
+    every rho; the recurrence, on Python floats, is rescaled before it can
+    overflow, and the normalising sum is numpy's.  Below rho =
+    2 BESSEL_TAIL, J_0 = 1 to rounding and J_1 = rho/2 is already under
+    the tail (and 2k/rho could overflow).
     """
     if rho < 2.0 * BESSEL_TAIL:
         return np.ones(1)
+    rho = float(rho)
     top = int(rho + 15.0 * rho ** (1.0 / 3.0) + 40.0)
-    j = np.zeros(top + 2)
+    j = [0.0] * (top + 2)
     j[top] = 1.0
     for k in range(top, 0, -1):
         j[k - 1] = 2.0 * k / rho * j[k] - j[k + 1]
         if abs(j[k - 1]) > 1e200:
-            j[k - 1:] *= 1e-200
+            j[k - 1:] = [x * 1e-200 for x in j[k - 1:]]
+    j = np.array(j)
     j /= j[0] + 2.0 * j[2::2].sum()
     return j[:np.flatnonzero(np.abs(j) >= BESSEL_TAIL)[-1] + 1]
 
 
-def _spin_phase_apply(ops, cx, cy, cz, denom, spin_vec):
-    """exp{i(cx S_x + cy S_y + cz S_z)/denom} applied to a multiplet vector.
+def _spin_phase_apply(ops, cx, cy, cz, denom, rows, lo=0):
+    """(lo', rows'): exp{i(cx S_x + cy S_y + cz S_z)/denom} applied to the
+    multiplet vector that is `rows` on rows lo, lo + 1, ... and zero
+    elsewhere (by default a whole vector), as its rows from lo' on.
 
     The generator g = c.S/denom is tridiagonal with the exact spectrum
     |c| {-N, -N+2, ..., N}/denom, so with rho = |c| N/denom the
     Jacobi-Anger expansion e^{i rho x} = J_0(rho) + 2 sum_k i^k J_k(rho)
     T_k(x) on x = g/rho needs no norm estimate: the Chebyshev propagator of
     Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984).  T_k(x) v follows
-    the three-term recurrence, each product taken from numpy slices of the
-    three diagonals of 2x, read off the amplitudes.  T_k(x) has bandwidth
-    k, so over the K = about rho + 11 rho^(1/3) orders the recurrence runs
-    on the nonzero rows of `spin_vec` widened by K each side (the light
-    cone) and is scattered back into zeros: O(K) per order from a basis
-    vector, bit for bit the full-length sum.  rho < 2 BESSEL_TAIL (J_0 = 1)
-    returns `spin_vec` itself; rho above MAX_ROTATION_RHO (or nan) raises
-    DimensionError before any work.
+    the three-term recurrence on numpy slices of the three diagonals of 2x,
+    in place in three buffers.  T_k(x) has bandwidth k, so order k runs on
+    the rows where the two orders before it are nonzero, widened CONE_STEP
+    orders at a time, inside `rows` widened by the K = about
+    rho + 11 rho^(1/3) orders (the light cone); every term left out is an
+    exact zero, so each nonzero entry is the full-length sum's to the bit.
+    rho < 2 BESSEL_TAIL (J_0 = 1) returns (lo, rows) itself; rho above
+    MAX_ROTATION_RHO (or nan) raises DimensionError before any work.
     """
     rho = math.hypot(cx, cy, cz) * ops.n / denom
     if not rho <= MAX_ROTATION_RHO:
         raise DimensionError(f"rotation angle rho = {rho:g} exceeds bound "
                              f"{MAX_ROTATION_RHO}")
     if rho < 2.0 * BESSEL_TAIL:
-        return spin_vec
+        return lo, rows
     bessel = _bessel_j(rho)
-    held = np.flatnonzero(spin_vec) if spin_vec.any() else [0]
-    lo, hi = max(held[0] - bessel.size, 0), held[-1] + 1 + bessel.size
+    start = max(lo - bessel.size, 0)
+    amp, sz = ops.window(start, lo + len(rows) + bessel.size)
     scale = 2.0 / (rho * denom)
-    amp, y = ops.amp[lo:hi - 1], ops.diagonals("s_y", lo, hi)
-    lower, upper = ((cx * amp + cy * y[k]) * scale for k in (-1, 1))
-    diag = cz * ops.sz[lo:hi] * scale
-
-    def times_two_x(u):
-        out = diag * u
-        out[1:] += lower * u[:-1]
-        out[:-1] += upper * u[1:]
-        return out
-
+    lower, upper = ((cx * amp + cy * y) * scale for y in (-1j * amp, 1j * amp))
+    diag = (cz * sz * scale).astype(complex)  # as each product would cast it
     coef = 2.0 * bessel * _I_POWERS[np.arange(bessel.size) % 4]
-    u = spin_vec[lo:hi]
-    total = bessel[0] * u
-    prev, cur = u, 0.5 * times_two_x(u)
-    for c in coef[1:]:
-        total += c * cur
-        prev, cur = cur, times_two_x(cur) - prev
-    out = np.zeros(spin_vec.shape, dtype=total.dtype)
-    out[lo:hi] = total
-    return out
+    m, p, q = sz.size, 0, sz.size
+    buf = np.zeros((4, m), dtype=complex)  # T_{k-2}, T_{k-1}, T_k; product
+    buf[1, lo - start:lo - start + len(rows)] = rows
+    rec, tmp = list(buf[:3]), buf[3]
+    total = bessel[0] * rec[1]
+    for k in range(1, bessel.size):
+        if k % CONE_STEP == 1:
+            # T_k .. T_{k + CONE_STEP - 1} vanish outside the rows where
+            # T_{k-1} or T_{k-2} is nonzero, widened by CONE_STEP
+            held = np.flatnonzero(buf[:3, p:q].any(axis=0))
+            if not held.size:
+                break
+            p, q = (max(p + held[0] - CONE_STEP, 0),
+                    min(p + held[-1] + 1 + CONE_STEP, m))
+            d, lw, up, t, tot = (diag[p:q], lower[p:q - 1], upper[p:q - 1],
+                                 tmp[p:q], total[p:q])
+            views = [(x[p:q], x[p:q - 1], x[p + 1:q]) for x in rec]
+        (older, _, _), (old, old_h, old_t), (new, new_h, new_t) = views
+        np.multiply(d, old, out=new)
+        np.add(new_t, np.multiply(lw, old_h, out=t[1:]), out=new_t)
+        np.add(new_h, np.multiply(up, old_t, out=t[:-1]), out=new_h)
+        if k == 1:
+            np.multiply(0.5, new, out=new)
+        else:
+            np.subtract(new, older, out=new)
+        np.add(tot, np.multiply(coef[k], new, out=t), out=tot)
+        rec, views = rec[1:] + rec[:1], views[1:] + views[:1]
+    return start, total
 
 
 def _rotation_overlap(ops, state, rotations, denom):
     """<state| R_k ... R_1 |state> for the collective rotations
     R_j = exp{i(cx S_x + cy S_y + cz S_z)/denom}, (cx, cy, cz) the j-th
     entry of `rotations`.  They act trivially on the Clifford factor, so
-    each nonzero Clifford block of the spin-major vector turns alone; the
-    overlap reads the state's span, which for a basis state is one row."""
+    each nonzero Clifford column of the state's span turns alone, the first
+    factor from the span and each next one from the rows the previous one
+    returned; no full-length vector is scanned or formed, and the overlap
+    reads the span, which for a basis state is one row."""
     lo, rows = state.rows()
     total = 0.0 + 0.0j
-    for c, block in enumerate(state.vector.reshape(-1, 2).T):
-        if rows[:, c].any():
-            u = block
+    for column in rows.T:
+        if column.any():
+            at, u = lo, column
             for cx, cy, cz in rotations:
-                u = _spin_phase_apply(ops, cx, cy, cz, denom, u)
-            total += np.vdot(rows[:, c], u[lo:lo + len(rows)])
+                at, u = _spin_phase_apply(ops, cx, cy, cz, denom, u, at)
+            total += np.vdot(column, u[lo - at:lo - at + len(column)])
     return complex(total)
 
 

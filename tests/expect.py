@@ -1,5 +1,6 @@
 """Test-side helpers: the tests' one expectation value, the Sparse oracle
-of the collective layer, and closed forms that only the tests read."""
+of the collective layer, the array forms the collective kernels replaced,
+and closed forms that only the tests read."""
 
 import numpy as np
 from scipy import sparse
@@ -67,3 +68,34 @@ def witten_ground_vector(model):
     v = np.zeros(2 * model.cutoff, dtype=complex)
     v[1] = 1.0
     return v
+
+
+def full_ladder_arrays(n):
+    """(amp, sz) over the whole multiplet, as DickeOperators held them
+    before it computed windows."""
+    k = np.arange(n)
+    return np.sqrt((k + 1.0) * (n - k)), np.arange(-n, n + 1, 2.0)
+
+
+def kron_basis_vector(n, k):
+    """The product vector of the spin basis state e_k as it was built
+    before: np.kron with the eta^dag-killed Clifford state (0, 1)."""
+    spin = np.zeros(n + 1, dtype=complex)
+    spin[k] = 1.0
+    return np.kron(spin, np.array([0.0, 1.0], dtype=complex))
+
+
+def bessel_j_array(rho):
+    """(J_0(rho) .. J_K(rho), whether the recurrence was rescaled): the
+    Miller recurrence of limits._bessel_j as it ran on a numpy array before
+    it ran on Python floats."""
+    top = int(rho + 15.0 * rho ** (1.0 / 3.0) + 40.0)
+    j, rescaled = np.zeros(top + 2), False
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / rho * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e200:
+            j[k - 1:] *= 1e-200
+            rescaled = True
+    j /= j[0] + 2.0 * j[2::2].sum()
+    return j[:np.flatnonzero(np.abs(j) >= 1e-16)[-1] + 1], rescaled

@@ -378,6 +378,56 @@ def test_sweep_default_state_resolves_and_is_echoed(tmp_path):
         assert config.get("state") == want[metric]
 
 
+def _without_timestamp(body):
+    payload = json.loads(body)
+    del payload["metadata"]["timestamp"]
+    return payload
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    """Three main calls build one parser, each call's report equals the
+    one from a freshly built parser (the JSON config echo included, so no
+    default or flag leaks from one call into the next), and the handler
+    run_<command> is looked up per call, so a patched one runs."""
+    argvs = (["--format", "json", "sweep", "--metric", "gaussian",
+              "--n-list", "8,16,32", "--alpha", "0.5", "--beta", "0.25"],
+             ["--format", "json", "sweep", "--metric", "gaussian",
+              "--n-list", "8,16,32"],
+             ["spectrum", "--model", "dicke", "--n", "6", "--levels", "4"])
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        assert cli.main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    cli.build_parser.cache_clear()
+    for argv, want in zip(argvs, fresh):
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        if "--format" in argv:
+            assert _without_timestamp(got) == _without_timestamp(want)
+        else:
+            assert got == want
+    assert cli.build_parser.cache_info().misses == 1
+    calls = []
+    monkeypatch.setattr(cli, "run_tables",
+                        lambda args, tol: calls.append(args) or Report())
+    assert cli.main(["tables"]) == 0 and len(calls) == 1
+    assert cli._echo(calls[0]) == {"command": "tables", "format": "csv",
+                                   "jobs": 1}
+
+
+def test_weyl_phase_target_is_wrapped_into_the_phase_range(capsys):
+    """-alpha beta/2 = -4.5 lies outside np.angle's (-pi, pi]; the target is
+    its remainder mod 2 pi, which the phases and their fit reach."""
+    code, out = run_cli(["sweep", "--metric", "weyl_phase", "--n-list",
+                         "1024,4096,16000", "--alpha", "3", "--beta", "3"],
+                        capsys)
+    rows = list(csv.DictReader(out.splitlines()))
+    assert code == 0 and len(rows) == 4
+    assert {r["target_re"] for r in rows} == {"1.7831853071795862"}
+    assert all(r["pass"] == "pass" for r in rows)
+
+
 def test_sweep_spectral_below_three_particles_is_usage_error(capsys):
     """Level 6 needs 2(n+1) > 6 levels: n = 1 or 2 exits 2, not IndexError."""
     code = exit_code(["sweep", "--metric", "spectral", "--n-list", "1,2,3"])

@@ -11,7 +11,8 @@ import pytest
 from susylattice import dicke, models
 from susylattice.operators import ETA, Sparse, lift
 from expect import (SparseDicke, build_g_alpha_dicke, build_hss_dicke,
-                    expectation, hss_unnormalized, read_only_sparse)
+                    expectation, full_ladder_arrays, hss_unnormalized,
+                    kron_basis_vector, read_only_sparse)
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 40))
@@ -111,6 +112,49 @@ def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
         got = ops.lift_apply("s_plus", ops.lift_apply("s_minus",
                                                       v.reshape(-1, 2)))
         assert np.array_equal(got.ravel(), sp @ (sm @ v))
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("n", (1, 2, 257, dicke.MAX_PARTICLES))
+def test_windows_are_slices_of_the_full_arrays_bit_for_bit(n):
+    """window(lo, hi), amp, sz and diagonals(name, lo, hi) give the bytes of
+    the slices of the arrays DickeOperators held whole, and diagonals the
+    dict it built from them; windows clipped at either end, past the top
+    and empty included."""
+    ops = dicke.collective_ops(n)
+    amp, sz = full_ladder_arrays(n)
+    assert _same_bytes(ops.amp, amp) and _same_bytes(ops.sz, sz)
+    mid = n // 2
+    for lo, hi in ((0, None), (0, n + 1), (0, 1), (0, 2), (0, 5),
+                   (mid, mid + 1), (max(mid - 3, 0), mid + 4), (n - 1, n + 1),
+                   (n, n + 1), (n, n + 9), (2, None), (n + 1, n + 3),
+                   (mid, mid), (3, 1), (0, 0)):
+        top = n + 1 if hi is None else hi
+        got_amp, got_sz = ops.window(lo, hi)
+        assert _same_bytes(got_amp, amp[lo:max(top - 1, 0)]), (lo, hi)
+        assert _same_bytes(got_sz, sz[lo:top]), (lo, hi)
+        a = amp[lo:n if hi is None else max(hi - 1, 0)]
+        want = {"s_plus": {-1: a}, "s_minus": {1: a}, "s_z": {0: sz[lo:hi]},
+                "s_x": {-1: a, 1: a}, "s_y": {-1: -1j * a, 1: 1j * a}}
+        for name, diagonals in want.items():
+            got = ops.diagonals(name, lo, hi)
+            assert list(got) == list(diagonals), name
+            assert all(_same_bytes(got[k], d) for k, d in diagonals.items())
+
+
+@pytest.mark.parametrize("n", (1, 2, 257, dicke.MAX_PARTICLES))
+def test_basis_states_are_the_kron_vectors_with_their_scanned_span(n):
+    """A basis state writes its one 1 into zeros: the bytes of the np.kron
+    vector it replaced, and the span it records is the scanned run."""
+    for k in sorted({0, n // 2, n // 2 + 1, n}):
+        state = dicke._basis_state(n, k, "e_k")
+        assert _same_bytes(state.vector, kron_basis_vector(n, k))
+        scanned = dicke.DickeState(vector=state.vector, label="scan", n=n)
+        assert state.span == scanned.span == (k, k + 1)
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 200))

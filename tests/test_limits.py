@@ -14,8 +14,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from susylattice import dicke, limits, models, operators
 from susylattice.operators import DimensionError, lift
-from expect import (SparseDicke, build_g_alpha_dicke, build_hss_dicke, csr,
-                    expectation, read_only_sparse, witten_ground_vector)
+from expect import (SparseDicke, bessel_j_array, build_g_alpha_dicke,
+                    build_hss_dicke, csr, expectation, read_only_sparse,
+                    witten_ground_vector)
 from tensorrep import MAX_SITES, TensorSpinRep
 
 
@@ -206,6 +207,15 @@ def test_bs_gaussian_closed_form(n, axis):
     assert _rel_err(got, want) <= ORACLE_RTOL
 
 
+def _rotated(ops, cx, cy, cz, denom, spin):
+    """limits._spin_phase_apply of the whole vector `spin`, scattered into
+    zeros of its length."""
+    lo, rows = limits._spin_phase_apply(ops, cx, cy, cz, denom, spin)
+    out = np.zeros(spin.shape, dtype=complex)
+    out[lo:lo + len(rows)] = rows
+    return out
+
+
 def _dense_rotation(ops, cx, cy, cz, denom):
     gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z).toarray() / denom
     return expm(1j * gen)
@@ -232,7 +242,7 @@ def test_matrix_free_probes_match_dense_expm(n, label):
                    @ (_dense_rotation(ops, 0.0, -b, 0.0, rt) @ spin))
     assert abs(prod - want) <= 1e-12
     for cx, cy, cz in ((0.0, 0.7, 0.0), (0.0, 0.0, 0.7), (0.3, -0.5, 0.9)):
-        got = limits._spin_phase_apply(ops, cx, cy, cz, np.sqrt(n), spin)
+        got = _rotated(ops, cx, cy, cz, np.sqrt(n), spin)
         dense = _dense_rotation(ops, cx, cy, cz, np.sqrt(n)) @ spin
         assert np.abs(got - dense).max() <= 1e-12
 
@@ -264,7 +274,7 @@ def test_chebyshev_rotation_matches_expm_multiply(n, label, coeffs):
     cx, cy, cz = coeffs
     gen = (cx * ops.s_x + cy * ops.s_y + cz * ops.s_z) / np.sqrt(2.0 * n)
     want = expm_multiply(csr(1j * gen), spin)
-    got = limits._spin_phase_apply(ops, cx, cy, cz, np.sqrt(2.0 * n), spin)
+    got = _rotated(ops, cx, cy, cz, np.sqrt(2.0 * n), spin)
     assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
 
 
@@ -281,7 +291,7 @@ def test_chebyshev_rotation_random_generator(n, seed, coeffs):
     ops = SparseDicke(n)
     rng = np.random.default_rng(seed)
     spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    got = limits._spin_phase_apply(ops, *coeffs, np.sqrt(n), spin)
+    got = _rotated(ops, *coeffs, np.sqrt(n), spin)
     want = _eigh_rotation(ops, coeffs, np.sqrt(n), spin)
     assert np.linalg.norm(got - want) <= ROTATION_RTOL * np.linalg.norm(want)
 
@@ -292,7 +302,7 @@ def test_chebyshev_rotation_at_rho_zero_returns_its_argument():
     ops = dicke.collective_ops(50)
     spin = dicke.bogoliubov_state(ops, 0.3).vector.reshape(-1, 2)[:, 1]
     for cz in (0.0, 5e-324, 2.3e-308, 1e-20):
-        assert limits._spin_phase_apply(ops, 0.0, 0.0, cz, 10.0, spin) \
+        assert limits._spin_phase_apply(ops, 0.0, 0.0, cz, 10.0, spin)[1] \
             is spin
 
 
@@ -308,7 +318,7 @@ def test_chebyshev_rotation_at_the_rho_bound(coeffs):
     rng = np.random.default_rng(7)
     spin = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     cx, cy, cz = (bound * c for c in coeffs)
-    got = limits._spin_phase_apply(ops, cx, cy, cz, n, spin)
+    got = _rotated(ops, cx, cy, cz, n, spin)
     want = _eigh_rotation(ops, (cx, cy, cz), n, spin)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(spin)
     if coeffs == (0.0, 0.0, 1.0):
@@ -383,7 +393,7 @@ def test_light_cone_rotation_is_the_full_length_sum(n, label, coeffs):
         spin = np.zeros(n + 1, dtype=complex)
         spin[{"ground": 0, "ceiling": n // 2, "top": n}[label]] = 1.0
     denom = np.sqrt(2.0 * n)
-    got = limits._spin_phase_apply(ops, *coeffs, denom, spin)
+    got = _rotated(ops, *coeffs, denom, spin)
     assert np.array_equal(got, _full_length_rotation(ops, *coeffs, denom,
                                                      spin))
 
@@ -402,7 +412,7 @@ def test_light_cone_rotation_random_vectors(n, seed, coeffs, cut):
     lo, hi = sorted(int(c * (n + 2)) for c in cut)
     spin = np.zeros(n + 1, dtype=complex)
     spin[lo:hi] = (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))[lo:hi]
-    got = limits._spin_phase_apply(ops, *coeffs, np.sqrt(n), spin)
+    got = _rotated(ops, *coeffs, np.sqrt(n), spin)
     assert np.array_equal(got, _full_length_rotation(ops, *coeffs, np.sqrt(n),
                                                      spin))
 
@@ -415,7 +425,7 @@ def _full_block_overlap(ops, state, rotations, denom):
         if block.any():
             u = block
             for cx, cy, cz in rotations:
-                u = limits._spin_phase_apply(ops, cx, cy, cz, denom, u)
+                u = _rotated(ops, cx, cy, cz, denom, u)
             total += np.vdot(block, u)
     return complex(total)
 
@@ -527,6 +537,59 @@ def test_bessel_coefficients_match_mpmath(rho):
     want = [float(mpmath.besselj(k, rho)) for k in range(j.size + 1)]
     assert np.abs(j - want[:-1]).max() <= 1e-15
     assert abs(want[-1]) < limits.BESSEL_TAIL
+
+
+@pytest.mark.parametrize("rho", (1e-15, 1e-8, 1e-5, 1e-3, 0.5, 38.93, 2000.0))
+def test_float_bessel_recurrence_is_the_array_one_bit_for_bit(rho):
+    """Miller's recurrence on Python floats gives the bytes of the numpy
+    array recurrence it replaced, from a float or a numpy rho, on both
+    sides of the 1e-200 rescale (taken below rho of about 1e-4)."""
+    want, rescaled = bessel_j_array(np.float64(rho))
+    assert rescaled == (rho < 1e-4)
+    for arg in (rho, np.float64(rho)):
+        got = limits._bessel_j(arg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_ground_and_ceiling_sweeps_stay_on_the_light_cone(monkeypatch,
+                                                           capsys):
+    """The ground- and ceiling-state sweeps form no full-length ladder
+    array, build no vector by np.kron and turn no full-length vector:
+    every window DickeOperators computes, and every run of rows a rotation
+    starts from, is shorter than the multiplet."""
+    from susylattice import cli
+
+    window, turn = dicke.DickeOperators.window, limits._spin_phase_apply
+
+    def short_window(ops, lo=0, hi=None):
+        amp, sz = window(ops, lo, hi)
+        assert sz.size < ops.n, (ops.n, lo, hi)
+        return amp, sz
+
+    def short_turn(ops, cx, cy, cz, denom, rows, lo=0):
+        assert len(rows) < ops.n, (ops.n, lo, len(rows))
+        return turn(ops, cx, cy, cz, denom, rows, lo)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a light-cone cell built a Kronecker product")
+
+    monkeypatch.setattr(dicke.DickeOperators, "window", short_window)
+    monkeypatch.setattr(limits, "_spin_phase_apply", short_turn)
+    monkeypatch.setattr(np, "kron", refuse)
+    for metric, state in (("gaussian", "ground"), ("weyl_phase", "ground"),
+                          ("odlro", "ground"), ("odlro", "ceiling"),
+                          ("meso_variance", "ground"),
+                          ("meso_variance", "ceiling"),
+                          ("isometry", "ceiling")):
+        argv = ["sweep", "--metric", metric, "--state", state, "--n-list",
+                "1024,4096,16000"]
+        assert cli.main(argv) == 0, argv
+        assert "fail" not in capsys.readouterr().out, argv
+    with pytest.raises(AssertionError):
+        dicke.collective_ops(16).amp
+    with pytest.raises(AssertionError):
+        limits._spin_phase_apply(dicke.collective_ops(16), 1.0, 0.0, 0.0,
+                                 4.0, np.ones(17))
 
 
 # --------------------------------------------------------------- Weyl phase
