@@ -113,7 +113,7 @@ BESSEL_TAIL = 1e-16
 
 # Largest rotation angle rho = |c| N/denom: about rho + 11 rho^(1/3) orders,
 # each over its light cone.  At rho = 2000, N = 20000 one rotation took
-# 0.34 s from a dense vector and 0.04-0.05 s from a basis vector on 2 vCPU.
+# 0.25-0.38 s from a dense vector, 0.03-0.06 s from a basis vector (2 vCPU).
 MAX_ROTATION_RHO = 2000
 
 # Chebyshev orders between two widenings of the rotation's light cone
