@@ -3,7 +3,7 @@
 Operators are `Sparse` matrices wherever they are built: fermion mode
 operators by the Jordan-Wigner construction, (anti)commutators and the gauge
 family.  The decomposition of a nilpotent supercharge Q into (P0, eta, F,
-G_alpha, paired spectrum) solves the exact invariant blocks of Q; only the
+G_alpha, paired spectrum) solves the exact invariant blocks of H; only the
 Hermitian matrix functions take a dense copy of their argument.
 """
 
@@ -284,9 +284,9 @@ def _components(pattern):
 
 def _blocks(pattern, *mats):
     """Stack Sparse `mats` over the connected components of the symmetrised
-    pattern of `pattern`, which must cover every pattern in `mats`.  Yields,
-    per block size, the (k, size) basis states of the k blocks of that size
-    and one (k, size, size) stack per matrix."""
+    pattern of `pattern`; entries of `mats` outside a block are dropped.
+    Yields, per block size, the (k, size) basis states of the k blocks of
+    that size and one (k, size, size) stack per matrix."""
     labels = _components(pattern)
     sizes = np.bincount(labels)
     start = np.cumsum(sizes) - sizes
@@ -299,7 +299,7 @@ def _blocks(pattern, *mats):
         stacks = []
         for m in mats:
             comp = labels[m.rows]
-            hit = members[comp]
+            hit = members[comp] & (labels[m.cols] == comp)
             stack = np.zeros((members.sum(), size, size), dtype=m.data.dtype)
             stack[slot[comp[hit]], pos[m.rows[hit]], pos[m.cols[hit]]] = \
                 m.data[hit]
@@ -444,11 +444,12 @@ class SuperDecomposition:
         Orthogonal projector onto ker H: the nonzero entries of its blocks.
         np.asarray(p0) gives it dense, as for any Sparse.
     eta : Sparse
-        Q / sqrt(H) on the range of 1 - P0; the collective Clifford mode.
-    f : Sparse
-        [eta, eta^dag]; generates the gauge rotation of G.
+        Q H^(-1/2) on the range of 1 - P0; the collective Clifford mode.
     paired_spectrum : tuple
         (E, multiplicity) for the strictly positive eigenvalues of H.
+    eigen : tuple
+        (states, vals, vecs) per block size of H, in `_blocks` order: the
+        eigenpairs that P0, eta and the pairing check are read from.
 
     The matrices are read-only.
     """
@@ -457,8 +458,13 @@ class SuperDecomposition:
     h: Sparse
     p0: Sparse
     eta: Sparse
-    f: Sparse
     paired_spectrum: tuple
+    eigen: tuple
+
+    @property
+    def f(self):
+        """[eta, eta^dag], the generator of G's gauge rotation, on access."""
+        return bracket(self.eta, self.eta.conj().T)
 
     def g_alpha(self, alpha):
         return gauge_charge(self.q, alpha)
@@ -467,8 +473,9 @@ class SuperDecomposition:
 def super_decompose(q, check=True):
     """Decompose a nilpotent Q into (P0, eta, F, paired spectrum).
 
-    The connected components of |Q| + |Q^dag| are invariant blocks of Q, Q^dag
-    and H; equal-size blocks share one stacked eigh, and the kernel cut is
+    H = Q Q^dag + Q^dag Q commutes with Q, so the components of its pattern
+    are invariant blocks; equal-size blocks share one stacked eigh.  P0 and
+    eta = Q H^(-1/2) are read off their eigenpairs, with the kernel cut
     relative to the global ||H||.  Raises NilpotencyError when ||Q^2|| >
     1e-12 ||Q||^2, ValueError when an invariant fails (`check=True`).
     """
@@ -476,64 +483,56 @@ def super_decompose(q, check=True):
     res = nilpotency_residual(q)
     if res > NILPOTENCY_TOL:
         raise NilpotencyError(f"Q^2 residual {res:.3e} exceeds 1e-12")
-    blocks = [(st, qb, *np.linalg.eigh(qb @ _dagger(qb) + _dagger(qb) @ qb))
-              for st, (qb,) in _blocks(q, q)]
-    cut = KERNEL_CUT * max(max(vals.max() for *_, vals, _ in blocks), 1e-300)
-    p0s, etas, fs = [], [], []
-    for st, qb, vals, vecs in blocks:
-        kernel = vals < cut
-        inv_sqrt = np.where(kernel, 0.0,
-                            1.0 / np.sqrt(np.where(kernel, 1.0, vals)))
-        eta = qb @ ((vecs * inv_sqrt[:, None, :]) @ _dagger(vecs))
-        p0s.append((st, (vecs * kernel[:, None, :]) @ _dagger(vecs)))
-        etas.append((st, eta))
-        fs.append((st, eta @ _dagger(eta) - _dagger(eta) @ eta))
-    dim = q.shape[0]
-    levels = np.concatenate([vals[vals >= cut] for *_, vals, _ in blocks])
+    h = q @ q.conj().T + q.conj().T @ q
+    eigen = tuple((st, *np.linalg.eigh(hb)) for st, (hb,) in _blocks(h, h))
+    cut = KERNEL_CUT * max(max(vals.max() for _, vals, _ in eigen), 1e-300)
+
+    def of_h(fn):       # the Sparse fn(H) from the block eigenpairs
+        return _unblock(q.shape[0], [
+            (st, (vecs * fn(vals)[:, None, :]) @ _dagger(vecs))
+            for st, vals, vecs in eigen])
+    levels = np.concatenate([vals[vals >= cut] for _, vals, _ in eigen])
     dec = SuperDecomposition(
-        q=q, h=q @ q.conj().T + q.conj().T @ q, p0=_unblock(dim, p0s),
-        eta=_unblock(dim, etas), f=_unblock(dim, fs),
-        paired_spectrum=tuple(cluster_eigenvalues(levels)))
+        q=q, h=h, p0=of_h(lambda v: v < cut),
+        eta=q @ of_h(lambda v: (v >= cut) / np.sqrt(np.maximum(v, cut))),
+        paired_spectrum=tuple(cluster_eigenvalues(levels)), eigen=eigen)
     if check:
         verify_decomposition(dec)
     return dec
 
 
 def car_residual(dec):
-    """max |eta eta^dag + eta^dag eta - (1 - P0)| on the connected
-    components of the joint pattern of eta and P0."""
-    worst = 0.0
-    for _, (eta, p0b) in _blocks(abs(dec.eta) + abs(dec.p0), dec.eta,
-                                 dec.p0):
-        resid = eta @ _dagger(eta) + _dagger(eta) @ eta + p0b
-        worst = max(worst, float(np.abs(resid - np.eye(eta.shape[1])).max()))
-    return worst
+    """max |eta eta^dag + eta^dag eta + P0 - 1|, a Sparse identity."""
+    anti = bracket(dec.eta, dec.eta.conj().T, "anticommutator")
+    one = Sparse.from_diagonals({0: np.ones(dec.eta.shape[0])})
+    return float(abs(anti + dec.p0 - one).max())
 
 
 def verify_pairing(dec):
     """Raise ValueError unless the pairing invariants hold; return ||H||:
 
     - strictly positive H eigenvalues have even multiplicity
-    - the G spectrum on range(1 - P0) is +-sqrt(E) with matched multiplicities
+    - tr(G_0 P_E) = sqrt(E) (n_+ - n_-) is 0 on each positive level E, as
+      G_0^2 = H there: P_E is read off H's block eigenvectors, so only the
+      entries of G_0 inside H's blocks enter, and eta is never read
     """
     for e_val, mult in dec.paired_spectrum:
         if mult % 2:
             raise ValueError(
                 f"positive eigenvalue {e_val:.6g} has odd multiplicity {mult}")
     # H >= 0, so ||H|| is its top paired level
-    hnorm = max(dec.paired_spectrum[-1][0] if dec.paired_spectrum else 0.0,
-                1e-300)
+    hnorm = max([1e-300] + [e for e, _ in dec.paired_spectrum])
     g0 = gauge_charge(dec.q, 0.0)
-    gvals = np.concatenate([np.linalg.eigvalsh(g).ravel()
-                            for _, (g,) in _blocks(dec.q, g0)])
-    nonzero = gvals[np.abs(gvals) > np.sqrt(KERNEL_CUT * hnorm)]
-    pos = cluster_eigenvalues(nonzero[nonzero > 0])
-    neg = cluster_eigenvalues(-nonzero[nonzero < 0])
-    if len(pos) != len(neg):
-        raise ValueError("G spectrum not symmetric about zero")
-    for (vp, mp), (vn, mn) in zip(pos, neg):
-        if mp != mn or abs(vp - vn) > 1e-8 * (1 + abs(vp)):
-            raise ValueError("G eigenvalues +-sqrt(E) do not match")
+    vals, diag = map(np.concatenate, zip(*[     # E and v^dag G_0 v
+        (v.ravel(), ((g @ x) * x.conj()).sum(axis=1).real.ravel())
+        for (_, v, x), (_, (g,)) in zip(dec.eigen, _blocks(dec.h, g0))]))
+    diag = diag[np.argsort(vals, kind="stable")]
+    at = vals.size - sum(m for _, m in dec.paired_spectrum)
+    for e_val, mult in dec.paired_spectrum:     # ascending, as diag is
+        trace, at = diag[at:at + mult].sum(), at + mult
+        if abs(trace) > 1e-8 * (1 + np.sqrt(e_val)) * mult:
+            raise ValueError(f"G eigenvalues +-sqrt(E) do not match: "
+                             f"tr(G_0 P_E) = {trace:.3e} at E = {e_val:.6g}")
     return hnorm
 
 

@@ -2,7 +2,7 @@
 of the full 2^modes H, with the same global kernel cut.
 
 The library decomposes Q block by block over the connected components of
-|Q| + |Q^dag|; this oracle never splits the space, so agreement checks the
+H's pattern; this oracle never splits the space, so agreement checks the
 blocking, the scatter back into the original basis and the global cut.
 Only for small Fock spaces (the eigh is O(dim^3) in time, O(dim^2) memory).
 """

@@ -172,14 +172,14 @@ def test_flow_suites_diagonalise_each_generator_once(suite, most,
     """One eigh per generator over every flow parameter and every mode: the
     flow checks call the matrix functions with the array of FLOW_POINTS and
     the stack of mode operators, and each closed form takes all its
-    functions of G from one call."""
+    functions of G from one call.  eigvalsh counts too, so the pairing check
+    cannot bring back an eigensolve of G beside the decomposition's."""
     calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, solve=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     rows = cli.VERIFY_SUITES[suite](load_tolerances(None))
     assert all(r.passed for r in rows)
     assert 0 < len(calls) <= most
@@ -452,6 +452,22 @@ def test_weyl_phase_with_an_underflowed_gaussian_is_usage_error(capsys):
         limits.weyl_relation_probe(ops, dicke.ground_state(ops), 40.0, 40.0)
 
 
+def test_weyl_phase_below_the_modulus_floor_is_usage_error(capsys):
+    """At alpha = beta = 10 the product |<W(alpha,0) W(0,beta)>| reaches
+    rounding by n = 256 (about 1e-16, where the closed form is 2e-20) and
+    its phase is noise: exit 2 naming |prod|, not rows of wrong phases."""
+    code = exit_code(["sweep", "--metric", "weyl_phase", "--n-list",
+                      "64,256,1024", "--alpha", "10", "--beta", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "|<W(alpha,0) W(0,beta)>|" in captured.err
+    ops = dicke.collective_ops(1024)
+    gs = dicke.ground_state(ops)
+    limits.weyl_relation_probe(ops, gs, 7.5, 7.5)      # |prod| = 8e-13
+    with pytest.raises(ValueError, match="below the floor"):
+        limits.weyl_relation_probe(ops, gs, 8.0, 8.0)  # |prod| = 1.8e-14
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -538,8 +554,8 @@ def test_spectrum_rows_ascend_past_9999_levels(capsys):
     assert values == sorted(values)
 
 
-@pytest.mark.parametrize("model,n", (("model_i", 10), ("model_ii", 6),
-                                     ("model_ii", 7)))
+@pytest.mark.parametrize("model,n", (("model_i", 10), ("model_i", 12),
+                                     ("model_ii", 6), ("model_ii", 7)))
 def test_spectrum_fock_models_at_their_caps(model, n, capsys):
     """Unit couplings: Model I has H = N * 1; Model II has the subset-sum
     levels k = 0..N with multiplicity C(N, k) * 2^N (the free down spins)."""
@@ -555,29 +571,47 @@ def test_spectrum_fock_models_at_their_caps(model, n, capsys):
     assert got == want
 
 
-def test_spectrum_model_ii_above_cap_exits_2(capsys):
-    code = cli.main(["spectrum", "--model", "model_ii", "--n", "8"])
+@pytest.mark.parametrize("model,cap", (("model_i", 12), ("model_ii", 7)))
+def test_spectrum_fock_models_above_their_caps_exit_2(model, cap, capsys):
+    code = cli.main(["spectrum", "--model", model, "--n", str(cap + 1)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "at most 7 sites" in err
+    assert f"at most {cap} sites" in err
 
 
-def test_model_ii_decomposition_below_its_cap_stays_small():
-    """Model II n = 6 decomposes and checks in well under 100 MB peak RSS
-    (about 42 MB on 2 vCPU): no dense 2^12 x 2^12 matrix is formed.  The
-    peak is VmHWM, the high-water mark of the interpreter's own address
-    space: a forked child's ru_maxrss also counts the parent it was
-    forked from, the whole test process."""
-    proc = _python("-c", """
-from susylattice import models, operators
-operators.super_decompose(models.build_model_ii(
-    (0.55, 0.8, 1.0, 1.15, 1.3, 1.45)).q, check=True)
+def _peak_kb(code):
+    """VmHWM in kB after running `code` in a fresh interpreter: the
+    high-water mark of the interpreter's own address space, where a forked
+    child's ru_maxrss also counts the parent it was forked from, the whole
+    test process."""
+    proc = _python("-c", code + """
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status
                if line.startswith("VmHWM:")))
 """)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100 * 1024      # kB
+    return int(proc.stdout)
+
+
+def test_model_i_decomposition_at_its_cap_stays_small():
+    """Model I n = 12 decomposes and checks in well under 200 MB peak RSS
+    (about 97 MB on 2 vCPU): H = (sum z_i^2) 1 splits into 4096 one-state
+    blocks, so no dense 4096^2 block is formed, although the pattern of
+    |Q| + |Q^dag| connects all 4096 states."""
+    assert _peak_kb("""
+from susylattice import models, operators
+operators.super_decompose(models.build_model_i((1.0,) * 12).q, check=True)
+""") < 200 * 1024      # kB
+
+
+def test_model_ii_decomposition_below_its_cap_stays_small():
+    """Model II n = 6 decomposes and checks in well under 100 MB peak RSS
+    (about 42 MB on 2 vCPU): no dense 2^12 x 2^12 matrix is formed."""
+    assert _peak_kb("""
+from susylattice import models, operators
+operators.super_decompose(models.build_model_ii(
+    (0.55, 0.8, 1.0, 1.15, 1.3, 1.45)).q, check=True)
+""") < 100 * 1024      # kB
 
 
 @pytest.mark.parametrize("levels", ("0", "-1"))
@@ -702,7 +736,11 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
     (a dense eigvalsh) to 2; no value moved.
 
     All fifteen kept their bytes when the operators moved from scipy CSR to
-    operators.Sparse, and when P0 followed them."""
+    operators.Sparse, and when P0 followed them.
+
+    verify was re-recorded when the decomposition moved from the blocks of
+    Q to those of H: model_i_car_completeness moved from
+    1.1102230246251565e-16 to 0, the Sparse identity on a diagonal H."""
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0

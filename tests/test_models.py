@@ -76,7 +76,7 @@ def test_model_i_rejects_bad_couplings():
     with pytest.raises(ValueError):
         models.build_model_i((1.0, -1.0))
     with pytest.raises(operators.DimensionError):
-        models.build_model_i((1.0,) * 11)
+        models.build_model_i((1.0,) * 13)
 
 
 @pytest.mark.parametrize("s", FLOW_POINTS)

@@ -2,6 +2,7 @@
 matrix functions and gauge structure."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,8 +257,8 @@ def test_p0_reads_dense_through_asarray(n):
 
 
 def _fock_patterns(build):
-    """Q and H of a Fock model, plus the joint eta/P0 pattern that
-    car_residual blocks over where the decomposition is small."""
+    """Q and H of a Fock model, plus the joint eta/P0 pattern where the
+    decomposition is small."""
     inst = build()
     mats = [inst.q, inst.h]
     if inst.spec.dim <= 256:
@@ -298,6 +299,64 @@ def test_components_match_csgraph_on_random_patterns(seed, dim, density):
     want = connected_components(m != 0, directed=False)[1]
     got = op._components(op.Sparse(m.row, m.col, m.data, m.shape))
     assert np.array_equal(got, want)
+
+
+def _exact(m):
+    """{(row, col): Fraction} of a Sparse with real entries."""
+    assert not m.data.imag.any()
+    return {(r, c): Fraction(v) for r, c, v in
+            zip(m.rows.tolist(), m.cols.tolist(), m.data.real.tolist())}
+
+
+def _exact_sum(*terms):
+    """The sum of {(row, col): Fraction} matrices, exact zeros dropped."""
+    out = {}
+    for t in terms:
+        for rc, v in t.items():
+            out[rc] = out.get(rc, 0) + v
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _exact_matmul(*factors):
+    """The product of {(row, col): Fraction} matrices, exact zeros dropped."""
+    out = factors[0]
+    for b in factors[1:]:
+        by_row = {}
+        for (k, c), v in b.items():
+            by_row.setdefault(k, []).append((c, v))
+        out = _exact_sum(*({(r, c): v * w} for (r, k), v in out.items()
+                           for c, w in by_row.get(k, ())))
+    return out
+
+
+@pytest.mark.parametrize("build", (
+    lambda: models.build_model_i((1.0, 2.0, 2.0)),
+    lambda: models.build_model_i((1.0, 1.0, 3.0, 2.0)),
+    lambda: models.build_model_ii((1.0, 2.0)),
+    lambda: models.build_model_ii((1.0, 3.0, 2.0)),
+), ids=("model_i_3", "model_i_4", "model_ii_2", "model_ii_3"))
+def test_car_identity_in_exact_rationals(build):
+    """With integer couplings H is a diagonal of integers that commutes with
+    Q Q^dag and Q^dag Q, so eta eta^dag = Q H+ Q^dag and eta^dag eta =
+    H+ Q^dag Q with H+ the pseudo-inverse: Q H+ Q^dag + H+ Q^dag Q + P0 = 1
+    holds in Fractions, with no square root, and the float eta eta^dag
+    matches Q H+ Q^dag."""
+    q = build().q
+    qe = _exact(q)
+    qt = {(c, r): v for (r, c), v in qe.items()}
+    h = _exact_sum(_exact_matmul(qe, qt), _exact_matmul(qt, qe))
+    assert all(r == c for r, c in h)
+    h_plus = {rc: 1 / v for rc, v in h.items()}
+    p0 = {(i, i): 1 for i in range(q.shape[0]) if (i, i) not in h}
+    ehe = _exact_matmul(qe, h_plus, qt)
+    assert _exact_sum(ehe, _exact_matmul(h_plus, qt, qe), p0) == \
+        {(i, i): 1 for i in range(q.shape[0])}
+    want = np.zeros(q.shape)
+    for (r, c), v in ehe.items():
+        want[r, c] = float(v)
+    dec = op.super_decompose(q)
+    assert np.abs((dec.eta @ dec.eta.conj().T).toarray() - want).max() \
+        < 1e-12
 
 
 def test_verify_decomposition_catches_mutations():
