@@ -47,23 +47,16 @@ def _decomposition_rows(label, inst, tol):
                       tol["machine"])]
     if not rows[0].passed:
         return rows
-    dec = operators.super_decompose(inst.q, check=False)
-    rows.append(check_row(f"{label}_car_completeness", n,
-                          operators.car_residual(dec), 0, "PAPER",
-                          tol["identity"]))
-    even = all(m % 2 == 0 for _, m in dec.paired_spectrum)
-    rows.append(_indicator(f"{label}_even_multiplicity", n, even, "PAPER"))
-    try:
-        operators.verify_pairing(dec)
-        ok = True
-    except ValueError:
-        ok = False
-    rows.append(_indicator(f"{label}_pm_symmetry", n, ok, "PAPER"))
-    g = inst.g_alpha(1.1)
-    rows.append(check_row(f"{label}_g_square", n,
-                          np.linalg.norm((g @ g - inst.h).toarray(), 2), 0,
-                          "PAPER", tol["identity"]))
-    return rows
+    res = operators.decomposition_residuals(
+        operators.super_decompose(inst.q, check=False))
+    return rows + [
+        check_row(f"{label}_car_completeness", n, res["car"], 0, "PAPER",
+                  tol["identity"]),
+        _indicator(f"{label}_even_multiplicity", n, not res["odd"], "PAPER"),
+        _indicator(f"{label}_pm_symmetry", n,
+                   res["pairing"] <= operators.PAIRING_TOL, "PAPER"),
+        check_row(f"{label}_g_square", n, res["g_square"], 0, "PAPER",
+                  tol["identity"])]
 
 
 def _verify_model_i(tol):
@@ -562,14 +555,14 @@ def main(argv=None):
     try:
         tol = load_tolerances(args.tol_file)
         report = globals()[f"run_{args.command}"](args, tol)
+        body = report.render(args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    body = report.render(args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
-    else:
+    if not args.out:
         sys.stdout.write(body)
     return 0 if report.all_passed() else 1
 

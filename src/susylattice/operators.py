@@ -25,6 +25,10 @@ CLUSTER_TOL = 1e-8
 
 NILPOTENCY_TOL = 1e-12
 
+# A level E breaks the +-sqrt(E) pairing when |tr(G_0 P_E)| exceeds
+# PAIRING_TOL * (1 + sqrt(E)) * multiplicity.
+PAIRING_TOL = 1e-8
+
 
 class DimensionError(ValueError):
     """Requested construction exceeds a size bound (MAX_MODES or a model's
@@ -477,7 +481,7 @@ def super_decompose(q, check=True):
     are invariant blocks; equal-size blocks share one stacked eigh.  P0 and
     eta = Q H^(-1/2) are read off their eigenpairs, with the kernel cut
     relative to the global ||H||.  Raises NilpotencyError when ||Q^2|| >
-    1e-12 ||Q||^2, ValueError when an invariant fails (`check=True`).
+    1e-12 ||Q||^2; with `check=True`, verify_decomposition's ValueError.
     """
     q = _as_sparse(q)
     res = nilpotency_residual(q)
@@ -508,46 +512,47 @@ def car_residual(dec):
     return float(abs(anti + dec.p0 - one).max())
 
 
-def verify_pairing(dec):
-    """Raise ValueError unless the pairing invariants hold; return ||H||:
+def decomposition_residuals(dec):
+    """The invariants of a SuperDecomposition as named residuals:
 
-    - strictly positive H eigenvalues have even multiplicity
-    - tr(G_0 P_E) = sqrt(E) (n_+ - n_-) is 0 on each positive level E, as
-      G_0^2 = H there: P_E is read off H's block eigenvectors, so only the
-      entries of G_0 inside H's blocks enter, and eta is never read
+    - car: max |eta eta^dag + eta^dag eta + P0 - 1| (car_residual)
+    - odd: the (E, multiplicity) levels of odd multiplicity
+    - pairing: max_E |tr(G_0 P_E)| / ((1 + sqrt(E)) m_E), where
+      tr(G_0 P_E) = sqrt(E) (n_+ - n_-) is 0 as G_0^2 = H; P_E is read off
+      H's block eigenvectors, so only G_0 inside H's blocks enters
+    - g_square: ||G_alpha^2 - H||_F over the stored entries at the generic
+      angle alpha = 1.1, one Sparse product
     """
-    for e_val, mult in dec.paired_spectrum:
-        if mult % 2:
-            raise ValueError(
-                f"positive eigenvalue {e_val:.6g} has odd multiplicity {mult}")
-    # H >= 0, so ||H|| is its top paired level
-    hnorm = max([1e-300] + [e for e, _ in dec.paired_spectrum])
     g0 = gauge_charge(dec.q, 0.0)
     vals, diag = map(np.concatenate, zip(*[     # E and v^dag G_0 v
         (v.ravel(), ((g @ x) * x.conj()).sum(axis=1).real.ravel())
         for (_, v, x), (_, (g,)) in zip(dec.eigen, _blocks(dec.h, g0))]))
     diag = diag[np.argsort(vals, kind="stable")]
-    at = vals.size - sum(m for _, m in dec.paired_spectrum)
+    at, pairing = vals.size - sum(m for _, m in dec.paired_spectrum), 0.0
     for e_val, mult in dec.paired_spectrum:     # ascending, as diag is
         trace, at = diag[at:at + mult].sum(), at + mult
-        if abs(trace) > 1e-8 * (1 + np.sqrt(e_val)) * mult:
-            raise ValueError(f"G eigenvalues +-sqrt(E) do not match: "
-                             f"tr(G_0 P_E) = {trace:.3e} at E = {e_val:.6g}")
-    return hnorm
+        pairing = max(pairing, abs(trace) / ((1 + np.sqrt(e_val)) * mult))
+    g = gauge_charge(dec.q, 1.1)
+    return {"car": car_residual(dec),
+            "odd": tuple((e, m) for e, m in dec.paired_spectrum if m % 2),
+            "pairing": float(pairing),
+            "g_square": float(np.linalg.norm((g @ g - dec.h).data))}
 
 
 def verify_decomposition(dec):
-    """Check every structural invariant of a SuperDecomposition.
-
-    - eta eta^dag + eta^dag eta = 1 - P0 (to 1e-10)
-    - the pairing invariants of verify_pairing
-    - G_alpha^2 = H at alpha = 0 and alpha = pi/2
-    """
-    car = car_residual(dec)
-    if car > 1e-10:
-        raise ValueError(f"eta CAR residual {car:.3e}")
-    hnorm = verify_pairing(dec)
-    for a in (0.0, np.pi / 2):
-        g = gauge_charge(dec.q, a)
-        if abs(g @ g - dec.h).max() > 1e-10 * (1 + hnorm):
-            raise ValueError(f"G_alpha^2 != H at alpha={a:g}")
+    """Raise ValueError unless decomposition_residuals are within bounds:
+    CAR to 1e-10, even multiplicities, pairing to PAIRING_TOL and
+    G_alpha^2 = H to 1e-10 (1 + ||H||)."""
+    res = decomposition_residuals(dec)
+    if res["car"] > 1e-10:
+        raise ValueError(f"eta CAR residual {res['car']:.3e}")
+    if res["odd"]:
+        raise ValueError("positive eigenvalue {:.6g} has odd multiplicity "
+                         "{}".format(*res["odd"][0]))
+    if res["pairing"] > PAIRING_TOL:
+        raise ValueError(f"G eigenvalues +-sqrt(E) do not match: "
+                         f"tr(G_0 P_E) residual {res['pairing']:.3e}")
+    # H >= 0, so ||H|| is its top paired level
+    hnorm = max([0.0] + [e for e, _ in dec.paired_spectrum])
+    if res["g_square"] > 1e-10 * (1 + hnorm):
+        raise ValueError(f"G_alpha^2 != H: residual {res['g_square']:.3e}")

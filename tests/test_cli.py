@@ -133,6 +133,18 @@ def test_verify_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("where", ("missing/x.csv", "."))
+def test_out_to_an_unwritable_path_exits_2(where, tmp_path, capsys):
+    """A report that cannot be written, under a missing directory or onto
+    a directory, is a usage error (exit 2), not a failing row (exit 1)."""
+    code = cli.main(["--out", str(tmp_path / where), "verify",
+                     "--model", "baby"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nilpotency_row_can_fail():
     """A non-nilpotent Q yields its failing nilpotency row alone, not the
     NilpotencyError of a decomposition it does not have."""
@@ -147,22 +159,54 @@ def test_nilpotency_row_can_fail():
                                           rel=1e-12)
 
 
-def test_car_defect_fails_the_car_row_but_not_the_pm_row(monkeypatch):
-    """A relative 1e-6 error in one eta entry breaks CAR only: the
-    pm_symmetry row checks the pairing and +-sqrt(E), not CAR again."""
-    inst = models.build_model_ii((0.7, 1.3))
-    dec = operators.super_decompose(inst.q)
+def _eta_entry_scaled(dec):
     data = dec.eta.data.copy()
     data[np.argmax(np.abs(data))] *= 1 + 1e-6
-    bad = dataclasses.replace(dec, eta=operators.Sparse(
+    return dataclasses.replace(dec, eta=operators.Sparse(
         dec.eta.rows, dec.eta.cols, data, dec.eta.shape))
+
+
+def _top_level_unpaired(dec):
+    (e_top, m_top), rest = dec.paired_spectrum[-1], dec.paired_spectrum[:-1]
+    return dataclasses.replace(dec,
+                               paired_spectrum=rest + ((e_top, m_top - 1),))
+
+
+def _q_shifted(dec):
+    one = operators.Sparse.from_diagonals({0: np.ones(dec.q.shape[0])})
+    return dataclasses.replace(dec, q=dec.q + 1e-6 * one)
+
+
+def _h_scaled(dec):
+    return dataclasses.replace(dec, h=dec.h * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("mutate,failing,message", (
+    (_eta_entry_scaled, {"car_completeness"}, "CAR"),
+    (_top_level_unpaired, {"even_multiplicity"}, "odd multiplicity"),
+    (_q_shifted, {"pm_symmetry", "g_square"}, "do not match"),
+    (_h_scaled, {"g_square"}, r"G_alpha\^2 != H")),
+    ids=("eta_entry", "top_multiplicity", "q_shift", "h_scale"))
+def test_a_mutation_fails_its_rows_and_its_check(mutate, failing, message,
+                                                 monkeypatch):
+    """Each mutated decomposition of Model II fails exactly the rows of the
+    invariants it breaks, and verify_decomposition raises on the first of
+    them: a relative 1e-6 error in one eta entry breaks CAR alone, an odd
+    multiplicity breaks the pairing count, a 1e-6 diagonal shift of Q the
+    +-sqrt(E) symmetry of G_0 (and so G_alpha^2 = H), and H scaled by
+    1 + 1e-6 the G_alpha^2 = H identity alone."""
+    inst = models.build_model_ii((0.7, 1.3))
+    bad = mutate(operators.super_decompose(inst.q))
     monkeypatch.setattr(operators, "super_decompose",
                         lambda q, check=True: bad)
-    rows = {r.metric: r.passed for r in cli._decomposition_rows(
-        "m", inst, load_tolerances(None))}
-    assert rows == {"m_nilpotency": True, "m_car_completeness": False,
-                    "m_even_multiplicity": True, "m_pm_symmetry": True,
-                    "m_g_square": True}
+    rows = cli._decomposition_rows("m", inst, load_tolerances(None))
+    assert [r.metric for r in rows] == [
+        f"m_{name}" for name in ("nilpotency", "car_completeness",
+                                 "even_multiplicity", "pm_symmetry",
+                                 "g_square")]
+    assert {r.metric[2:] for r in rows if not r.passed} == failing
+    with pytest.raises(ValueError, match=message):
+        operators.verify_decomposition(bad)
 
 
 @pytest.mark.parametrize("suite,most", (("baby", 1), ("model_i", 5),
@@ -612,6 +656,19 @@ from susylattice import models, operators
 operators.super_decompose(models.build_model_ii(
     (0.55, 0.8, 1.0, 1.15, 1.3, 1.45)).q, check=True)
 """) < 100 * 1024      # kB
+
+
+def test_model_i_decomposition_rows_at_its_cap_stay_small():
+    """The verify rows of Model I n = 12 take well under 150 MB peak RSS
+    (about 97 MB on 2 vCPU): G_alpha^2 = H is a Frobenius norm over the
+    stored entries, where a dense spectral norm needs a 4096^2 SVD."""
+    assert _peak_kb("""
+from susylattice import cli, models
+from susylattice.reporting import load_tolerances
+rows = cli._decomposition_rows("model_i", models.build_model_i((1.0,) * 12),
+                               load_tolerances(None))
+assert all(r.passed for r in rows)
+""") < 150 * 1024      # kB
 
 
 @pytest.mark.parametrize("levels", ("0", "-1"))

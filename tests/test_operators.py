@@ -163,6 +163,22 @@ def test_super_decompose_baby():
     assert [(round(v, 10), m) for v, m in clusters] == [(-1.0, 1), (1.0, 1)]
 
 
+def test_checked_decomposition_takes_at_most_seven_products(monkeypatch):
+    """Q^2, the two halves of H, eta = Q f(H), the two halves of CAR and
+    one G_alpha^2: the G_alpha^2 = H check takes one product, not one per
+    angle."""
+    q = models.build_model_ii((0.6, 1.0, 1.4)).q
+    products = []
+
+    def counted(a, b, matmul=op.Sparse.__matmul__):
+        if isinstance(b, op.Sparse):
+            products.append(b.shape)
+        return matmul(a, b)
+    monkeypatch.setattr(op.Sparse, "__matmul__", counted)
+    op.super_decompose(q, check=True)
+    assert 0 < len(products) <= 7
+
+
 def test_super_decompose_rejects_non_nilpotent():
     q = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(op.NilpotencyError):
@@ -371,7 +387,7 @@ def test_verify_decomposition_catches_mutations():
     assert op.car_residual(bad) > 1e-7
     with pytest.raises(ValueError, match="CAR"):
         op.verify_decomposition(bad)
-    op.verify_pairing(bad)          # the pairing does not read eta
+    assert op.decomposition_residuals(bad)["pairing"] <= op.PAIRING_TOL
     (e_top, m_top), rest = dec.paired_spectrum[-1], dec.paired_spectrum[:-1]
     unpaired = dataclasses.replace(
         dec, paired_spectrum=rest + ((e_top, m_top - 1),))
