@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import dicke, limits, models, operators
-from .reporting import Report, check_row, load_tolerances
+from .reporting import Report, check_row, check_rows, load_tolerances
 
 FLOW_POINTS = (0.1, 0.7, np.pi / 2, 2.0)
 
@@ -341,8 +341,9 @@ def run_sweep(args, tol):
         raise UsageError("sweep needs at least 3 n-values for the fit")
     args.state = key[1]         # the config echo records the resolved state
     pts = limits.sweep(_cell(key, args), args.n_list)
-    return Report(config_echo=_echo(args),
-                  rows=SWEEP[key][1](key, args, tol, pts))
+    report = Report(config_echo=_echo(args))
+    report.extend(SWEEP[key][1](key, args, tol, pts))
+    return report
 
 
 # ---------------------------------------------------------------- spectrum
@@ -366,12 +367,11 @@ def run_spectrum(args, tol):
         raise UsageError(f"unknown spectrum model {args.model!r}; choose "
                          f"from {sorted(SPECTRA)}")
     report = Report(config_echo=_echo(args))
-    n = args.n
-    vals = np.asarray(SPECTRA[args.model](n))[:args.levels]
+    vals = np.asarray(SPECTRA[args.model](args.n), dtype=float)[:args.levels]
     width = max(4, len(str(len(vals) - 1)))   # rows sort as strings
-    for i, v in enumerate(vals):
-        report.add(check_row(f"spectrum_level_{i:0{width}d}", n, float(v),
-                             float(v), "DERIVED", 0.0))
+    report.add_block(check_rows(
+        [f"spectrum_level_{i:0{width}d}" for i in range(len(vals))], args.n,
+        vals, vals, "DERIVED", 0.0))
     return report
 
 
@@ -474,10 +474,11 @@ TABLE_CELLS = {
 def run_tables(args, tol):
     """One row per TABLE_CELLS entry."""
     x = _table_inputs(args)
-    return Report(config_echo=_echo(args), rows=[
-        check_row(metric, n, value(x), target, provenance, tol[key])
-        for metric, (n, value, target, key, provenance)
-        in TABLE_CELLS.items()])
+    report = Report(config_echo=_echo(args))
+    report.extend(check_row(metric, n, value(x), target, provenance, tol[key])
+                  for metric, (n, value, target, key, provenance)
+                  in TABLE_CELLS.items())
+    return report
 
 
 # ---------------------------------------------------------------- driver

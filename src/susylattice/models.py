@@ -7,6 +7,7 @@ expansions are treated as checks, not definitions.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +28,32 @@ from .operators import (
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A named model with its lattice, couplings and built operators
-    (`Sparse`, read-only data)."""
+    """A named model with its lattice, couplings and supercharge (`Sparse`,
+    read-only data); H is computed on first read."""
 
     kind: str
     spec: LatticeSpec
     couplings: tuple
     q: Sparse
-    h: Sparse
+
+    @cached_property
+    def h(self):
+        """H = Q Q^dag + Q^dag Q."""
+        qd = self.q.conj().T
+        return self.q @ qd + qd @ self.q
+
+    def h_columns(self, states):
+        """H[:, states], zero on every other column, with no product term
+        on the others: H[:, states] @ x is H @ x bit for bit when x
+        vanishes off `states`."""
+        q, qd = self.q, self.q.conj().T
+        on = np.zeros(q.shape[1], dtype=bool)
+        on[states] = True
+
+        def columns(m):         # m with its entries off `states` dropped
+            at = on[m.cols]
+            return Sparse(m.rows[at], m.cols[at], m.data[at], m.shape)
+        return q @ columns(qd) + qd @ columns(q)
 
     def g_alpha(self, alpha=0.0):
         return gauge_charge(self.q, alpha)
@@ -45,12 +64,6 @@ def _check_couplings(z):
     if not z or any(v <= 0 for v in z):
         raise ValueError("couplings must be positive reals")
     return z
-
-
-def _instance(kind, spec, z, q):
-    qd = q.conj().T
-    h = q @ qd + qd @ q
-    return ModelInstance(kind=kind, spec=spec, couplings=z, q=q, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +102,7 @@ def build_model_i(z, kind="ModelI"):
     spec = LatticeSpec(n, 1)
     ops = sparse_annihilators(spec.modes)
     q = sum(zi * ai for zi, ai in zip(z, ops))
-    return _instance(kind, spec, z, q)
+    return ModelInstance(kind, spec, z, q)
 
 
 def model_i_flow_closed(k, s, model):
@@ -124,7 +137,7 @@ def build_model_ii(z):
     ops = sparse_annihilators(spec.modes)     # up: mode 2i, down: 2i + 1
     q = sum(zi * (up.conj().T @ up @ dn)
             for zi, up, dn in zip(z, ops[0::2], ops[1::2]))
-    return _instance("ModelII", spec, z, q)
+    return ModelInstance("ModelII", spec, z, q)
 
 
 def model_ii_flow_closed(k, s, model):
@@ -231,7 +244,7 @@ def build_model_iii_fock(n):
     pair = PairAlgebraOps(
         b_ops=b, a3_ops=a3, m_n=m, eta_n=eta,
         pair_projector=Sparse.from_diagonals({0: locked}))
-    return _instance("ModelIII", spec, (1.0,) * n, m @ eta), pair
+    return ModelInstance("ModelIII", spec, (1.0,) * n, m @ eta), pair
 
 
 def fock_m_norm(n):
@@ -258,16 +271,13 @@ def hss_pair_expansion(pair):
                 - (2.0 / n) * num_pairs))
 
 
-def model_iii_symmetric_sector_spectrum(n):
-    """Eigenvalues of the Fock-space Model III H on the symmetric pair sector.
-
-    The sector is spanned by the Dicke states in the pair variables tensored
-    with {a^3 vacuum, eta_N^dag (a^3 vacuum)}; H leaves it invariant.  The
+def symmetric_sector_basis(pair):
+    """The orthonormal basis of Model III's symmetric pair sector as the
+    columns of a dense (8^n, 2(n+1)) array: the Dicke states in the pair
+    variables tensored with {a^3 vacuum, eta_N^dag (a^3 vacuum)}.  The
     k-pair Dicke state is the normalised indicator of the basis states with
-    every pair locked, k pairs filled and every a^3 empty.  Only the
-    2(n+1)-dimensional sector matrix is dense.
-    """
-    inst, pair = build_model_iii_fock(n)
+    every pair locked, k pairs filled and every a^3 empty."""
+    n = len(pair.b_ops)
     occ = _site_occupations(n)
     sector = ((occ[:, 0] == occ[:, 1]) & (occ[:, 2] == 0)).all(axis=0)
     pairs = occ[:, 0].sum(axis=0)
@@ -276,9 +286,24 @@ def model_iii_symmetric_sector_spectrum(n):
         v = (sector & (pairs == k)).astype(complex)
         v /= np.linalg.norm(v)
         basis += [v, eta_d @ v]
-    bmat = np.column_stack(basis)
+    return np.column_stack(basis)
+
+
+def model_iii_symmetric_sector_spectrum(n):
+    """Eigenvalues of the Fock-space Model III H on the symmetric pair
+    sector, which H leaves invariant.  Only the 2(n+1)-dimensional sector
+    matrix is dense.
+
+    H B reads H only on the columns S where the basis B is nonzero, so only
+    H[:, S] = Q (Q^dag)[:, S] + Q^dag Q[:, S] is formed: each of its
+    entries sums the terms of the full product in the same order, so
+    H[:, S] B is H B bit for bit.
+    """
+    inst, pair = build_model_iii_fock(n)
+    bmat = symmetric_sector_basis(pair)
     nz = np.nonzero(bmat)       # H B over the few nonzeros of B
-    hb = (inst.h @ Sparse(*nz, bmat[nz], bmat.shape)).toarray()
+    hb = (inst.h_columns(nz[0])
+          @ Sparse(*nz, bmat[nz], bmat.shape)).toarray()
     return np.sort(np.linalg.eigvalsh(bmat.conj().T @ hb))
 
 

@@ -20,7 +20,8 @@ MAX_MODES = 14
 # Eigenvalues of H below KERNEL_CUT * ||H|| count as exact zeros.
 KERNEL_CUT = 1e-9
 
-# Gaps below CLUSTER_TOL * (1 + |lambda|) merge into one multiplet.
+# Gaps below CLUSTER_TOL * (scale + |lambda|) merge into one multiplet, the
+# scale being the largest |lambda|: the multiplets of cH are those of H.
 CLUSTER_TOL = 1e-8
 
 NILPOTENCY_TOL = 1e-12
@@ -50,25 +51,28 @@ class Sparse:
 
     def __init__(self, rows, cols, data, shape):
         self.shape = (int(shape[0]), int(shape[1]))
-        keys = (np.asarray(rows, dtype=np.int64) * self.shape[1]
-                + np.asarray(cols, dtype=np.int64)).ravel()
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
         data = np.asarray(data).ravel()
+        keys = rows * self.shape[1] + cols
         if (keys[1:] <= keys[:-1]).any():
             order = np.argsort(keys, kind="stable")     # merges sorted runs
-            keys = keys[order]
+            keys, rows, cols, data = (a[order] for a in (keys, rows, cols,
+                                                          data))
             first = np.ones(keys.size, dtype=bool)
             first[1:] = keys[1:] != keys[:-1]
-            group = np.empty_like(order)
-            group[order] = np.cumsum(first) - 1
-            keys = keys[first]      # bincount adds in the order given
-            sums = np.bincount(group, data.real, keys.size).astype(data.dtype)
-            if np.iscomplexobj(data):
-                sums.imag = np.bincount(group, data.imag, keys.size)
-            data = sums
+            if first.all():     # no repeats: each sum is 0 + its one term
+                data = (0 + data).astype(data.dtype, copy=False)
+            else:       # the stable sort keeps each key's terms in order
+                group = np.cumsum(first) - 1
+                rows, cols, size = rows[first], cols[first], group[-1] + 1
+                sums = np.bincount(group, data.real, size).astype(data.dtype)
+                if np.iscomplexobj(data):
+                    sums.imag = np.bincount(group, data.imag, size)
+                data = sums
         keep = data.astype(bool)
-        self.data, keys = data[keep], keys[keep]
-        self.nnz = keys.size
-        self.rows, self.cols = np.divmod(keys, self.shape[1])
+        self.rows, self.cols, self.data = rows[keep], cols[keep], data[keep]
+        self.nnz = self.data.size
         for a in (self.rows, self.cols, self.data):
             a.flags.writeable = False
 
@@ -389,13 +393,16 @@ def diagonal_eigenvalues(h):
 
 
 def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
-    """Group a sorted eigenvalue array into (value, multiplicity) clusters."""
+    """Group an eigenvalue array into (value, multiplicity) clusters, with
+    gaps measured relative to the spectrum's scale."""
     vals = np.sort(np.asarray(vals, dtype=float))
+    scale = float(np.abs(vals).max(initial=0.0))
     out = []
     i = 0
     while i < len(vals):
         j = i + 1
-        while j < len(vals) and vals[j] - vals[j - 1] <= tol * (1 + abs(vals[j])):
+        while j < len(vals) and \
+                vals[j] - vals[j - 1] <= tol * (scale + abs(vals[j])):
             j += 1
         out.append((float(vals[i:j].mean()), j - i))
         i = j

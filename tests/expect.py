@@ -1,6 +1,7 @@
-"""Test-side helpers: the tests' one expectation value, the Sparse oracle
-of the collective layer, the array forms the collective kernels replaced,
-and closed forms that only the tests read."""
+"""Test-side helpers: the tests' one expectation value, the Sparse oracles
+(the constructor as it summed before, and the collective layer's
+matrices), the array forms the collective kernels replaced, and closed
+forms that only the tests read."""
 
 import numpy as np
 from scipy import sparse
@@ -13,6 +14,31 @@ def expectation(state, op_full):
     """<state| A |state> for a lifted (sparse or dense) operator."""
     v = state.vector
     return complex(np.vdot(v, op_full @ v))
+
+
+def sparse_entries(rows, cols, data, shape):
+    """(rows, cols, data) of Sparse(rows, cols, data, shape) as the
+    constructor computed them before it carried rows and cols through the
+    sort: keys re-sorted, every term scattered to its group, and rows and
+    cols recomputed from the summed keys by divmod."""
+    keys = (np.asarray(rows, dtype=np.int64) * shape[1]
+            + np.asarray(cols, dtype=np.int64)).ravel()
+    data = np.asarray(data).ravel()
+    if (keys[1:] <= keys[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        group = np.empty_like(order)
+        group[order] = np.cumsum(first) - 1
+        keys = keys[first]
+        sums = np.bincount(group, data.real, keys.size).astype(data.dtype)
+        if np.iscomplexobj(data):
+            sums.imag = np.bincount(group, data.imag, keys.size)
+        data = sums
+    keep = data.astype(bool)
+    data, keys = data[keep], keys[keep]
+    return (*np.divmod(keys, shape[1]), data)
 
 
 class SparseDicke(dicke.DickeOperators):

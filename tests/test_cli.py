@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import functools
+import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -13,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from susylattice import cli, dicke, limits, models, operators
+from susylattice import __version__, cli, dicke, limits, models, operators
 from susylattice.dicke import MAX_PARTICLES
-from susylattice.reporting import (Report, ReportSchemaError, check_row,
+from susylattice.reporting import (PROVENANCE_TAGS, Report,
+                                   ReportSchemaError, check_row, check_rows,
                                    load_tolerances)
 
 HEADER = ["metric", "n", "value_re", "value_im", "target_re", "target_im",
@@ -67,6 +72,106 @@ def test_report_json_mirrors_rows():
     assert row["metric"] == "m" and row["pass"] is True
     assert set(row) >= {"value_re", "value_im", "target_re", "target_im",
                         "provenance", "tolerance"}
+
+
+_NUMBERS = st.sampled_from((np.nan, np.inf, -np.inf, 0.0, -0.0)) \
+    | st.floats(-1e300, 1e300)
+
+
+def _complex(re, im):
+    """re + i im with no arithmetic, so an infinite part stays alone."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(values=st.lists(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS,
+                                 st.sampled_from((0.0, 1e-12, 0.5, np.inf))),
+                       min_size=1, max_size=12))
+def test_check_rows_gives_check_row_verdicts(values):
+    """check_rows is check_row element by element: the same values,
+    targets, tolerances and verdicts, and a nan or infinite difference
+    fails any finite tolerance."""
+    v_re, v_im, t_re, t_im, tol = map(np.array, zip(*values))
+    value, target = _complex(v_re, v_im), _complex(t_re, t_im)
+    metric = [f"m{i}" for i in range(len(values))]
+    block = check_rows(metric, 7, value, target, "DERIVED", tol)
+    rows = [check_row(*args, "DERIVED", t) for args, t in
+            zip(zip(metric, [7] * len(values), value, target), tol)]
+    assert block.passed.tolist() == [r.passed for r in rows]
+    assert block.metric.tolist() == metric
+    assert block.n.tolist() == [7] * len(rows)
+    for name in ("value", "target", "tolerance"):
+        got = getattr(block, name)
+        want = np.array([getattr(r, name) for r in rows], dtype=got.dtype)
+        assert got.tobytes() == want.tobytes()
+    with np.errstate(invalid="ignore"):
+        differences = value - target
+    assert not block.passed[~np.isfinite(differences) & np.isfinite(tol)].any()
+
+
+def test_check_rows_enforces_the_provenance_schema():
+    with pytest.raises(ReportSchemaError):
+        check_rows(["a", "b"], 1, 0.0, 0.0, ["PAPER", "GUESS"], 0.0)
+
+
+def _reference_render(config, timestamp, rows):
+    """CSV and JSON of Rows as csv.writer and json.dumps wrote them, row by
+    row, before a report held column blocks."""
+    rows = sorted(rows, key=lambda r: (r.metric, r.n))
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(HEADER)
+    for r in rows:
+        w.writerow([r.metric, r.n] + [f"{x:.17g}" for x in (
+            r.value.real, r.value.imag, r.target.real, r.target.imag)]
+            + [r.provenance, "pass" if r.passed else "fail"])
+    payload = {"metadata": {"artifact_version": __version__,
+                            "config": config, "timestamp": timestamp},
+               "rows": [{"metric": r.metric, "n": r.n,
+                         "value_re": r.value.real, "value_im": r.value.imag,
+                         "target_re": r.target.real,
+                         "target_im": r.target.imag,
+                         "provenance": r.provenance,
+                         "tolerance": r.tolerance, "pass": r.passed}
+                        for r in rows]}
+    return buf.getvalue(), json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_ROW = st.tuples(
+    st.sampled_from(("a", "b", "a,b", 'q"x', "line\nbreak", "cr\rx", "é",
+                     "a_1", "")),
+    st.integers(-3, 3), _NUMBERS, _NUMBERS, _NUMBERS,
+    st.sampled_from(PROVENANCE_TAGS),
+    st.sampled_from((0.0, 0.5, np.inf)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(blocks=st.lists(st.lists(_ROW, max_size=6), max_size=4),
+       as_block=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_report_renders_as_csv_writer_and_json_dumps(blocks, as_block):
+    """One template per format gives the bytes of csv.writer and
+    json.dumps over the sorted rows, whether rows came in as check_row
+    Rows or as a check_rows block: quotes, commas and line breaks in a
+    metric, -0.0, nan and infinities, ties in (metric, n) included."""
+    report = Report(config_echo={"command": "x", "n": [1, 2]},
+                    timestamp=12.5)
+    rows = []
+    for block, whole in zip(blocks, as_block):
+        made = [check_row(m, n, complex(vr, vi), t, p, tol)
+                for m, n, vr, vi, t, p, tol in block]
+        rows += made
+        if whole and block:
+            m, n, vr, vi, t, p, tol = map(list, zip(*block))
+            report.add_block(check_rows(
+                m, n, _complex(vr, vi), t, p, tol))
+        else:
+            report.extend(made)
+    assert report.all_passed() == all(r.passed for r in rows)
+    want_csv, want_json = _reference_render(report.config_echo, 12.5, rows)
+    assert report.to_csv() == want_csv
+    assert report.to_json() == want_json
 
 
 def test_tolerance_overrides(tmp_path):
@@ -148,10 +253,9 @@ def test_out_to_an_unwritable_path_exits_2(where, tmp_path, capsys):
 def test_nilpotency_row_can_fail():
     """A non-nilpotent Q yields its failing nilpotency row alone, not the
     NilpotencyError of a decomposition it does not have."""
-    q = models.hopping_supercharge(3)
     inst = models.ModelInstance(
         kind="hopping", spec=operators.LatticeSpec(3), couplings=(1.0,) * 3,
-        q=q, h=q @ q.conj().T + q.conj().T @ q)
+        q=models.hopping_supercharge(3))
     rows = cli._decomposition_rows("hopping", inst, load_tolerances(None))
     assert [(r.metric, r.passed) for r in rows] == [("hopping_nilpotency",
                                                      False)]
@@ -581,6 +685,33 @@ def test_spectrum_witten_above_bound_is_usage_error(capsys):
     (row,) = list(csv.reader(out.splitlines()))[1:]
     assert row[:2] == ["spectrum_level_0000", str(bound)]
     assert abs(float(row[2])) < 1e-12
+
+
+# sha256 of `susylab --format F spectrum --model M --n 20000` on stdout,
+# with the report's timestamp at 0.0, as the per-row renderer wrote them
+SPECTRUM_PINS = {
+    ("dicke", "csv"):
+        "d79ac7b79bdc81e15a64c2dba30ad2bc650cc49e1d93f9b508c3dcdfcbb58c9d",
+    ("dicke", "json"):
+        "af02278f73d58ddc5a426273f088b70f5311a4273f0139522678b1ac16d78dcc",
+    ("witten", "csv"):
+        "d610e1e3dd9ae6b1055ea97e09e6b4febc09ca2e2f5d2b2970514eb9c52ddb2b",
+    ("witten", "json"):
+        "78d631da0f03bdee54db86074a59f73e22c6075fcf337a3d5d100e5a17d7ee92",
+}
+
+
+@pytest.mark.parametrize("model,fmt", sorted(SPECTRUM_PINS))
+def test_large_spectrum_keeps_its_bytes(model, fmt, capsys, monkeypatch):
+    """The 40002-row Dicke and 30000-row Witten spectra at n = 20000 render
+    to the bytes the per-row renderer wrote, in both formats."""
+    monkeypatch.setattr(cli, "Report", functools.partial(Report,
+                                                         timestamp=0.0))
+    code, out = run_cli(["--format", fmt, "spectrum", "--model", model,
+                         "--n", "20000"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_PINS[
+        model, fmt]
 
 
 def test_spectrum_rows_ascend_past_9999_levels(capsys):

@@ -362,6 +362,34 @@ def test_symmetric_sector_spectrum_shape():
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_sector_columns_of_h_give_h_times_the_basis_bit_for_bit(n):
+    """H[:, S] B, with S the rows where the sector basis B is nonzero, has
+    the bytes of H B: every entry kept sums the full product's terms in
+    the same order."""
+    inst, pair = models.build_model_iii_fock(n)
+    bmat = models.symmetric_sector_basis(pair)
+    nz = np.nonzero(bmat)
+    b = operators.Sparse(*nz, bmat[nz], bmat.shape)
+    cols = inst.h_columns(nz[0])
+    assert cols.nnz < inst.h.nnz
+    got, want = cols @ b, inst.h @ b
+    for name in ("rows", "cols", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_sector_spectrum_never_forms_the_full_h(monkeypatch):
+    """At the cap, n = 4, the sector spectrum reads H only on the sector's
+    columns: with ModelInstance.h made to raise, it still runs."""
+    def refuse(self):
+        raise AssertionError("the full H was formed")
+    monkeypatch.setattr(models.ModelInstance, "h", property(refuse))
+    vals = models.model_iii_symmetric_sector_spectrum(4)
+    assert len(vals) == 10
+    # ceiling of the normalized H: N(N+2)/(4N) = 1.5 at N=4
+    assert vals[-1] == pytest.approx(1.5, abs=1e-10)
+
+
 # ------------------------------------------------------- sparse builders
 
 BUILT = (

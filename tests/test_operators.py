@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 
 from susylattice import models, operators as op
 from densedecomp import dense_decompose
-from expect import csr, read_only_sparse
+from expect import csr, read_only_sparse, sparse_entries
 from tensorrep import TensorSpinRep, z_operator
 
 
@@ -126,6 +126,38 @@ def test_cluster_eigenvalues():
     vals = np.array([1.0, 1.0 + 1e-12, 2.0, 2.0, 2.0])
     clusters = op.cluster_eigenvalues(vals)
     assert [(round(v, 6), m) for v, m in clusters] == [(1.0, 2), (2.0, 3)]
+
+
+def _model_ii_levels(scale):
+    """The paired spectrum of Model II with couplings (0.7, 1.3, 2.1) times
+    `scale`, and its exact levels: the 7 nonzero subset sums of z_i^2."""
+    z = np.array((0.7, 1.3, 2.1)) * scale
+    exact = sorted({(z * z * np.array(bits)).sum()
+                    for bits in np.ndindex(2, 2, 2) if any(bits)})
+    dec = op.super_decompose(models.build_model_ii(tuple(z)).q)
+    return dec.paired_spectrum, exact
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-4, 1e-5))
+def test_model_ii_levels_do_not_merge_at_small_couplings(scale):
+    """The multiplets are those of the spectrum's own scale: Model II keeps
+    its 7 levels of multiplicity 8 with the couplings scaled by 1e-4 and
+    1e-5, where gaps below an absolute 1e-8 merged them into 4 and 1."""
+    levels, exact = _model_ii_levels(scale)
+    assert [m for _, m in levels] == [8] * 7
+    assert np.allclose([e for e, _ in levels], exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("c", (1e-6, 1e-3, 1e3))
+def test_decomposition_levels_scale_as_c_squared(c):
+    """decompose(cQ) has the levels c^2 E of decompose(Q), with the same
+    multiplicities."""
+    q = models.build_model_ii((0.7, 1.3, 2.1)).q
+    base = op.super_decompose(q).paired_spectrum
+    scaled = op.super_decompose(c * q).paired_spectrum
+    assert [m for _, m in scaled] == [m for _, m in base]
+    assert np.allclose([e for e, _ in scaled], [c * c * e for e, _ in base],
+                       rtol=1e-12, atol=0)
 
 
 def test_gauge_charge_phases():
@@ -631,3 +663,64 @@ def test_sparse_core_matches_scipy(seed, m, k, n, density):
                 lambda: a - op.Sparse([], [], [], (m + 1, k))):
         with pytest.raises(ValueError):
             bad()
+
+
+# ------------------------------------- the Sparse constructor, bit for bit
+
+_PARTS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e-300, 1e150))
+
+
+@st.composite
+def _sparse_input(draw):
+    """(rows, cols, data, shape): positions on a small grid, so keys
+    repeat; parts from _PARTS or any finite float, so exact zeros, -0.0
+    real and imaginary parts and sums that cancel occur; complex or real
+    data; and, when `ordered`, strictly increasing keys."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    count = draw(st.integers(0, 24))
+    part = _PARTS | st.floats(-1e3, 1e3)
+    rows = np.array(draw(st.lists(st.integers(0, shape[0] - 1),
+                                  min_size=count, max_size=count)), int)
+    cols = np.array(draw(st.lists(st.integers(0, shape[1] - 1),
+                                  min_size=count, max_size=count)), int)
+    data = np.array(draw(st.lists(part, min_size=count, max_size=count)))
+    if draw(st.booleans()):
+        data = data + 1j * np.array(draw(st.lists(
+            part, min_size=count, max_size=count)))
+        data.real[data.real == 0] = draw(st.sampled_from((0.0, -0.0)))
+    if draw(st.booleans()):     # already sorted, no repeats
+        keys = sorted(set((rows * shape[1] + cols).tolist()))
+        rows, cols = np.divmod(np.array(keys, int), shape[1])
+        data = data[:len(keys)]
+    return rows, cols, data, shape
+
+
+@settings(deadline=None, max_examples=150)
+@given(a=_sparse_input(), b=_sparse_input(), c=st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1e3))
+def test_sparse_constructor_keeps_its_bits(a, b, c):
+    """Every Sparse built, from random entries and by @, +, -, .T, conj()
+    and scalar *, stores the bytes of rows, cols and data that the
+    constructor computed before it carried rows and cols through the
+    sort (tests/expect.py keeps that constructor)."""
+    built = []
+    init = op.Sparse.__init__
+
+    def checked(self, rows, cols, data, shape):
+        want = sparse_entries(rows, cols, data, shape)
+        init(self, rows, cols, data, shape)
+        built.append(self)
+        for got, exp in zip((self.rows, self.cols, self.data), want):
+            assert got.dtype == exp.dtype
+            assert got.tobytes() == exp.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(op.Sparse, "__init__", checked)
+        x, y = op.Sparse(*a), op.Sparse(*b)
+        xt = x.T
+        x.conj(), x * c, c * x, -x, xt.T
+        if y.shape == x.shape:
+            x + y, x - y
+        if y.shape[0] == x.shape[1]:
+            x @ y
+        x @ xt, xt @ x
+    assert len(built) >= 9
