@@ -675,7 +675,7 @@ def _sparse_input(draw):
     """(rows, cols, data, shape): positions on a small grid, so keys
     repeat; parts from _PARTS or any finite float, so exact zeros, -0.0
     real and imaginary parts and sums that cancel occur; complex or real
-    data; and, when `ordered`, strictly increasing keys."""
+    data; and, in half of the draws, strictly increasing keys."""
     shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
     count = draw(st.integers(0, 24))
     part = _PARTS | st.floats(-1e3, 1e3)
