@@ -17,6 +17,7 @@ from .operators import (
     DimensionError,
     LatticeSpec,
     Sparse,
+    bit_operator,
     bracket,
     gauge_charge,
     hermitian_function,
@@ -216,14 +217,6 @@ class PairAlgebraOps:
     pair_projector: Sparse
 
 
-def _site_occupations(n):
-    """Occupation bits of every Fock basis index, shape (n, 3, 8^n): entry
-    [i, f] reads a^f_i, which is site-major mode 3i + f at bit
-    3n - 1 - (3i + f)."""
-    shifts = 3 * n - 1 - np.arange(3 * n).reshape(n, 3, 1)
-    return (np.arange(8 ** n) >> shifts) & 1
-
-
 def build_model_iii_fock(n):
     """Model III on the full Fock space: Q = M_N eta_N, H = {Q, Q^dag}.
 
@@ -238,9 +231,10 @@ def build_model_iii_fock(n):
     a3 = ops[2::3]
     m = sum(b) / np.sqrt(n)
     eta = sum(a3) / np.sqrt(n)
-    # the projector prod_i [(1-n_i1)(1-n_i2) + n_i1 n_i2] is diagonal
-    occ = _site_occupations(n)
-    locked = (occ[:, 0] == occ[:, 1]).all(axis=0)
+    # the projector prod_i [(1-n_i1)(1-n_i2) + n_i1 n_i2] is diagonal: the
+    # bit of a^1_i, 3n - 1 - 3i, equals the bit of a^2_i below it
+    idx = np.arange(8 ** n)
+    locked = (idx ^ idx >> 1) & sum(2 << 3 * i for i in range(n)) == 0
     pair = PairAlgebraOps(
         b_ops=b, a3_ops=a3, m_n=m, eta_n=eta,
         pair_projector=Sparse.from_diagonals({0: locked}))
@@ -271,36 +265,45 @@ def hss_pair_expansion(pair):
                 - (2.0 / n) * num_pairs))
 
 
-def symmetric_sector_basis(pair):
-    """The orthonormal basis of Model III's symmetric pair sector as the
-    columns of a dense (8^n, 2(n+1)) array: the Dicke states in the pair
-    variables tensored with {a^3 vacuum, eta_N^dag (a^3 vacuum)}.  The
-    k-pair Dicke state is the normalised indicator of the basis states with
-    every pair locked, k pairs filled and every a^3 empty."""
-    n = len(pair.b_ops)
-    occ = _site_occupations(n)
-    sector = ((occ[:, 0] == occ[:, 1]) & (occ[:, 2] == 0)).all(axis=0)
-    pairs = occ[:, 0].sum(axis=0)
-    eta_d, basis = pair.eta_n.conj().T, []
-    for k in range(n + 1):
-        v = (sector & (pairs == k)).astype(complex)
-        v /= np.linalg.norm(v)
-        basis += [v, eta_d @ v]
-    return np.column_stack(basis)
+def build_model_iii_sector(n):
+    """Model III on its locked pair sector, 4^n states: site i's pair
+    b_i = a^1_i a^2_i is mode 2i, a hard-core boson with no Jordan-Wigner
+    string, and its a^3 mode 2i + 1, with the string over the earlier a^3
+    modes (mode 0 the top bit).  The order of the 8^n basis is kept, and
+    b_i = -1 times the Fock b_i.  Returns the ModelInstance of Q = M_N
+    eta_N and eta_N."""
+    if n > 8:       # spectrum at 8 sites: about 1 s and 250 MB
+        raise DimensionError("Model III's pair sector supports at most 8 "
+                             "sites")
+    bit = [1 << k for k in range(2 * n - 1, -1, -1)]        # mode k
+    m = sum(bit_operator(2 * n, bit[2 * i]) for i in range(n)) / np.sqrt(n)
+    eta = sum(bit_operator(2 * n, bit[2 * i + 1], sum(bit[1:2 * i:2]))
+              for i in range(n)) / np.sqrt(n)
+    return ModelInstance("ModelIII", LatticeSpec(n, 2), (1.0,) * n,
+                         m @ eta), eta
 
 
 def model_iii_symmetric_sector_spectrum(n):
-    """Eigenvalues of the Fock-space Model III H on the symmetric pair
-    sector, which H leaves invariant.  Only the 2(n+1)-dimensional sector
-    matrix is dense.
+    """Eigenvalues of Model III's H on the symmetric pair sector, which H
+    leaves invariant: the Dicke states in the pair variables (k pairs and
+    no a^3, normalised) and eta_N^dag of each.  Only the 2(n+1)-dimensional
+    sector matrix is dense.
 
     H B reads H only on the columns S where the basis B is nonzero, so only
     H[:, S] = Q (Q^dag)[:, S] + Q^dag Q[:, S] is formed: each of its
     entries sums the terms of the full product in the same order, so
     H[:, S] B is H B bit for bit.
     """
-    inst, pair = build_model_iii_fock(n)
-    bmat = symmetric_sector_basis(pair)
+    inst, eta = build_model_iii_sector(n)
+    # the bits of each site's a^3 (even) and pair (odd) of every state
+    bits = (np.arange(4 ** n) >> np.arange(2 * n).reshape(n, 2, 1)) & 1
+    pairs, empty = bits[:, 1].sum(axis=0), ~bits[:, 0].any(axis=0)
+    eta_d, basis = eta.conj().T, []
+    for k in range(n + 1):
+        v = (empty & (pairs == k)).astype(complex)
+        v /= np.linalg.norm(v)
+        basis += [v, eta_d @ v]
+    bmat = np.column_stack(basis)
     nz = np.nonzero(bmat)       # H B over the few nonzeros of B
     hb = (inst.h_columns(nz[0])
           @ Sparse(*nz, bmat[nz], bmat.shape)).toarray()

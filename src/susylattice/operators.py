@@ -70,6 +70,19 @@ class Sparse:
                 if np.iscomplexobj(data):
                     sums.imag = np.bincount(group, data.imag, size)
                 data = sums
+        self._store(rows, cols, data)
+
+    @classmethod
+    def _sorted(cls, rows, cols, data, shape):
+        """Sparse of entries already sorted by (row, col) with distinct keys:
+        what the constructor stores for them, with no sort."""
+        self = cls.__new__(cls)
+        self.shape = shape
+        self._store(rows, cols, data)
+        return self
+
+    def _store(self, rows, cols, data):
+        """Keep the nonzero entries, read-only."""
         keep = data.astype(bool)
         self.rows, self.cols, self.data = rows[keep], cols[keep], data[keep]
         self.nnz = self.data.size
@@ -88,11 +101,16 @@ class Sparse:
                    (n, n))
 
     def _with(self, data):
-        return Sparse(self.rows, self.cols, data, self.shape)
+        return Sparse._sorted(self.rows, self.cols, data, self.shape)
 
     @property
     def T(self):
-        return Sparse(self.cols, self.rows, self.data, self.shape[::-1])
+        order = np.argsort(self.cols, kind="stable")    # rows ascend in ties
+        data = self.data[order]
+        if (self.cols[1:] < self.cols[:-1]).any():  # the constructor's sort
+            data = (0 + data).astype(data.dtype, copy=False)
+        return Sparse._sorted(self.cols[order], self.rows[order], data,
+                              self.shape[::-1])
 
     def conj(self):
         return self._with(self.data.conj())
@@ -396,17 +414,12 @@ def cluster_eigenvalues(vals, tol=CLUSTER_TOL):
     """Group an eigenvalue array into (value, multiplicity) clusters, with
     gaps measured relative to the spectrum's scale."""
     vals = np.sort(np.asarray(vals, dtype=float))
-    scale = float(np.abs(vals).max(initial=0.0))
-    out = []
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and \
-                vals[j] - vals[j - 1] <= tol * (scale + abs(vals[j])):
-            j += 1
-        out.append((float(vals[i:j].mean()), j - i))
-        i = j
-    return out
+    if not vals.size:
+        return []
+    scale = float(np.abs(vals).max())
+    near = np.diff(vals) <= tol * (scale + np.abs(vals[1:]))
+    return [(float(c.mean()), c.size)
+            for c in np.split(vals, np.flatnonzero(~near) + 1)]
 
 
 # eta on the Clifford mode, in the (eta eta^dag = 1, eta^dag-killed) basis

@@ -1,12 +1,13 @@
 """Test-side helpers: the tests' one expectation value, the Sparse oracles
 (the constructor as it summed before, and the collective layer's
-matrices), the array forms the collective kernels replaced, and closed
-forms that only the tests read."""
+matrices), Model III's symmetric sector on the full 8^n Fock space, the
+array and loop forms that faster kernels replaced, and closed forms that
+only the tests read."""
 
 import numpy as np
 from scipy import sparse
 
-from susylattice import dicke
+from susylattice import dicke, models
 from susylattice.operators import ETA, Sparse, gauge_charge, lift
 
 
@@ -39,6 +40,55 @@ def sparse_entries(rows, cols, data, shape):
     keep = data.astype(bool)
     data, keys = data[keep], keys[keep]
     return (*np.divmod(keys, shape[1]), data)
+
+
+def cluster_eigenvalues_loop(vals, tol):
+    """operators.cluster_eigenvalues as it ran before: one Python step
+    per level, merging while each gap is within tol * (scale + |lambda|)."""
+    vals = np.sort(np.asarray(vals, dtype=float))
+    scale = float(np.abs(vals).max(initial=0.0))
+    out = []
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and \
+                vals[j] - vals[j - 1] <= tol * (scale + abs(vals[j])):
+            j += 1
+        out.append((float(vals[i:j].mean()), j - i))
+        i = j
+    return out
+
+
+def symmetric_sector_basis(pair):
+    """The orthonormal basis of Model III's symmetric pair sector as the
+    columns of a dense (8^n, 2(n+1)) array: the Dicke states in the pair
+    variables tensored with {a^3 vacuum, eta_N^dag (a^3 vacuum)}.  The
+    k-pair Dicke state is the normalised indicator of the basis states with
+    every pair locked, k pairs filled and every a^3 empty."""
+    n = len(pair.b_ops)
+    # occupation of a^f_i, mode 3i + f at bit 3n - 1 - (3i + f), per state
+    occ = (np.arange(8 ** n) >> (3 * n - 1 - np.arange(3 * n).reshape(
+        n, 3, 1))) & 1
+    sector = ((occ[:, 0] == occ[:, 1]) & (occ[:, 2] == 0)).all(axis=0)
+    pairs = occ[:, 0].sum(axis=0)
+    eta_d, basis = pair.eta_n.conj().T, []
+    for k in range(n + 1):
+        v = (sector & (pairs == k)).astype(complex)
+        v /= np.linalg.norm(v)
+        basis += [v, eta_d @ v]
+    return np.column_stack(basis)
+
+
+def fock_sector_spectrum(n):
+    """Model III's symmetric sector spectrum read on the full 8^n Fock
+    space (n <= 4), as models computed it before it built the 4^n locked
+    pair sector: H[:, S] B with B the basis above, then B^dag H B."""
+    inst, pair = models.build_model_iii_fock(n)
+    bmat = symmetric_sector_basis(pair)
+    nz = np.nonzero(bmat)
+    hb = (inst.h_columns(nz[0])
+          @ Sparse(*nz, bmat[nz], bmat.shape)).toarray()
+    return np.sort(np.linalg.eigvalsh(bmat.conj().T @ hb))
 
 
 class SparseDicke(dicke.DickeOperators):

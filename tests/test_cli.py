@@ -231,6 +231,50 @@ def test_verify_dimension_bound_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_dicke_builds_no_fock_space_past_two_sites(monkeypatch,
+                                                         capsys):
+    """dicke_cross_rep at n = 2, 3 and 4 reads Model III on its 4^n locked
+    pair sector: with the 8^n Fock builder made to raise above 2 sites,
+    `verify --model dicke` still passes every row."""
+    build = models.build_model_iii_fock
+
+    def small_only(n):
+        if n > 2:
+            raise AssertionError(f"the {8 ** n}-state Fock space was built")
+        return build(n)
+    monkeypatch.setattr(models, "build_model_iii_fock", small_only)
+    code, out = run_cli(["verify", "--model", "dicke"], capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert sorted(r[1] for r in rows if r[0] == "dicke_cross_rep") == \
+        ["2", "3", "4"]
+    assert all(r[7] == "pass" for r in rows)
+
+
+def test_verify_builds_the_fock_model_iii_twice(monkeypatch, capsys):
+    """A whole `verify` builds Model III's Fock space only for its two
+    2-site rows (model_iii and bcs_fock_defect) and asks for no 9 or 12
+    Jordan-Wigner modes."""
+    builds, modes = [], []
+    build, annihilators = (models.build_model_iii_fock,
+                           operators.sparse_annihilators)
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    def asked(k):
+        modes.append(k)
+        return annihilators(k)
+    monkeypatch.setattr(models, "build_model_iii_fock", counted)
+    for module in (models, operators):
+        monkeypatch.setattr(module, "sparse_annihilators", asked)
+    code, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert builds == [2, 2]
+    assert not {9, 12} & set(modes)
+
+
 def test_verify_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(["--out", str(out1), "--jobs", "1", "verify"]) == 0
@@ -746,7 +790,8 @@ def test_spectrum_fock_models_at_their_caps(model, n, capsys):
     assert got == want
 
 
-@pytest.mark.parametrize("model,cap", (("model_i", 12), ("model_ii", 7)))
+@pytest.mark.parametrize("model,cap", (("model_i", 12), ("model_ii", 7),
+                                       ("model_iii", 8)))
 def test_spectrum_fock_models_above_their_caps_exit_2(model, cap, capsys):
     code = cli.main(["spectrum", "--model", model, "--n", str(cap + 1)])
     out, err = capsys.readouterr()
@@ -766,6 +811,26 @@ with open("/proc/self/status") as status:
 """)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
+
+
+def test_spectrum_model_iii_at_its_cap_stays_small():
+    """At its cap, 8 sites, `spectrum --model model_iii` exits 0 with the
+    18 Dicke H_SS levels, in a fresh process under 500 MB peak RSS (about
+    270 MB and 0.7 s on 2 vCPU; 9 sites would take about four times as
+    much of each)."""
+    assert _peak_kb("""
+import contextlib, csv, io
+import numpy as np
+from susylattice import cli, dicke
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main(["--jobs", "1", "spectrum", "--model", "model_iii",
+                     "--n", "8"])
+assert code == 0
+got = [float(r[2]) for r in list(csv.reader(buf.getvalue().splitlines()))[1:]]
+want = dicke.hss_eigenvalues(dicke.collective_ops(8))
+assert len(got) == 18 and np.abs(np.array(got) - want).max() < 1e-9
+""") < 500 * 1024
 
 
 def test_model_i_decomposition_at_its_cap_stays_small():

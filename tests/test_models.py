@@ -4,9 +4,10 @@ automorphisms, the nilpotency counterexample, pair algebra and BCS shadow."""
 import numpy as np
 import pytest
 
-from susylattice import models, operators
+from susylattice import dicke, models, operators
 from susylattice.reporting import DEFAULT_TOLERANCES
-from expect import read_only_sparse
+from expect import (fock_sector_spectrum, read_only_sparse,
+                    symmetric_sector_basis)
 
 FLOW_POINTS = (0.1, 0.7, np.pi / 2, 2.0)
 
@@ -368,7 +369,7 @@ def test_sector_columns_of_h_give_h_times_the_basis_bit_for_bit(n):
     the bytes of H B: every entry kept sums the full product's terms in
     the same order."""
     inst, pair = models.build_model_iii_fock(n)
-    bmat = models.symmetric_sector_basis(pair)
+    bmat = symmetric_sector_basis(pair)
     nz = np.nonzero(bmat)
     b = operators.Sparse(*nz, bmat[nz], bmat.shape)
     cols = inst.h_columns(nz[0])
@@ -379,8 +380,8 @@ def test_sector_columns_of_h_give_h_times_the_basis_bit_for_bit(n):
 
 
 def test_sector_spectrum_never_forms_the_full_h(monkeypatch):
-    """At the cap, n = 4, the sector spectrum reads H only on the sector's
-    columns: with ModelInstance.h made to raise, it still runs."""
+    """At n = 4 the sector spectrum reads H only on the sector's columns:
+    with ModelInstance.h made to raise, it still runs."""
     def refuse(self):
         raise AssertionError("the full H was formed")
     monkeypatch.setattr(models.ModelInstance, "h", property(refuse))
@@ -388,6 +389,44 @@ def test_sector_spectrum_never_forms_the_full_h(monkeypatch):
     assert len(vals) == 10
     # ceiling of the normalized H: N(N+2)/(4N) = 1.5 at N=4
     assert vals[-1] == pytest.approx(1.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_locked_pair_sector_is_the_fock_model_on_locked_states(n):
+    """On the 8^n Fock states whose pairs are locked, taken in their order,
+    the Fock eta_N is the sector's eta_N and the Fock Q is minus the
+    sector's Q: the sector's b_i carries no Jordan-Wigner sign, the Fock
+    a^1_i a^2_i a sign -1."""
+    inst, pair = models.build_model_iii_fock(n)
+    sector, eta = models.build_model_iii_sector(n)
+    locked = np.flatnonzero(pair.pair_projector.diagonal())
+    assert locked.size == sector.q.shape[0] == 4 ** n
+    on = np.ix_(locked, locked)
+    assert np.array_equal(pair.eta_n.toarray()[on], eta.toarray())
+    assert np.array_equal(inst.q.toarray()[on], -sector.q.toarray())
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_sector_spectrum_keeps_the_fock_bytes(n):
+    """The 4^n sector route gives the bytes of the 8^n Fock route
+    (tests/expect.py keeps it), the spectrum that verify's dicke_cross_rep
+    and `spectrum --model model_iii` print."""
+    got = models.model_iii_symmetric_sector_spectrum(n)
+    assert got.tobytes() == fock_sector_spectrum(n).tobytes()
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_sector_spectrum_matches_dicke_above_the_fock_cap(n):
+    """Past the Fock space's 4 sites the sector spectrum is still the
+    Dicke H_SS spectrum (residuals about 1e-15)."""
+    got = models.model_iii_symmetric_sector_spectrum(n)
+    want = dicke.hss_eigenvalues(dicke.collective_ops(n))
+    assert np.abs(got - want).max() <= DEFAULT_TOLERANCES["spectral"]
+
+
+def test_model_iii_sector_dimension_bound():
+    with pytest.raises(operators.DimensionError, match="at most 8 sites"):
+        models.build_model_iii_sector(9)
 
 
 # ------------------------------------------------------- sparse builders

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.sparse.csgraph import connected_components
 
 from susylattice import models, operators as op
 from densedecomp import dense_decompose
-from expect import csr, read_only_sparse, sparse_entries
+from expect import (cluster_eigenvalues_loop, csr, read_only_sparse,
+                    sparse_entries)
 from tensorrep import TensorSpinRep, z_operator
 
 
@@ -695,32 +696,104 @@ def _sparse_input(draw):
     return rows, cols, data, shape
 
 
+_DIAGONAL = (np.arange(2), np.arange(2),       # .T needs no sort
+             np.array([complex(-0.0, 1.0), complex(2.0, -0.0)]), (2, 2))
+
+
 @settings(deadline=None, max_examples=150)
 @given(a=_sparse_input(), b=_sparse_input(), c=st.complex_numbers(
     min_magnitude=1e-3, max_magnitude=1e3))
+@example(a=_DIAGONAL, b=_DIAGONAL, c=1j)
 def test_sparse_constructor_keeps_its_bits(a, b, c):
-    """Every Sparse built, from random entries and by @, +, -, .T, conj()
-    and scalar *, stores the bytes of rows, cols and data that the
+    """Every Sparse built, from random entries and by @, +, -, .T, conj(),
+    abs and scalar *, stores the bytes of rows, cols and data that the
     constructor computed before it carried rows and cols through the
-    sort (tests/expect.py keeps that constructor)."""
+    sort (tests/expect.py keeps that constructor).  That holds both for
+    the constructor and for Sparse._sorted, the path of the operations
+    that keep a pattern, on the entries each is given; and .T, conj(),
+    -, abs and scalar * store what that constructor stored for the
+    entries they passed it before."""
     built = []
-    init = op.Sparse.__init__
+    init, presorted = op.Sparse.__init__, op.Sparse._sorted.__func__
+
+    def check(m, want):
+        built.append(m)
+        for got, exp in zip((m.rows, m.cols, m.data), want):
+            assert got.dtype == exp.dtype
+            assert got.tobytes() == exp.tobytes()
 
     def checked(self, rows, cols, data, shape):
         want = sparse_entries(rows, cols, data, shape)
         init(self, rows, cols, data, shape)
-        built.append(self)
-        for got, exp in zip((self.rows, self.cols, self.data), want):
-            assert got.dtype == exp.dtype
-            assert got.tobytes() == exp.tobytes()
+        check(self, want)
+
+    def checked_sorted(cls, rows, cols, data, shape):
+        want = sparse_entries(rows, cols, data, shape)
+        m = presorted(cls, rows, cols, data, shape)
+        check(m, want)
+        return m
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(op.Sparse, "__init__", checked)
+        mp.setattr(op.Sparse, "_sorted", classmethod(checked_sorted))
         x, y = op.Sparse(*a), op.Sparse(*b)
         xt = x.T
-        x.conj(), x * c, c * x, -x, xt.T
+        x.conj(), x * c, c * x, -x, abs(x), xt.T
         if y.shape == x.shape:
             x + y, x - y
         if y.shape[0] == x.shape[1]:
             x @ y
         x @ xt, xt @ x
     assert len(built) >= 9
+    for m, (rows, cols, data, shape) in (
+            (x.T, (x.cols, x.rows, x.data, x.shape[::-1])),
+            (x.conj(), (x.rows, x.cols, x.data.conj(), x.shape)),
+            (-x, (x.rows, x.cols, -x.data, x.shape)),
+            (abs(x), (x.rows, x.cols, np.abs(x.data), x.shape)),
+            (x * c, (x.rows, x.cols, x.data * c, x.shape)),
+            (x * 0, (x.rows, x.cols, x.data * 0, x.shape))):
+        for got, exp in zip((m.rows, m.cols, m.data),
+                            sparse_entries(rows, cols, data, shape)):
+            assert got.dtype == exp.dtype
+            assert got.tobytes() == exp.tobytes()
+
+
+# ------------------------------------- clustering, against its loop form
+
+@st.composite
+def _levels(draw):
+    """(levels, tol): integer levels with a power-of-two tol, so that gaps
+    fall exactly on the merge bound tol * (scale + |lambda|), or finite
+    floats with CLUSTER_TOL; empty and one-level lists, repeats and
+    negative levels included."""
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.integers(-8, 8), max_size=12))
+        return [float(v) for v in vals], draw(st.sampled_from(
+            (0.5, 0.25, 0.125, 0.0625)))
+    part = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, 2.5)) \
+        | st.floats(-1e6, 1e6)
+    return draw(st.lists(part, max_size=12)), op.CLUSTER_TOL
+
+
+@settings(deadline=None, max_examples=300)
+@given(levels=_levels())
+def test_cluster_eigenvalues_keeps_the_loop_bits(levels):
+    """cluster_eigenvalues splits at the gaps its one vectorised test
+    finds and gives the clusters of its per-level loop form
+    (tests/expect.py), each mean and multiplicity bit for bit."""
+    vals, tol = levels
+
+    def bits(clusters):
+        return [(np.float64(v).tobytes(), type(m), m) for v, m in clusters]
+    assert bits(op.cluster_eigenvalues(vals, tol)) == \
+        bits(cluster_eigenvalues_loop(vals, tol))
+
+
+def test_cluster_eigenvalues_merges_a_gap_exactly_at_the_bound():
+    """Gap 3 at |lambda| = 4 with scale 8 and tol 1/4 is exactly on the
+    bound and merges; gap 3 at |lambda| = 3 is above it and splits."""
+    assert op.cluster_eigenvalues([-8.0, 1.0, 4.0], 0.25) == \
+        [(-8.0, 1), (2.5, 2)]
+    assert op.cluster_eigenvalues([-8.0, 0.0, 3.0], 0.25) == \
+        [(-8.0, 1), (0.0, 1), (3.0, 1)]
+    assert op.cluster_eigenvalues([]) == []
+    assert op.cluster_eigenvalues([2.0]) == [(2.0, 1)]
