@@ -272,7 +272,7 @@ def build_model_iii_sector(n):
     modes (mode 0 the top bit).  The order of the 8^n basis is kept, and
     b_i = -1 times the Fock b_i.  Returns the ModelInstance of Q = M_N
     eta_N and eta_N."""
-    if n > 8:       # spectrum at 8 sites: about 1 s and 250 MB
+    if n > 8:       # spectrum at 8 sites: 0.6-0.8 s and 270 MB
         raise DimensionError("Model III's pair sector supports at most 8 "
                              "sites")
     bit = [1 << k for k in range(2 * n - 1, -1, -1)]        # mode k
