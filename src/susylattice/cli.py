@@ -16,14 +16,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import dicke, limits, models, operators
-from .reporting import Report, check_row, check_rows, load_tolerances
+from .reporting import Report, check_rows, load_tolerances
 
 FLOW_POINTS = (0.1, 0.7, np.pi / 2, 2.0)
 
 
 def _indicator(metric, n, ok, provenance):
     """Boolean check encoded as a 1/0 row against target 1."""
-    return check_row(metric, n, 1.0 if ok else 0.0, 1.0, provenance, 0.5)
+    return metric, n, 1.0 if ok else 0.0, 1.0, provenance, 0.5
 
 
 # ---------------------------------------------------------------- verify
@@ -34,29 +34,29 @@ def _verify_baby(tol):
     s = np.array(FLOW_POINTS)
     gaps = np.linalg.norm(operators.unitary_flow(inst.g_alpha(0.6), s, a)
                           - models.baby_flow_closed(s, 0.6), 2, axis=(-2, -1))
-    return [check_row(f"baby_flow_s={p:.6g}", 1, gap, 0, "PAPER",
-                      tol["identity"]) for p, gap in zip(FLOW_POINTS, gaps)]
+    rows = [(f"baby_flow_s={p:.6g}", 1, gap, 0, "PAPER", tol["identity"])
+            for p, gap in zip(FLOW_POINTS, gaps)]
+    return check_rows(*zip(*rows))
 
 
 def _decomposition_rows(label, inst, tol):
     """The nilpotency row, then the decomposition rows; a Q that fails
     nilpotency has no decomposition, so its row comes alone."""
     n = inst.spec.n_sites
-    rows = [check_row(f"{label}_nilpotency", n,
-                      operators.nilpotency_residual(inst.q), 0, "PAPER",
-                      tol["machine"])]
-    if not rows[0].passed:
+    rows = [(f"{label}_nilpotency", n, operators.nilpotency_residual(inst.q),
+             0, "PAPER", tol["machine"])]
+    if not check_rows(*rows[0]).passed[0]:
         return rows
     res = operators.decomposition_residuals(
         operators.super_decompose(inst.q, check=False))
     return rows + [
-        check_row(f"{label}_car_completeness", n, res["car"], 0, "PAPER",
-                  tol["identity"]),
+        (f"{label}_car_completeness", n, res["car"], 0, "PAPER",
+         tol["identity"]),
         _indicator(f"{label}_even_multiplicity", n, not res["odd"], "PAPER"),
         _indicator(f"{label}_pm_symmetry", n,
                    res["pairing"] <= operators.PAIRING_TOL, "PAPER"),
-        check_row(f"{label}_g_square", n, res["g_square"], 0, "PAPER",
-                  tol["identity"])]
+        (f"{label}_g_square", n, res["g_square"], 0, "PAPER",
+         tol["identity"])]
 
 
 def _verify_model_i(tol):
@@ -71,15 +71,14 @@ def _verify_model_i(tol):
     worst = max(np.linalg.norm(flow - models.model_i_flow_closed(k, s, inst),
                                2, axis=(-2, -1)).max()
                 for k, flow in enumerate(flows))
-    rows.append(check_row("model_i_flow", 3, worst, 0, "PAPER",
-                          tol["identity"]))
+    rows.append(("model_i_flow", 3, worst, 0, "PAPER", tol["identity"]))
     cross = np.linalg.norm(operators.bracket(flows[0][-1], aa[1]), 2)
     rows.append(_indicator("model_i_nonlocal", 3, cross > 1e-3, "PAPER"))
     scalar = sum(x * x for x in z) * np.eye(inst.h.shape[0], dtype=complex)
-    rows.append(check_row("model_i_h_scalar", 3,
-                          np.linalg.norm(inst.h.toarray() - scalar, 2), 0,
-                          "PAPER", tol["machine"]))
-    return rows
+    rows.append(("model_i_h_scalar", 3,
+                 np.linalg.norm(inst.h.toarray() - scalar, 2), 0, "PAPER",
+                 tol["machine"]))
+    return check_rows(*zip(*rows))
 
 
 def _verify_model_ii(tol):
@@ -96,11 +95,10 @@ def _verify_model_ii(tol):
             brute = flows[inst.spec.mode_index(k, flavor)]
             worst = max(worst, np.linalg.norm(brute - c, 2,
                                               axis=(-2, -1)).max())
-    rows.append(check_row("model_ii_flow", 2, worst, 0, "PAPER",
-                          tol["identity"]))
+    rows.append(("model_ii_flow", 2, worst, 0, "PAPER", tol["identity"]))
     kern = int(np.sum(np.abs(operators.diagonal_eigenvalues(inst.h)) < 1e-9))
-    rows.append(check_row("model_ii_kernel_dim", 2, kern, 4, "DERIVED", 0.5))
-    return rows
+    rows.append(("model_ii_kernel_dim", 2, kern, 4, "DERIVED", 0.5))
+    return check_rows(*zip(*rows))
 
 
 def _verify_model_iii(tol):
@@ -114,24 +112,23 @@ def _verify_model_iii(tol):
             ("eta_car", car - np.eye(eta.shape[0]), "PAPER"),
             ("m_eta_commute", comm.toarray(), "PAPER"),
             ("expansion_pair_sector", sector.toarray(), "DERIVED")):
-        rows.append(check_row(f"model_iii_{metric}", 2,
-                              np.linalg.norm(residual, 2), 0, provenance,
-                              tol["identity"]))
+        rows.append((f"model_iii_{metric}", 2, np.linalg.norm(residual, 2),
+                     0, provenance, tol["identity"]))
     m_norm = np.linalg.norm(pair.m_n.toarray(), 2)
     n = 2
     exact = float(np.sqrt((n // 2 + 1) * (n - n // 2) / n))
-    rows.append(check_row("model_iii_m_norm", 2, m_norm, exact, "DERIVED",
-                          tol["identity"]))
-    return rows
+    rows.append(("model_iii_m_norm", 2, m_norm, exact, "DERIVED",
+                 tol["identity"]))
+    return check_rows(*zip(*rows))
 
 
 def _verify_counterexample(tol):
     q = models.hopping_supercharge(3, (1.0, 1.0, 1.0), periodic=True)
     ok, res = models.nilpotency_check(q)
     rows = [_indicator("counterexample_not_nilpotent", 3, not ok, "PAPER"),
-            check_row("counterexample_residual", 3, res,
-                      1.0 / (2.0 * np.sqrt(3.0)), "DERIVED", tol["spectral"])]
-    return rows
+            ("counterexample_residual", 3, res, 1.0 / (2.0 * np.sqrt(3.0)),
+             "DERIVED", tol["spectral"])]
+    return check_rows(*zip(*rows))
 
 
 def _verify_dicke(tol):
@@ -140,17 +137,17 @@ def _verify_dicke(tol):
         dvals = dicke.hss_eigenvalues(dicke.collective_ops(n))
         return float(np.abs(np.sort(fock) - dvals).max())
 
-    rows = [check_row("dicke_cross_rep", n, v, 0, "DERIVED", tol["spectral"])
+    rows = [("dicke_cross_rep", n, v, 0, "DERIVED", tol["spectral"])
             for n, v in limits.sweep(cross_rep, (2, 3, 4))]
     for k, metric in enumerate(("ceiling_law_psi1", "ceiling_law")):
-        rows += [check_row(metric, n, v, n * (n + 2), "PAPER", 0)
+        rows += [(metric, n, v, n * (n + 2), "PAPER", 0)
                  for n, v in limits.sweep(
                      lambda n: dicke.ceiling_law_exact(n)[k], (4, 100, 1000))]
     ops = dicke.collective_ops(8)
     psi2 = dicke.ceiling_state(ops)
-    rows += [check_row(f"{label}_overlap_deficit", 8,
-                       1.0 - abs(dicke.overlap(state, psi2)), 0, "PAPER",
-                       tol["overlap"])
+    rows += [(f"{label}_overlap_deficit", 8,
+              1.0 - abs(dicke.overlap(state, psi2)), 0, "PAPER",
+              tol["overlap"])
              for label, state in (
                  ("ceiling_integral", dicke.ceiling_state_integral(ops)),
                  ("coherent_g1",
@@ -158,23 +155,23 @@ def _verify_dicke(tol):
     ops40 = dicke.collective_ops(40)
     ov = abs(dicke.overlap(dicke.bogoliubov_state(ops40, 0.3),
                            dicke.bogoliubov_state(ops40, 0.7)))
-    rows.append(check_row("bogoliubov_overlap", 40, ov,
-                          abs(np.cos(0.4)) ** 40, "DERIVED", tol["identity"]))
+    rows.append(("bogoliubov_overlap", 40, ov, abs(np.cos(0.4)) ** 40,
+                 "DERIVED", tol["identity"]))
     for prefix, residuals in (
             ("eom", limits.eom_identity_residuals(6)),
             ("super", limits.super_identity_residuals(6, 0.9))):
-        rows += [check_row(f"{prefix}_{name}", 6, val, 0, "PAPER",
-                           tol["identity"]) for name, val in residuals.items()]
-    return rows
+        rows += [(f"{prefix}_{name}", 6, val, 0, "PAPER", tol["identity"])
+                 for name, val in residuals.items()]
+    return check_rows(*zip(*rows))
 
 
 def _verify_bcs(tol):
     """||H_BCS + H_SS|| = ||eta eta^dag S_z|| / N = 1 exactly."""
-    return [check_row(metric, n, models.build_bcs(n, rep).diff_norm, 1.0,
-                      provenance, tol["identity"])
-            for metric, n, rep, provenance in (
-                ("bcs_fock_defect", 2, "fock", "TRIVIAL"),
-                ("bcs_dicke_bounded", 4, "dicke", "PAPER"))]
+    rows = [(metric, n, models.build_bcs(n, rep).diff_norm, 1.0, provenance,
+             tol["identity"]) for metric, n, rep, provenance in (
+                 ("bcs_fock_defect", 2, "fock", "TRIVIAL"),
+                 ("bcs_dicke_bounded", 4, "dicke", "PAPER"))]
+    return check_rows(*zip(*rows))
 
 
 VERIFY_SUITES = {
@@ -195,7 +192,7 @@ def run_verify(args, tol):
     names = [args.model] if args.model else list(VERIFY_SUITES)
     report = Report(config_echo=_echo(args))
     for name in names:
-        report.extend(VERIFY_SUITES[name](tol))
+        report.add(VERIFY_SUITES[name](tol))
     return report
 
 
@@ -215,8 +212,9 @@ def _limit(target, tol_key, provenance):
     extrapolated-limit row."""
     def rows(key, args, tol, pts):
         fit = (f"{key[0]}_fit_limit", 0, limits.extrapolate(pts).limit)
-        return [check_row(m, n, v, target(args), provenance, tol[tol_key])
-                for m, n, v in [(key[0], n, v) for n, v in pts] + [fit]]
+        out = [(m, n, v, target(args), provenance, tol[tol_key])
+               for m, n, v in [(key[0], n, v) for n, v in pts] + [fit]]
+        return check_rows(*zip(*out))
     return rows
 
 
@@ -224,46 +222,45 @@ def _meso_rows(divergent):
     """Row builder: the per-n variances, then the divergence rows where
     the variance diverges (ceiling) or the boundedness row elsewhere."""
     def rows(key, args, tol, pts):
-        out = [check_row(f"meso_variance[{key[1]}]", n, v, v, "DERIVED", 0.0)
+        out = [(f"meso_variance[{key[1]}]", n, v, v, "DERIVED", 0.0)
                for n, v in pts]
         slope, grows = limits.variance_divergence(pts)
         if not divergent:
-            return out + [_indicator("meso_variance_bounded", 0, not grows,
-                                     "DERIVED")]
-        return out + [check_row("meso_variance_slope", 0, slope, 0.5,
-                                "DERIVED", tol["slope"]),
-                      _indicator("meso_variance_divergent", 0, grows,
-                                 "PAPER")]
+            out.append(_indicator("meso_variance_bounded", 0, not grows,
+                                  "DERIVED"))
+        else:
+            out += [("meso_variance_slope", 0, slope, 0.5, "DERIVED",
+                     tol["slope"]),
+                    _indicator("meso_variance_divergent", 0, grows, "PAPER")]
+        return check_rows(*zip(*out))
     return rows
 
 
 def _spectral_rows(key, args, tol, pts):
     target = float(limits.witten_limit(64).bulk_levels()[3])
-    rows = [check_row("hss_level_6", n, v, target, "DERIVED",
-                      abs(target) * 0.05 + 2.5 / n) for n, v in pts]
+    rows = [("hss_level_6", n, v, target, "DERIVED",
+             abs(target) * 0.05 + 2.5 / n) for n, v in pts]
     fit = limits.extrapolate(pts)
-    rows.append(check_row("spectral_rate", 0, fit.rate, 1.0, "DERIVED",
-                          tol["rate"]))
-    rows.append(check_row("spectral_limit", 0, fit.limit, target, "DERIVED",
-                          tol["gaussian"]))
-    return rows
+    rows.append(("spectral_rate", 0, fit.rate, 1.0, "DERIVED", tol["rate"]))
+    rows.append(("spectral_limit", 0, fit.limit, target, "DERIVED",
+                 tol["gaussian"]))
+    return check_rows(*zip(*rows))
 
 
 def _bs_super_rows(key, args, tol, pts):
-    rows = [check_row("bs_eta_prime_growth", n, v, 0.5 * np.sqrt(n),
-                      "DERIVED", tol["identity"]) for n, v in pts]
-    rows.append(check_row("bs_super_exponent", 0,
-                          limits.power_growth_fit(pts).rate, 0.5, "DERIVED",
-                          tol["slope"]))
-    return rows
+    rows = [("bs_eta_prime_growth", n, v, 0.5 * np.sqrt(n), "DERIVED",
+             tol["identity"]) for n, v in pts]
+    rows.append(("bs_super_exponent", 0, limits.power_growth_fit(pts).rate,
+                 0.5, "DERIVED", tol["slope"]))
+    return check_rows(*zip(*rows))
 
 
 def _isometry_rows(key, args, tol, pts):
-    rows = [check_row("isometry", n, v, 1.0 + 2.0 / n, "DERIVED",
-                      tol["spectral"]) for n, v in pts]
-    rows.append(check_row("isometry_limit", 0, limits.extrapolate(pts).limit,
-                          1.0, "PAPER", tol["isometry"]))
-    return rows
+    rows = [("isometry", n, v, 1.0 + 2.0 / n, "DERIVED", tol["spectral"])
+            for n, v in pts]
+    rows.append(("isometry_limit", 0, limits.extrapolate(pts).limit, 1.0,
+                 "PAPER", tol["isometry"]))
+    return check_rows(*zip(*rows))
 
 
 # the limit exp(-r^2/2) of both BS(0) axes
@@ -271,7 +268,7 @@ _bs_gaussian = _limit(lambda a: float(np.exp(-a.r * a.r / 2.0)), "gaussian",
                       "PAPER")
 
 # (metric, --state) -> (probe (ops, state, args) -> value at one n,
-# row builder (key, args, tol, swept points) -> rows); the state None marks
+# row builder (key, args, tol, swept points) -> Block); the state None marks
 # a metric that reads no --state.  The probes look `limits` up per call.
 SWEEP = {
     ("gaussian", "ground"): (
@@ -342,7 +339,7 @@ def run_sweep(args, tol):
     args.state = key[1]         # the config echo records the resolved state
     pts = limits.sweep(_cell(key, args), args.n_list)
     report = Report(config_echo=_echo(args))
-    report.extend(SWEEP[key][1](key, args, tol, pts))
+    report.add(SWEEP[key][1](key, args, tol, pts))
     return report
 
 
@@ -369,7 +366,7 @@ def run_spectrum(args, tol):
     report = Report(config_echo=_echo(args))
     vals = np.asarray(SPECTRA[args.model](args.n), dtype=float)[:args.levels]
     width = max(4, len(str(len(vals) - 1)))   # rows sort as strings
-    report.add_block(check_rows(
+    report.add(check_rows(
         [f"spectrum_level_{i:0{width}d}" for i in range(len(vals))], args.n,
         vals, vals, "DERIVED", 0.0))
     return report
@@ -475,9 +472,10 @@ def run_tables(args, tol):
     """One row per TABLE_CELLS entry."""
     x = _table_inputs(args)
     report = Report(config_echo=_echo(args))
-    report.extend(check_row(metric, n, value(x), target, provenance, tol[key])
-                  for metric, (n, value, target, key, provenance)
-                  in TABLE_CELLS.items())
+    rows = [(metric, n, value(x), target, provenance, tol[key])
+            for metric, (n, value, target, key, provenance)
+            in TABLE_CELLS.items()]
+    report.add(check_rows(*zip(*rows)))
     return report
 
 

@@ -28,8 +28,10 @@ class DickeOperators:
     the S_+ amplitude e_k -> e_{k+1} (and S_- back), and sz, the S_z
     diagonal -N, -N+2, ..., N; [S_+, S_-] = S_z, [S_z, S_+] = 2 S_+.  No
     matrix is built and no array held: `window` computes both on the rows
-    that `diagonals` (S_+, S_-, S_x, S_y or S_z), `lift_apply` or the
-    rotation kernel reads, and `amp` and `sz` compute every entry."""
+    that `diagonals` (S_+, S_-, S_x, S_y or S_z) or the rotation kernel
+    reads, and `amp` and `sz` compute every entry.  The lifted operator
+    acts on the rows lo, lo + 1, ... of a state v.reshape(-1, 2) as
+    operators.apply_diagonals(ops.diagonals(name, lo, hi), rows)."""
 
     def __init__(self, n):
         if n < 1:
@@ -55,17 +57,6 @@ class DickeOperators:
         return {"s_plus": {-1: amp}, "s_minus": {1: amp}, "s_z": {0: sz},
                 "s_x": {-1: amp, 1: amp},
                 "s_y": {-1: -1j * amp, 1: 1j * amp}}[name]
-
-    def lift_apply(self, name, rows, lo=0):
-        """Rows lo, lo + 1, ... of lift(a) @ v, a = `name`, from the same
-        `rows` of v.reshape(-1, 2), v zero elsewhere; summed from zero in
-        column order, so bit for bit the Sparse product."""
-        m = len(rows)
-        out = np.zeros(rows.shape, dtype=complex)
-        for k, d in self.diagonals(name, lo, lo + m).items():
-            out[max(-k, 0):m - max(k, 0)] += \
-                d[:, None] * rows[max(k, 0):m - max(-k, 0)]
-        return out
 
     @property
     def dim(self):
@@ -164,13 +155,6 @@ def ceiling_state(ops):
     if ops.n % 2:
         raise ValueError("ceiling ladder construction needs even n")
     return _basis_state(ops.n, ops.n // 2, "ceiling")
-
-
-def ceiling_state_ladder(ops):
-    """(psi1, psi2): the ceiling eigenvector components, in closed form;
-    psi1 = normalized S_+ psi2 = e_{N/2+1} (s_z = 2)."""
-    return (_basis_state(ops.n, ops.n // 2 + 1, "ceiling_psi1"),
-            ceiling_state(ops))
 
 
 def ceiling_law_exact(n):

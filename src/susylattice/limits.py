@@ -286,9 +286,10 @@ def bs_gaussian_probe(ops, r, axis):
 def _sx_moments(ops, state):
     """(<S_x>, <S_x^2>) in `state`, S_x applied twice to the span +- 2."""
     lo, v = state.rows(2)
-    sx_v = ops.lift_apply("s_x", v, lo)
+    sx = ops.diagonals("s_x", lo, lo + len(v))
+    sx_v = apply_diagonals(sx, v)
     return (float(np.real(np.vdot(v, sx_v))),
-            float(np.real(np.vdot(v, ops.lift_apply("s_x", sx_v, lo)))))
+            float(np.real(np.vdot(v, apply_diagonals(sx, sx_v)))))
 
 
 def odlro(ops, state):
@@ -451,8 +452,8 @@ def bs_free_evolution(ops, t):
     """
     v0 = dicke.coherent_spin_amplitudes(ops.n, 0.0)
     vt = np.exp(-1j * t * dicke.pairing_diagonal(ops)) * v0
-    moment = lambda m, v: float(np.real(np.vdot(v, ops.lift_apply(
-        m, ops.lift_apply(m, v[:, None])).ravel()))) / ops.n
+    moment = lambda m, v: float(np.real(np.vdot(v, apply_diagonals(
+        ops.diagonals(m), apply_diagonals(ops.diagonals(m), v))))) / ops.n
     return tuple(moment(m, vt) - moment(m, v0) for m in ("s_y", "s_z"))
 
 
@@ -462,7 +463,8 @@ def gs_phase_slope(ops):
     eigenvalue 1)."""
     h = dicke.hss_diagonal(ops)
     g = dicke.ground_state(ops).vector
-    w = ops.lift_apply("s_plus", g.reshape(-1, 2)).ravel() / np.sqrt(ops.n)
+    w = apply_diagonals(ops.diagonals("s_plus"),
+                        g.reshape(-1, 2)).ravel() / np.sqrt(ops.n)
     return float(np.mean([np.angle(np.vdot(w, np.exp(-1j * t * h) * w)) / t
                           for t in (0.5, 1.0, 2.0)]))
 
@@ -501,16 +503,17 @@ def power_growth_fit(pts):
 def macroscopic_triple(ops, state):
     """The macroscopic triple (<S_x>, <S_y>, <S_z>)/N, over the span."""
     lo, v = state.rows(1)
-    return tuple(float(np.real(np.vdot(v, ops.lift_apply(m, v, lo)))) / ops.n
-                 for m in ("s_x", "s_y", "s_z"))
+    applied = (apply_diagonals(ops.diagonals(m, lo, lo + len(v)), v)
+               for m in ("s_x", "s_y", "s_z"))
+    return tuple(float(np.real(np.vdot(v, mv))) / ops.n for mv in applied)
 
 
 def ceiling_isometry(ops, state):
     """<4 S_+S_-/N^2> over the span +- 1, the Eq.-(3.16) isometry
     surrogate; exactly 1 + 2/N in the ceiling state."""
     lo, v = state.rows(1)
-    sm_v = ops.lift_apply("s_minus", v, lo)
-    spsm = np.real(np.vdot(v, ops.lift_apply("s_plus", sm_v, lo)))
+    sp, sm = (ops.diagonals(m, lo, lo + len(v)) for m in ("s_plus", "s_minus"))
+    spsm = np.real(np.vdot(v, apply_diagonals(sp, apply_diagonals(sm, v))))
     return float(4.0 * spsm / ops.n ** 2)
 
 

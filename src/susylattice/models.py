@@ -7,7 +7,7 @@ expansions are treated as checks, not definitions.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -217,11 +217,13 @@ class PairAlgebraOps:
     pair_projector: Sparse
 
 
+@lru_cache(maxsize=None)
 def build_model_iii_fock(n):
     """Model III on the full Fock space: Q = M_N eta_N, H = {Q, Q^dag}.
 
     Returns the ModelInstance together with the pair-algebra operators, all
-    Sparse.
+    Sparse.  Built once per n and process: both are frozen and their arrays
+    read-only, so every caller may share them.
     """
     if n > 4:
         raise DimensionError("Model III supports at most 4 sites (3 flavors)")

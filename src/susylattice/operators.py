@@ -200,13 +200,16 @@ def _product(a, b):
 
 
 def apply_diagonals(diagonals, v):
-    """Sparse.from_diagonals(diagonals) @ v for a vector v, bit for bit and
-    with no matrix: each row's terms, in column order, added into zeros, each
-    a _product.  Stored zeros are harmless: a sum from +0 never reads -0."""
-    out = np.zeros(len(v), dtype=complex)
+    """Sparse.from_diagonals(diagonals) @ v for v of shape (m,) or (m, c),
+    each diagonal multiplying along axis 0, bit for bit and with no matrix:
+    each row's terms, in column order, added into zeros, each a _product.
+    On the rows of v.reshape(-1, 2) this is the lifted operator's apply.
+    Stored zeros are harmless: a sum from +0 never reads -0."""
+    out = np.zeros(v.shape, dtype=complex)
     for k, d in sorted(diagonals.items()):
         lo, hi = max(k, 0), len(v) - max(-k, 0)     # the columns k reads
-        out[lo - k:hi - k] += _product(d, v[lo:hi])
+        out[lo - k:hi - k] += _product(
+            d.reshape((-1,) + (1,) * (v.ndim - 1)), v[lo:hi])
     return out
 
 

@@ -6,9 +6,9 @@ with a mandatory header, UTF-8 and LF endings.  JSON mirrors it one object
 per row plus a metadata block.  Row order is (metric, n), so the order in
 which the cells ran never changes the output bytes.
 
-A report holds its rows as column blocks: `check_rows` builds a block
-from arrays, and `check_row` one Row that `Report.extend` stacks with
-others into a block.  Both formats render every row with one template.
+A report holds its rows as column blocks, and `check_rows` builds and
+judges every one of them, from arrays or scalars that broadcast.  Both
+formats render every row with one template.
 """
 
 import csv
@@ -46,38 +46,9 @@ class ReportSchemaError(ValueError):
 
 
 @dataclass(frozen=True)
-class Row:
-    metric: str
-    n: int
-    value: complex
-    target: complex
-    provenance: str
-    tolerance: float
-    passed: bool
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ReportSchemaError(
-                f"row {self.metric!r} carries untagged/unknown provenance "
-                f"{self.provenance!r}")
-
-
-def check_row(metric, n, value, target, provenance, tolerance):
-    """Build a Row with the pass verdict |value - target| <= tolerance."""
-    value = complex(value)
-    target = complex(target)
-    return Row(metric=metric, n=int(n), value=value, target=target,
-               provenance=provenance, tolerance=float(tolerance),
-               passed=bool(abs(value - target) <= tolerance))
-
-
-# the dtype of each Block column, in the order of Row's fields
-_KINDS = (str, np.int64, complex, complex, str, float, bool)
-
-
-@dataclass(frozen=True)
 class Block:
-    """Rows as equal-length columns: the fields of Row, one array each."""
+    """Rows as equal-length columns, one array each: metric, n, value,
+    target, provenance, tolerance and the pass verdict."""
 
     metric: np.ndarray
     n: np.ndarray
@@ -87,19 +58,12 @@ class Block:
     tolerance: np.ndarray
     passed: np.ndarray
 
-    @classmethod
-    def of_rows(cls, rows):
-        """The block of a sequence of Rows, in their order."""
-        rows = list(rows)
-        return cls(*(np.array([getattr(r, f.name) for r in rows],
-                              dtype=kind)
-                     for f, kind in zip(fields(cls), _KINDS)))
-
 
 def check_rows(metric, ns, values, targets, provenance, tolerance):
-    """check_row element by element, as one Block: every argument is an
-    array or a scalar, and they broadcast against each other.  A nan or
-    infinite difference fails any finite tolerance, as in check_row."""
+    """The Block of rows with the pass verdict |value - target| <=
+    tolerance: every argument is an array or a scalar, and they broadcast
+    against each other.  A nan or infinite difference fails any finite
+    tolerance."""
     provenance = np.asarray(provenance, dtype=str)
     unknown = set(provenance.ravel().tolist()) - set(PROVENANCE_TAGS)
     if unknown:
@@ -174,14 +138,8 @@ class Report:
     blocks: list = field(default_factory=list)
     timestamp: float = field(default_factory=time.time)
 
-    def add(self, row):
-        self.extend([row])
-
-    def extend(self, rows):
-        """Append check_row Rows as one block."""
-        self.blocks.append(Block.of_rows(rows))
-
-    def add_block(self, block):
+    def add(self, block):
+        """Append a check_rows Block."""
         self.blocks.append(block)
 
     def all_passed(self):
@@ -190,7 +148,7 @@ class Report:
     def columns(self):
         """Every row as one Block, sorted by (metric, n) in string order;
         rows that tie keep the order they were added in."""
-        blocks = self.blocks or [Block.of_rows([])]
+        blocks = self.blocks or [check_rows(*[()] * 6)]
         cols = [np.concatenate([getattr(b, f.name) for b in blocks])
                 for f in fields(Block)]
         order = np.lexsort((cols[1], cols[0]))      # stable

@@ -2,7 +2,7 @@
 (the constructor as it summed before, and the collective layer's
 matrices), Model III's symmetric sector on the full 8^n Fock space, the
 array and loop forms that faster kernels replaced, and closed forms that
-only the tests read."""
+only the tests read (the ceiling eigenvector pair among them)."""
 
 import numpy as np
 from scipy import sparse
@@ -151,6 +151,13 @@ def full_ladder_arrays(n):
     before it computed windows."""
     k = np.arange(n)
     return np.sqrt((k + 1.0) * (n - k)), np.arange(-n, n + 1, 2.0)
+
+
+def ceiling_state_ladder(ops):
+    """(psi1, psi2): the ceiling eigenvector components, in closed form;
+    psi1 = normalized S_+ psi2 = e_{N/2+1} (s_z = 2)."""
+    return (dicke._basis_state(ops.n, ops.n // 2 + 1, "ceiling_psi1"),
+            dicke.ceiling_state(ops))
 
 
 def kron_basis_vector(n, k):

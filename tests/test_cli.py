@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from susylattice import __version__, cli, dicke, limits, models, operators
 from susylattice.dicke import MAX_PARTICLES
 from susylattice.reporting import (PROVENANCE_TAGS, Report,
-                                   ReportSchemaError, check_row, check_rows,
+                                   ReportSchemaError, check_rows,
                                    load_tolerances)
 
 HEADER = ["metric", "n", "value_re", "value_im", "target_re", "target_im",
@@ -46,14 +46,14 @@ def exit_code(args):
 
 def test_row_provenance_schema_enforced():
     with pytest.raises(ReportSchemaError):
-        check_row("x", 1, 0.0, 0.0, "GUESS", 1e-9)
+        check_rows("x", 1, 0.0, 0.0, "GUESS", 1e-9)
 
 
 def test_report_csv_schema_and_sorting():
     rep = Report()
-    rep.add(check_row("b_metric", 2, 1.0, 1.0, "TRIVIAL", 1e-9))
-    rep.add(check_row("a_metric", 4, 1.0, 2.0, "DERIVED", 1e-9))
-    rep.add(check_row("a_metric", 2, 1.0, 1.0, "PAPER", 1e-9))
+    rep.add(check_rows("b_metric", 2, 1.0, 1.0, "TRIVIAL", 1e-9))
+    rep.add(check_rows("a_metric", (4, 2), 1.0, (2.0, 1.0),
+                       ("DERIVED", "PAPER"), 1e-9))
     text = rep.to_csv()
     assert text.endswith("\n") and "\r" not in text
     rows = list(csv.reader(text.splitlines()))
@@ -65,7 +65,7 @@ def test_report_csv_schema_and_sorting():
 
 def test_report_json_mirrors_rows():
     rep = Report(config_echo={"command": "verify"})
-    rep.add(check_row("m", 8, 1.5, 1.5, "DERIVED", 1e-9))
+    rep.add(check_rows("m", 8, 1.5, 1.5, "DERIVED", 1e-9))
     payload = json.loads(rep.to_json())
     assert payload["metadata"]["config"] == {"command": "verify"}
     (row,) = payload["rows"]
@@ -90,22 +90,23 @@ def _complex(re, im):
                                  st.sampled_from((0.0, 1e-12, 0.5, np.inf))),
                        min_size=1, max_size=12))
 def test_check_rows_gives_check_row_verdicts(values):
-    """check_rows is check_row element by element: the same values,
-    targets, tolerances and verdicts, and a nan or infinite difference
-    fails any finite tolerance."""
+    """check_rows gives each row the scalar verdict
+    abs(complex(v) - complex(t)) <= tol, keeps every value, target and
+    tolerance to the bit, and fails a nan or infinite difference under any
+    finite tolerance; scalars broadcast against the arrays."""
     v_re, v_im, t_re, t_im, tol = map(np.array, zip(*values))
     value, target = _complex(v_re, v_im), _complex(t_re, t_im)
     metric = [f"m{i}" for i in range(len(values))]
     block = check_rows(metric, 7, value, target, "DERIVED", tol)
-    rows = [check_row(*args, "DERIVED", t) for args, t in
-            zip(zip(metric, [7] * len(values), value, target), tol)]
-    assert block.passed.tolist() == [r.passed for r in rows]
+    assert block.passed.tolist() == [
+        abs(complex(v) - complex(t)) <= tl
+        for v, t, tl in zip(value.tolist(), target.tolist(), tol.tolist())]
     assert block.metric.tolist() == metric
-    assert block.n.tolist() == [7] * len(rows)
-    for name in ("value", "target", "tolerance"):
-        got = getattr(block, name)
-        want = np.array([getattr(r, name) for r in rows], dtype=got.dtype)
-        assert got.tobytes() == want.tobytes()
+    assert block.n.tolist() == [7] * len(values)
+    assert block.provenance.tolist() == ["DERIVED"] * len(values)
+    for got, want in ((block.value, value), (block.target, target),
+                      (block.tolerance, tol)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with np.errstate(invalid="ignore"):
         differences = value - target
     assert not block.passed[~np.isfinite(differences) & np.isfinite(tol)].any()
@@ -117,25 +118,24 @@ def test_check_rows_enforces_the_provenance_schema():
 
 
 def _reference_render(config, timestamp, rows):
-    """CSV and JSON of Rows as csv.writer and json.dumps wrote them, row by
-    row, before a report held column blocks."""
-    rows = sorted(rows, key=lambda r: (r.metric, r.n))
+    """CSV and JSON of (metric, n, value, target, provenance, tolerance,
+    verdict) rows as csv.writer and json.dumps wrote them, row by row,
+    before a report held column blocks."""
+    rows = sorted(rows, key=lambda r: r[:2])
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(HEADER)
-    for r in rows:
-        w.writerow([r.metric, r.n] + [f"{x:.17g}" for x in (
-            r.value.real, r.value.imag, r.target.real, r.target.imag)]
-            + [r.provenance, "pass" if r.passed else "fail"])
+    for m, n, v, t, p, _, ok in rows:
+        w.writerow([m, n] + [f"{x:.17g}" for x in (v.real, v.imag, t.real,
+                                                    t.imag)]
+                   + [p, "pass" if ok else "fail"])
     payload = {"metadata": {"artifact_version": __version__,
                             "config": config, "timestamp": timestamp},
-               "rows": [{"metric": r.metric, "n": r.n,
-                         "value_re": r.value.real, "value_im": r.value.imag,
-                         "target_re": r.target.real,
-                         "target_im": r.target.imag,
-                         "provenance": r.provenance,
-                         "tolerance": r.tolerance, "pass": r.passed}
-                        for r in rows]}
+               "rows": [{"metric": m, "n": n,
+                         "value_re": v.real, "value_im": v.imag,
+                         "target_re": t.real, "target_im": t.imag,
+                         "provenance": p, "tolerance": tol, "pass": ok}
+                        for m, n, v, t, p, tol, ok in rows]}
     return buf.getvalue(), json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -148,28 +148,28 @@ _ROW = st.tuples(
 
 
 @settings(deadline=None, max_examples=60)
-@given(blocks=st.lists(st.lists(_ROW, max_size=6), max_size=4),
-       as_block=st.lists(st.booleans(), min_size=4, max_size=4))
-def test_report_renders_as_csv_writer_and_json_dumps(blocks, as_block):
+@given(rows=st.lists(_ROW, max_size=24), data=st.data())
+def test_report_renders_as_csv_writer_and_json_dumps(rows, data):
     """One template per format gives the bytes of csv.writer and
-    json.dumps over the sorted rows, whether rows came in as check_row
-    Rows or as a check_rows block: quotes, commas and line breaks in a
-    metric, -0.0, nan and infinities, ties in (metric, n) included."""
+    json.dumps over the sorted rows, however the rows are split into
+    check_rows blocks: quotes, commas and line breaks in a metric, -0.0,
+    nan and infinities, ties in (metric, n) included."""
     report = Report(config_echo={"command": "x", "n": [1, 2]},
                     timestamp=12.5)
-    rows = []
-    for block, whole in zip(blocks, as_block):
-        made = [check_row(m, n, complex(vr, vi), t, p, tol)
-                for m, n, vr, vi, t, p, tol in block]
-        rows += made
-        if whole and block:
-            m, n, vr, vi, t, p, tol = map(list, zip(*block))
-            report.add_block(check_rows(
-                m, n, _complex(vr, vi), t, p, tol))
-        else:
-            report.extend(made)
-    assert report.all_passed() == all(r.passed for r in rows)
-    want_csv, want_json = _reference_render(report.config_echo, 12.5, rows)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)),
+                                     max_size=4)))
+    want = []
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        if lo == hi:
+            continue
+        m, n, vr, vi, t, p, tol = map(list, zip(*rows[lo:hi]))
+        value = _complex(vr, vi)
+        report.add(check_rows(m, n, value, t, p, tol))
+        want += [(m[i], n[i], complex(value[i]), complex(t[i]), p[i],
+                  tol[i], abs(complex(value[i]) - complex(t[i])) <= tol[i])
+                 for i in range(hi - lo)]
+    assert report.all_passed() == all(r[-1] for r in want)
+    want_csv, want_json = _reference_render(report.config_echo, 12.5, want)
     assert report.to_csv() == want_csv
     assert report.to_json() == want_json
 
@@ -251,27 +251,22 @@ def test_verify_dicke_builds_no_fock_space_past_two_sites(monkeypatch,
     assert all(r[7] == "pass" for r in rows)
 
 
-def test_verify_builds_the_fock_model_iii_twice(monkeypatch, capsys):
-    """A whole `verify` builds Model III's Fock space only for its two
-    2-site rows (model_iii and bcs_fock_defect) and asks for no 9 or 12
-    Jordan-Wigner modes."""
-    builds, modes = [], []
-    build, annihilators = (models.build_model_iii_fock,
-                           operators.sparse_annihilators)
-
-    def counted(n):
-        builds.append(n)
-        return build(n)
+def test_verify_builds_the_fock_model_iii_once(monkeypatch, capsys):
+    """A whole `verify` builds Model III's Fock space once, at 2 sites, and
+    its two 2-site rows (model_iii and bcs_fock_defect) share that build;
+    it asks for no 9 or 12 Jordan-Wigner modes."""
+    modes, annihilators = [], operators.sparse_annihilators
 
     def asked(k):
         modes.append(k)
         return annihilators(k)
-    monkeypatch.setattr(models, "build_model_iii_fock", counted)
     for module in (models, operators):
         monkeypatch.setattr(module, "sparse_annihilators", asked)
+    models.build_model_iii_fock.cache_clear()
     code, _ = run_cli(["verify"], capsys)
     assert code == 0
-    assert builds == [2, 2]
+    info = models.build_model_iii_fock.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert not {9, 12} & set(modes)
 
 
@@ -300,11 +295,12 @@ def test_nilpotency_row_can_fail():
     inst = models.ModelInstance(
         kind="hopping", spec=operators.LatticeSpec(3), couplings=(1.0,) * 3,
         q=models.hopping_supercharge(3))
-    rows = cli._decomposition_rows("hopping", inst, load_tolerances(None))
-    assert [(r.metric, r.passed) for r in rows] == [("hopping_nilpotency",
-                                                     False)]
-    assert rows[0].value == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)),
-                                          rel=1e-12)
+    block = check_rows(*zip(*cli._decomposition_rows(
+        "hopping", inst, load_tolerances(None))))
+    assert block.metric.tolist() == ["hopping_nilpotency"]
+    assert block.passed.tolist() == [False]
+    assert block.value[0] == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)),
+                                           rel=1e-12)
 
 
 def _eta_entry_scaled(dec):
@@ -347,12 +343,13 @@ def test_a_mutation_fails_its_rows_and_its_check(mutate, failing, message,
     bad = mutate(operators.super_decompose(inst.q))
     monkeypatch.setattr(operators, "super_decompose",
                         lambda q, check=True: bad)
-    rows = cli._decomposition_rows("m", inst, load_tolerances(None))
-    assert [r.metric for r in rows] == [
+    block = check_rows(*zip(*cli._decomposition_rows(
+        "m", inst, load_tolerances(None))))
+    assert block.metric.tolist() == [
         f"m_{name}" for name in ("nilpotency", "car_completeness",
                                  "even_multiplicity", "pm_symmetry",
                                  "g_square")]
-    assert {r.metric[2:] for r in rows if not r.passed} == failing
+    assert {m[2:] for m in block.metric[~block.passed]} == failing
     with pytest.raises(ValueError, match=message):
         operators.verify_decomposition(bad)
 
@@ -372,8 +369,8 @@ def test_flow_suites_diagonalise_each_generator_once(suite, most,
             calls.append(name)
             return solve(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    rows = cli.VERIFY_SUITES[suite](load_tolerances(None))
-    assert all(r.passed for r in rows)
+    block = cli.VERIFY_SUITES[suite](load_tolerances(None))
+    assert block.passed.all()
     assert 0 < len(calls) <= most
 
 
@@ -860,10 +857,10 @@ def test_model_i_decomposition_rows_at_its_cap_stay_small():
     stored entries, where a dense spectral norm needs a 4096^2 SVD."""
     assert _peak_kb("""
 from susylattice import cli, models
-from susylattice.reporting import load_tolerances
+from susylattice.reporting import check_rows, load_tolerances
 rows = cli._decomposition_rows("model_i", models.build_model_i((1.0,) * 12),
                                load_tolerances(None))
-assert all(r.passed for r in rows)
+assert check_rows(*zip(*rows)).passed.all()
 """) < 150 * 1024      # kB
 
 
@@ -998,6 +995,23 @@ def test_default_workload_csv_matches_golden_bytes(name, argv, tmp_path):
         out = tmp_path / f"jobs{jobs}_{name}"
         assert cli.main(["--out", str(out), "--jobs", jobs, *argv]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_each_verify_suite_is_its_lines_of_the_golden(tmp_path):
+    """`verify --model S` emits exactly suite S's lines of verify.csv, byte
+    for byte and in their order, and the seven suites' lines partition the
+    golden's body."""
+    header, *body = (GOLDEN / "verify.csv").read_bytes().splitlines(True)
+    emitted = []
+    for suite in cli.VERIFY_SUITES:
+        out = tmp_path / f"{suite}.csv"
+        assert cli.main(["--out", str(out), "verify", "--model", suite]) == 0
+        head, *lines = out.read_bytes().splitlines(True)
+        assert head == header and lines
+        assert lines == [line for line in body if line in lines], suite
+        emitted += lines
+    assert len(cli.VERIFY_SUITES) == 7
+    assert sorted(emitted) == sorted(body)
 
 
 # --------------------------------------------------------- bad CLI input

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from susylattice import dicke, models
-from susylattice.operators import ETA, Sparse, lift
+from susylattice.operators import ETA, Sparse, apply_diagonals, lift
 from expect import (SparseDicke, build_g_alpha_dicke, build_hss_dicke,
-                    expectation, full_ladder_arrays, hss_unnormalized,
-                    kron_basis_vector, read_only_sparse)
+                    ceiling_state_ladder, expectation, full_ladder_arrays,
+                    hss_unnormalized, kron_basis_vector, read_only_sparse)
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 40))
@@ -87,30 +87,33 @@ def _bits(a):
 
 @pytest.mark.parametrize("n", (1, 7, 200, 5000))
 def test_lift_apply_is_the_lifted_product_bit_for_bit(n):
-    """ops.lift_apply(name, rows, lo) is lift(a) @ v to the last bit, over
-    the whole vector and over a window of rows outside which v vanishes
-    (an empty one included), and so is S_+ applied after S_-: the probes
-    that apply an operator without building its lift keep every golden
-    byte."""
+    """The lifted apply, apply_diagonals(ops.diagonals(name, lo, hi), rows)
+    on rows lo .. hi - 1 of v.reshape(-1, 2), is lift(a) @ v to the last
+    bit, over the whole vector and over a window of rows outside which v
+    vanishes (an empty one included), and so is S_+ applied after S_-: the
+    probes that apply an operator without building its lift keep every
+    golden byte."""
     ops = SparseDicke(n)
     rng = np.random.default_rng(n)
     vectors = _probe_vectors(ops.dim, rng)
     lo, hi = sorted(rng.integers(0, n + 2, size=2))
     window = np.zeros(ops.dim, dtype=complex)
     window[2 * lo:2 * hi] = vectors[0][2 * lo:2 * hi]
+
+    def lift_apply(name, rows, lo=0):
+        return apply_diagonals(ops.diagonals(name, lo, lo + len(rows)), rows)
     for name in ("s_plus", "s_minus", "s_z", "s_x", "s_y"):
         full = lift(getattr(ops, name))
         for v in vectors:
-            got = ops.lift_apply(name, v.reshape(-1, 2)).ravel()
+            got = lift_apply(name, v.reshape(-1, 2)).ravel()
             assert np.array_equal(got, full @ v), name
-        got = ops.lift_apply(name, window.reshape(-1, 2)[lo:hi], lo)
+        got = lift_apply(name, window.reshape(-1, 2)[lo:hi], lo)
         assert np.array_equal(got.ravel(), (full @ window)[2 * lo:2 * hi]), \
             name
-        assert ops.lift_apply(name, np.zeros((0, 2)), 0).shape == (0, 2)
+        assert lift_apply(name, np.zeros((0, 2)), 0).shape == (0, 2)
     sp, sm = lift(ops.s_plus), lift(ops.s_minus)
     for v in vectors:
-        got = ops.lift_apply("s_plus", ops.lift_apply("s_minus",
-                                                      v.reshape(-1, 2)))
+        got = lift_apply("s_plus", lift_apply("s_minus", v.reshape(-1, 2)))
         assert np.array_equal(got.ravel(), sp @ (sm @ v))
 
 
@@ -273,7 +276,7 @@ def test_ground_state_properties():
 @pytest.mark.parametrize("n", (2, 4, 100))
 def test_ceiling_ladder_eigenrelations(n):
     ops = SparseDicke(n)
-    psi1, psi2 = dicke.ceiling_state_ladder(ops)
+    psi1, psi2 = ceiling_state_ladder(ops)
     sz = ops.s_z
     spin2 = psi2.vector.reshape(n + 1, 2)[:, 1]
     spin1 = psi1.vector.reshape(n + 1, 2)[:, 1]
@@ -299,7 +302,7 @@ def test_ceiling_closed_form_matches_ladder(n):
         v = ops.s_plus @ v
         v /= np.linalg.norm(v)
         ladder.append(v)
-    psi1, psi2 = dicke.ceiling_state_ladder(ops)
+    psi1, psi2 = ceiling_state_ladder(ops)
     for state, want in ((psi2, ladder[-2]), (psi1, ladder[-1])):
         spin = state.vector.reshape(n + 1, 2)[:, 1]
         assert np.abs(spin - want).max() <= 1e-14
@@ -308,7 +311,7 @@ def test_ceiling_closed_form_matches_ladder(n):
 
 def test_ceiling_ladder_needs_even_n():
     with pytest.raises(ValueError):
-        dicke.ceiling_state_ladder(dicke.collective_ops(3))
+        ceiling_state_ladder(dicke.collective_ops(3))
 
 
 def test_ceiling_law_integer_arithmetic():
@@ -321,7 +324,7 @@ def test_ceiling_law_integer_arithmetic():
 def test_ceiling_integral_overlap_and_normalization():
     for n in (2, 8, 40):
         ops = dicke.collective_ops(n)
-        _, psi2 = dicke.ceiling_state_ladder(ops)
+        _, psi2 = ceiling_state_ladder(ops)
         integral = dicke.ceiling_state_integral(ops)
         assert abs(dicke.overlap(integral, psi2)) > 1 - 1e-8
         assert integral.meta["c_norm_residual"] < 1e-8
@@ -329,7 +332,7 @@ def test_ceiling_integral_overlap_and_normalization():
 
 def test_ceiling_integral_n2_64_nodes():
     ops = dicke.collective_ops(2)
-    _, psi2 = dicke.ceiling_state_ladder(ops)
+    _, psi2 = ceiling_state_ladder(ops)
     integral = dicke.ceiling_state_integral(ops, n_nodes=64)
     assert abs(dicke.overlap(integral, psi2)) > 1 - 1e-10
 
@@ -352,7 +355,7 @@ def test_ceiling_integral_grid_validation():
 
 def test_quadrature_overlap_converges_geometrically():
     ops = dicke.collective_ops(16)
-    _, psi2 = dicke.ceiling_state_ladder(ops)
+    _, psi2 = ceiling_state_ladder(ops)
     deficits = []
     for nodes in (64, 128, 256):
         st = dicke.ceiling_state_integral(ops, n_nodes=nodes)
@@ -437,7 +440,7 @@ def test_bogoliubov_overlap_decay(n):
 def test_coherent_superposition_recovers_ceiling():
     for n in (8, 200):
         ops = dicke.collective_ops(n)
-        _, psi2 = dicke.ceiling_state_ladder(ops)
+        _, psi2 = ceiling_state_ladder(ops)
         coh = dicke.coherent_superposition(ops, lambda a: 1.0,
                                            n_nodes=max(256, 4 * n))
         assert abs(dicke.overlap(coh, psi2)) > 1 - 1e-6
@@ -475,7 +478,7 @@ def test_overlap_validations():
     b = dicke.ground_state(dicke.collective_ops(3))
     with pytest.raises(ValueError):
         dicke.overlap(a, b)
-    c2 = dicke.ceiling_state_ladder(dicke.collective_ops(2))[1]
+    c2 = ceiling_state_ladder(dicke.collective_ops(2))[1]
     assert abs(dicke.overlap(a, c2)) < 1e-14
     assert dicke.overlap(a, a) == pytest.approx(1.0)
 

@@ -15,8 +15,8 @@ from scipy.sparse.linalg import expm_multiply
 from susylattice import dicke, limits, models, operators
 from susylattice.operators import DimensionError, lift
 from expect import (SparseDicke, bessel_j_array, build_g_alpha_dicke,
-                    build_hss_dicke, csr, expectation, read_only_sparse,
-                    witten_ground_vector)
+                    build_hss_dicke, ceiling_state_ladder, csr, expectation,
+                    read_only_sparse, witten_ground_vector)
 from tensorrep import MAX_SITES, TensorSpinRep
 
 
@@ -108,7 +108,7 @@ def _in_state(build, probe):
 
 
 def _ceiling(ops):
-    return dicke.ceiling_state_ladder(ops)[1]
+    return ceiling_state_ladder(ops)[1]
 
 
 @pytest.mark.parametrize("power", (1, 3))
@@ -228,7 +228,7 @@ def test_matrix_free_probes_match_dense_expm(n, label):
     a dense expm of the same generator."""
     ops = SparseDicke(n)
     if label == "ceiling":
-        state = dicke.ceiling_state_ladder(ops)[1]
+        state = ceiling_state_ladder(ops)[1]
     else:
         state = dicke.bogoliubov_state(ops, 0.4)
     spin = state.vector.reshape(-1, 2)[:, 1]
@@ -474,7 +474,7 @@ def test_span_reductions_equal_the_full_vector_on_basis_states(n):
     gives exactly the full-vector values: at the ground state, the ceiling
     pair and the top of the multiplet, where the window is clipped."""
     ops = SparseDicke(n)
-    states = (dicke.ground_state(ops), *dicke.ceiling_state_ladder(ops),
+    states = (dicke.ground_state(ops), *ceiling_state_ladder(ops),
               dicke._basis_state(n, n, "top"))
     for state in states:
         assert state.span[1] - state.span[0] == 1
@@ -887,7 +887,7 @@ def _free_evolution_form(ops, alpha):
 def _phase_slope_form(ops, alpha):
     h = build_hss_dicke(ops).diagonal()
     g = dicke.ground_state(ops).vector
-    w = ops.lift_apply("s_plus", g.reshape(-1, 2)).ravel() / np.sqrt(ops.n)
+    w = (lift(SparseDicke(ops.n).s_plus) @ g) / np.sqrt(ops.n)
     want = float(np.mean([np.angle(np.vdot(w, np.exp(-1j * t * h) * w)) / t
                           for t in (0.5, 1.0, 2.0)]))
     return limits.gs_phase_slope(ops), want
@@ -996,7 +996,7 @@ def test_macroscopic_triples():
 
 def test_macroscopic_ceiling_isometry():
     ops = dicke.collective_ops(200)
-    _, psi2 = dicke.ceiling_state_ladder(ops)
+    _, psi2 = ceiling_state_ladder(ops)
     assert limits.ceiling_isometry(ops, psi2) == pytest.approx(
         1.0 + 2.0 / 200, abs=1e-10)
 
