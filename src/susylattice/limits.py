@@ -452,9 +452,10 @@ def bs_free_evolution(ops, t):
     """
     v0 = dicke.coherent_spin_amplitudes(ops.n, 0.0)
     vt = np.exp(-1j * t * dicke.pairing_diagonal(ops)) * v0
-    moment = lambda m, v: float(np.real(np.vdot(v, apply_diagonals(
-        ops.diagonals(m), apply_diagonals(ops.diagonals(m), v))))) / ops.n
-    return tuple(moment(m, vt) - moment(m, v0) for m in ("s_y", "s_z"))
+    moment = lambda d, v: float(np.real(np.vdot(v, apply_diagonals(
+        d, apply_diagonals(d, v))))) / ops.n
+    return tuple(moment(d, vt) - moment(d, v0)
+                 for d in map(ops.diagonals, ("s_y", "s_z")))
 
 
 def gs_phase_slope(ops):
